@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import hard_decision, soft_weights
+from .channel import check_pi, hard_decision, soft_weights
 from .chase import build_atom_chain, kaneko_B0
 from .decoder import (
     EXIT_BUDGET,
@@ -45,8 +45,7 @@ def lcc_decode(code: CodeParams, pi: np.ndarray, cfg: LccConfig | None = None,
                genie_codeword: tuple[int, ...] | None = None) -> DecodeResult:
     cfg = cfg or LccConfig()
     field = code.field
-    if pi.shape != (field.q, code.n):
-        raise ValueError(f"pi shape {pi.shape} != ({field.q}, {code.n})")
+    check_pi(pi, field.q, code.n)
     if cfg.eta > code.n:
         raise ValueError("eta must be <= n")
     sub = field.sub

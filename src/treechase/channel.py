@@ -55,6 +55,21 @@ def likelihoods(field: Field, n: int, samples: np.ndarray, sigma2: float) -> np.
     return -(d * d).sum(axis=2) / (2.0 * sigma2) - 0.5 * m * math.log(2.0 * math.pi * sigma2)
 
 
+def check_pi(pi, q: int, n: int) -> None:
+    """Raise ValueError unless pi is a real (q, n) array with every entry finite.
+
+    Decoder entry check: an infinite or NaN log-likelihood makes soft weights
+    infinite or NaN, and then a certificate would compare garbage.
+    """
+    if not isinstance(pi, np.ndarray) or pi.dtype.kind not in "iuf":
+        kind = pi.dtype if isinstance(pi, np.ndarray) else type(pi).__name__
+        raise ValueError(f"pi must be a real numeric array, got {kind}")
+    if pi.shape != (q, n):
+        raise ValueError(f"pi shape {pi.shape} != ({q}, {n})")
+    if not np.isfinite(pi).all():
+        raise ValueError("pi has non-finite entries")
+
+
 def hard_decision(pi: np.ndarray) -> tuple[int, ...]:
     """Columnwise argmax; ties resolve to the smallest field value."""
     return tuple(int(v) for v in np.argmax(pi, axis=0))

@@ -20,7 +20,8 @@ child, which is what makes best-first traversal with a sorted frontier exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -37,7 +38,11 @@ class AtomChain:
     coords: tuple[int, ...]
     deltas: tuple[int, ...]
     weights: tuple[float, ...]
-    rank_of: dict = dc_field(compare=False, repr=False, default_factory=dict)
+
+    @cached_property
+    def rank_of(self) -> dict[tuple[int, int], int]:
+        """0-based rank of each atom (coord, delta); built on first use."""
+        return {a: r for r, a in enumerate(zip(self.coords, self.deltas))}
 
     @property
     def size(self) -> int:
@@ -55,11 +60,8 @@ def build_atom_chain(sw: SoftWeights) -> AtomChain:
     coords = np.tile(np.arange(n), qm1)
     deltas = np.repeat(np.arange(1, qm1 + 1), n)
     order = np.lexsort((deltas, coords, w))
-    cs = tuple(int(v) for v in coords[order])
-    ds = tuple(int(v) for v in deltas[order])
-    ws = tuple(float(v) for v in w[order])
-    rank_of = {(c, d): r for r, (c, d) in enumerate(zip(cs, ds))}
-    return AtomChain(n=n, q=qm1 + 1, coords=cs, deltas=ds, weights=ws, rank_of=rank_of)
+    return AtomChain(n=n, q=qm1 + 1, coords=tuple(coords[order].tolist()),
+                     deltas=tuple(deltas[order].tolist()), weights=tuple(w[order].tolist()))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import hard_decision, soft_weights
+from .channel import check_pi, hard_decision, soft_weights
 from .chase import (
     ROOT,
     AtomChain,
@@ -100,8 +100,7 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
     coordinate) into the most plausible message found within the budget."""
     cfg = cfg or DecoderConfig()
     field = code.field
-    if pi.shape != (field.q, code.n):
-        raise ValueError(f"pi shape {pi.shape} != ({field.q}, {code.n})")
+    check_pi(pi, field.q, code.n)
     sub = field.sub
     z = hard_decision(pi)
     sw = soft_weights(field, pi, z)

@@ -20,8 +20,18 @@ polynomial:
     11  x^11 + x^2 + 1            0x805
     12  x^12 + x^6 + x^4 + x + 1  0x1053
 
+GF(p) builds the same exp/log tables from its smallest primitive root.  A
+field's tables are built when make_field constructs it.  log[0] is a sentinel
+that indexes a zero tail of the exp table, so exp[log[a] + log[b]] == a * b
+for zero operands too.
+
 Univariate polynomials are plain lists of ints, lowest degree first, with no
-trailing zeros (the zero polynomial is the empty list).
+trailing zeros (the zero polynomial is the empty list).  The kernels on the
+decoder's per-frame path (poly_eval, poly_scale, poly_sub, poly_mul_linear,
+poly_div_linear, poly_divrem) are Field methods that loop over local table
+lookups, so no coefficient costs a method call.  poly_scale only multiplies
+and is shared; the others add, so each field kind has its own: XOR in
+GF(2^m), integer arithmetic mod p in GF(p).
 """
 
 from __future__ import annotations
@@ -61,6 +71,23 @@ class Field:
     m: int
     q: int
 
+    def _set_tables(self, powers: list[int]) -> None:
+        """Exp/log tables from powers = [1, g, g^2, ..., g^(q-2)] of a generator g.
+
+        exp is doubled so a sum of two logs needs no reduction, and log[0] =
+        2 * order points into a zero tail long enough for log[0] + log[0].
+        """
+        order = self.q - 1
+        if sorted(powers) != list(range(1, self.q)):
+            raise ValueError(f"powers of the generator do not cover GF({self.q})^*")
+        zero = 2 * order
+        log = [zero] * self.q
+        for i, v in enumerate(powers):
+            log[v] = i
+        self._exp = powers + powers + [0] * (zero + 1)
+        self._log = log
+        self._order = order
+
     def add(self, a: int, b: int) -> int:
         raise NotImplementedError
 
@@ -74,10 +101,42 @@ class Field:
         raise NotImplementedError
 
     def inv(self, a: int) -> int:
-        raise NotImplementedError
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return self._exp[self._order - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
+
+    def exp_order(self) -> list[int]:
+        """Nonzero elements as powers of the table generator: 1, g, g^2, ..."""
+        return self._exp[: self._order]
+
+    def poly_scale(self, a: list[int], s: int) -> list[int]:
+        """s * a(x)."""
+        exp, log = self._exp, self._log
+        ls = log[s]
+        return poly_trim([exp[ls + log[v]] for v in a])
+
+    def poly_eval(self, a: list[int], x: int) -> int:
+        """a(x) by Horner's rule."""
+        raise NotImplementedError
+
+    def poly_sub(self, a: list[int], b: list[int]) -> list[int]:
+        """a(x) - b(x)."""
+        raise NotImplementedError
+
+    def poly_mul_linear(self, a: list[int], beta: int) -> list[int]:
+        """a(x) * (x - beta)."""
+        raise NotImplementedError
+
+    def poly_div_linear(self, a: list[int], beta: int) -> list[int]:
+        """a(x) / (x - beta) by synthetic division; raises if the division is inexact."""
+        raise NotImplementedError
+
+    def poly_divrem(self, num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+        """Quotient and remainder with deg rem < deg den."""
+        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -88,6 +147,13 @@ class PrimeField(Field):
         self.p = p
         self.m = 1
         self.q = p
+        for g in range(1, p):  # smallest primitive root; 1 for p = 2
+            powers = [1]
+            while len(powers) < p - 1 and powers[-1] * g % p != 1:
+                powers.append(powers[-1] * g % p)
+            if len(powers) == p - 1:
+                break
+        self._set_tables(powers)
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -101,10 +167,56 @@ class PrimeField(Field):
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+    def poly_eval(self, a, x):
+        p = self.p
+        acc = 0
+        for v in reversed(a):
+            acc = (acc * x + v) % p
+        return acc
+
+    def poly_sub(self, a, b):
+        p = self.p
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, v in enumerate(b):
+            out[i] = (out[i] - v) % p
+        return poly_trim(out)
+
+    def poly_mul_linear(self, a, beta):
+        p = self.p
+        out = [0, *a]
+        for i, v in enumerate(a):
+            out[i] = (out[i] - beta * v) % p
+        return poly_trim(out)
+
+    def poly_div_linear(self, a, beta):
+        p = self.p
+        out = [0] * (len(a) - 1)
+        acc = 0
+        for i in range(len(a) - 1, 0, -1):
+            acc = (acc * beta + a[i]) % p
+            out[i - 1] = acc
+        if a and (acc * beta + a[0]) % p:
+            raise RuntimeError("inexact division by linear factor")
+        return poly_trim(out)
+
+    def poly_divrem(self, num, den):
+        den = poly_trim(list(den))
+        if not den:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = poly_trim(list(num))
+        dd = len(den) - 1
+        if len(rem) <= dd:
+            return [], rem
+        p = self.p
+        inv_lead = self.inv(den[-1])
+        quo = [0] * (len(rem) - dd)
+        for i in range(len(quo) - 1, -1, -1):
+            c = rem[i + dd] * inv_lead % p
+            if c:
+                quo[i] = c
+                for j, v in enumerate(den):
+                    rem[i + j] = (rem[i + j] - c * v) % p
+        return poly_trim(quo), poly_trim(rem)
 
 
 class BinaryField(Field):
@@ -115,22 +227,14 @@ class BinaryField(Field):
         self.m = m
         self.q = 1 << m
         poly = PRIMITIVE_POLY[m]
-        order = self.q - 1
-        exp = [0] * (2 * order)
-        log = [0] * self.q
+        powers = []
         x = 1
-        for i in range(order):
-            exp[i] = x
-            exp[i + order] = x  # doubled table avoids a mod in mul
-            log[x] = i
+        for _ in range(self.q - 1):
+            powers.append(x)
             x <<= 1
             if x & self.q:
                 x ^= poly
-        if x != 1:
-            raise ValueError(f"0x{poly:x} is not primitive for m={m}")
-        self._exp = exp
-        self._log = log
-        self._order = order
+        self._set_tables(powers)
 
     def add(self, a, b):
         return a ^ b
@@ -142,18 +246,64 @@ class BinaryField(Field):
         return a
 
     def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
         return self._exp[self._log[a] + self._log[b]]
 
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self._exp[self._order - self._log[a]]
+    def poly_eval(self, a, x):
+        exp, log = self._exp, self._log
+        lx = log[x]
+        acc = 0
+        for v in reversed(a):
+            acc = exp[log[acc] + lx] ^ v
+        return acc
 
-    def exp_order(self) -> list[int]:
-        """Nonzero elements as powers of the primitive element: 1, a, a^2, ..."""
-        return self._exp[: self._order]
+    def poly_sub(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, v in enumerate(b):
+            out[i] ^= v
+        return poly_trim(out)
+
+    def poly_mul_linear(self, a, beta):
+        exp, log = self._exp, self._log
+        lb = log[beta]
+        out = [0, *a]
+        for i, v in enumerate(a):
+            out[i] ^= exp[lb + log[v]]
+        return poly_trim(out)
+
+    def poly_div_linear(self, a, beta):
+        exp, log = self._exp, self._log
+        lb = log[beta]
+        out = [0] * (len(a) - 1)
+        acc = 0
+        for i in range(len(a) - 1, 0, -1):
+            acc = exp[log[acc] + lb] ^ a[i]
+            out[i - 1] = acc
+        if a and exp[log[acc] + lb] != a[0]:
+            raise RuntimeError("inexact division by linear factor")
+        return poly_trim(out)
+
+    def poly_divrem(self, num, den):
+        den = poly_trim(list(den))
+        if not den:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = poly_trim(list(num))
+        dd = len(den) - 1
+        if len(rem) <= dd:
+            return [], rem
+        exp, log = self._exp, self._log
+        log_inv_lead = self._order - log[den[-1]]
+        log_den = [log[v] for v in den]
+        quo = [0] * (len(rem) - dd)
+        for i in range(len(quo) - 1, -1, -1):
+            c = rem[i + dd]
+            if c:
+                c = quo[i] = exp[log[c] + log_inv_lead]
+                lc = log[c]
+                for j, lv in enumerate(log_den):
+                    rem[i + j] ^= exp[lc + lv]
+        return poly_trim(quo), poly_trim(rem)
 
 
 def make_field(p: int, m: int = 1) -> Field:
@@ -199,22 +349,6 @@ def poly_add(field: Field, a: list[int], b: list[int]) -> list[int]:
     return poly_trim(out)
 
 
-def poly_sub(field: Field, a: list[int], b: list[int]) -> list[int]:
-    sub = field.sub
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        out[i] = sub(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
-    return poly_trim(out)
-
-
-def poly_scale(field: Field, a: list[int], s: int) -> list[int]:
-    if s == 0:
-        return []
-    mul = field.mul
-    return poly_trim([mul(v, s) for v in a])
-
-
 def poly_mul(field: Field, a: list[int], b: list[int]) -> list[int]:
     if not a or not b:
         return []
@@ -225,66 +359,6 @@ def poly_mul(field: Field, a: list[int], b: list[int]) -> list[int]:
             continue
         for j, bv in enumerate(b):
             out[i + j] = add(out[i + j], mul(av, bv))
-    return poly_trim(out)
-
-
-def poly_eval(field: Field, a: list[int], x: int) -> int:
-    """Horner evaluation."""
-    add, mul = field.add, field.mul
-    acc = 0
-    for v in reversed(a):
-        acc = add(mul(acc, x), v)
-    return acc
-
-
-def poly_divrem(field: Field, num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder with deg rem < deg den."""
-    den = poly_trim(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    num = poly_trim(num)
-    if len(num) < len(den):
-        return [], list(num)
-    sub, mul = field.sub, field.mul
-    inv_lead = field.inv(den[-1])
-    rem = list(num)
-    qdeg = len(num) - len(den)
-    quo = [0] * (qdeg + 1)
-    for i in range(qdeg, -1, -1):
-        c = mul(rem[i + len(den) - 1], inv_lead)
-        quo[i] = c
-        if c:
-            for j, dv in enumerate(den):
-                rem[i + j] = sub(rem[i + j], mul(c, dv))
-    return poly_trim(quo), poly_trim(rem)
-
-
-def poly_mul_linear(field: Field, a: list[int], beta: int) -> list[int]:
-    """a(x) * (x - beta)."""
-    if not a:
-        return []
-    sub, mul = field.sub, field.mul
-    nb = field.neg(beta)
-    out = [0] * (len(a) + 1)
-    for i, v in enumerate(a):
-        out[i + 1] = field.add(out[i + 1], v)
-        out[i] = field.add(out[i], mul(v, nb))
-    return poly_trim(out)
-
-
-def poly_div_linear(field: Field, a: list[int], beta: int) -> list[int]:
-    """a(x) / (x - beta) by synthetic division; raises if the division is inexact."""
-    if not a:
-        return []
-    add, mul = field.add, field.mul
-    out = [0] * (len(a) - 1)
-    acc = 0
-    for i in range(len(a) - 1, -1, -1):
-        acc = add(mul(acc, beta), a[i])
-        if i > 0:
-            out[i - 1] = acc
-        elif acc != 0:
-            raise RuntimeError("inexact division by linear factor")
     return poly_trim(out)
 
 
@@ -304,21 +378,20 @@ def poly_str(c: list[int]) -> str:
 
 
 def lagrange_interpolate(field: Field, xs: list[int], ys: list[int]) -> list[int]:
-    """Unique polynomial of degree < len(xs) through the given points."""
+    """Unique polynomial of degree < len(xs) through the given points.
+
+    Newton's divided differences, then the nested form expanded: O(len(xs)^2).
+    """
     if len(xs) != len(ys):
         raise ValueError("point count mismatch")
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate x coordinates")
+    sub, div = field.sub, field.div
+    c = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            c[i] = div(sub(c[i], c[i - 1]), sub(xs[i], xs[i - j]))
     out: list[int] = []
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        basis = [1]
-        denom = 1
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = poly_mul_linear(field, basis, xj)
-            denom = field.mul(denom, field.sub(xi, xj))
-        out = poly_add(field, out, poly_scale(field, basis, field.div(yi, denom)))
+    for i in range(len(xs) - 1, -1, -1):
+        out = poly_add(field, field.poly_mul_linear(out, xs[i]), [c[i]])
     return out

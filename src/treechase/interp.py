@@ -21,16 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .galois import (
-    Field,
-    poly_deg,
-    poly_div_linear,
-    poly_divrem,
-    poly_eval,
-    poly_mul_linear,
-    poly_scale,
-    poly_sub,
-)
+from .galois import Field, poly_deg
 
 _NEG = -(10**9)  # stand-in for the weighted degree of a zero part
 
@@ -42,17 +33,13 @@ class BivarPoly:
     q0: tuple[int, ...]
     q1: tuple[int, ...]
 
-    def is_zero(self) -> bool:
-        return not self.q0 and not self.q1
-
 
 def bivar(q0, q1) -> BivarPoly:
     return BivarPoly(tuple(q0), tuple(q1))
 
 
 def bivar_eval(field: Field, P: BivarPoly, x: int, y: int) -> int:
-    return field.add(poly_eval(field, P.q0, x),
-                     field.mul(y, poly_eval(field, P.q1, x)))
+    return field.add(field.poly_eval(P.q0, x), field.mul(y, field.poly_eval(P.q1, x)))
 
 
 def wdeg_key(k: int, P: BivarPoly) -> tuple[int, int]:
@@ -62,19 +49,12 @@ def wdeg_key(k: int, P: BivarPoly) -> tuple[int, int]:
     return (max(d0, d1), 1 if d1 >= d0 else 0)
 
 
-def weighted_degree(k: int, P: BivarPoly) -> int:
-    return wdeg_key(k, P)[0]
-
-
 @dataclass(frozen=True)
 class GroebnerBasis:
     field: Field
     k: int
     polys: tuple[BivarPoly, BivarPoly]
     points: tuple[tuple[int, int], ...]
-
-    def point_xs(self) -> set[int]:
-        return {x for x, _ in self.points}
 
 
 def basis_init(field: Field, k: int) -> GroebnerBasis:
@@ -88,30 +68,35 @@ def basis_init(field: Field, k: int) -> GroebnerBasis:
 
 def _combine(field: Field, a: int, P: BivarPoly, b: int, R: BivarPoly) -> BivarPoly:
     """a*P - b*R, componentwise."""
-    q0 = poly_sub(field, poly_scale(field, P.q0, a), poly_scale(field, R.q0, b))
-    q1 = poly_sub(field, poly_scale(field, P.q1, a), poly_scale(field, R.q1, b))
-    return bivar(q0, q1)
+    scale, sub = field.poly_scale, field.poly_sub
+    return BivarPoly(tuple(sub(scale(P.q0, a), scale(R.q0, b))),
+                     tuple(sub(scale(P.q1, a), scale(R.q1, b))))
+
+
+def _pick(k: int, P: tuple[BivarPoly, BivarPoly], d: tuple[int, int]) -> int:
+    """Index of the lower-order element among those with d != 0 (0 on ties)."""
+    return 0 if d[0] and (not d[1] or wdeg_key(k, P[0]) <= wdeg_key(k, P[1])) else 1
 
 
 def forward_add(basis: GroebnerBasis, x: int, y: int) -> GroebnerBasis:
     """Koetter update: constrain the module to also vanish at (x, y)."""
     field, k = basis.field, basis.k
-    if any(px == x for px, _ in basis.points):
-        raise ValueError(f"x = {x} already interpolated")
-    P0, P1 = basis.polys
-    d = (bivar_eval(field, P0, x, y), bivar_eval(field, P1, x, y))
+    for px, _ in basis.points:
+        if px == x:
+            raise ValueError(f"x = {x} already interpolated")
+    P = basis.polys
+    d = (bivar_eval(field, P[0], x, y), bivar_eval(field, P[1], x, y))
     pts = basis.points + ((x, y),)
     if d == (0, 0):
         # the whole module already vanishes here; nothing to update
-        return GroebnerBasis(field, k, basis.polys, pts)
-    cands = [l for l in (0, 1) if d[l] != 0]
-    mu = min(cands, key=lambda l: wdeg_key(k, basis.polys[l]))
+        return GroebnerBasis(field, k, P, pts)
+    mu = _pick(k, P, d)
     nu = 1 - mu
-    new = [P0, P1]
+    new = list(P)
     if d[nu] != 0:
-        new[nu] = _combine(field, d[mu], new[nu], d[nu], new[mu])
-    new[mu] = bivar(poly_mul_linear(field, new[mu].q0, x),
-                    poly_mul_linear(field, new[mu].q1, x))
+        new[nu] = _combine(field, d[mu], P[nu], d[nu], P[mu])
+    new[mu] = BivarPoly(tuple(field.poly_mul_linear(P[mu].q0, x)),
+                        tuple(field.poly_mul_linear(P[mu].q1, x)))
     return GroebnerBasis(field, k, (new[0], new[1]), pts)
 
 
@@ -120,19 +105,18 @@ def backward_remove(basis: GroebnerBasis, x: int, y: int) -> GroebnerBasis:
     field, k = basis.field, basis.k
     if (x, y) not in basis.points:
         raise ValueError(f"point ({x}, {y}) not interpolated")
-    P = list(basis.polys)
-    e = (poly_eval(field, P[0].q1, x), poly_eval(field, P[1].q1, x))
-    cands = [l for l in (0, 1) if e[l] != 0]
-    if not cands:
+    P = basis.polys
+    e = (field.poly_eval(P[0].q1, x), field.poly_eval(P[1].q1, x))
+    if e == (0, 0):
         raise RuntimeError("degenerate basis: no y-part is nonzero at the removed x")
-    mu = min(cands, key=lambda l: wdeg_key(k, P[l]))
+    mu = _pick(k, P, e)
     nu = 1 - mu
-    if e[nu] != 0:
-        P[nu] = _combine(field, e[mu], P[nu], e[nu], P[mu])
-    P[nu] = bivar(poly_div_linear(field, P[nu].q0, x),
-                  poly_div_linear(field, P[nu].q1, x))
+    new = list(P)
+    R = _combine(field, e[mu], P[nu], e[nu], P[mu]) if e[nu] != 0 else P[nu]
+    new[nu] = BivarPoly(tuple(field.poly_div_linear(R.q0, x)),
+                        tuple(field.poly_div_linear(R.q1, x)))
     pts = tuple(pt for pt in basis.points if pt != (x, y))
-    return GroebnerBasis(field, k, (P[0], P[1]), pts)
+    return GroebnerBasis(field, k, (new[0], new[1]), pts)
 
 
 def minimal_poly(basis: GroebnerBasis) -> BivarPoly:
@@ -153,10 +137,10 @@ def factorize(basis: GroebnerBasis) -> list[int] | None:
     P = minimal_poly(basis)
     if not P.q1:
         return None
-    quo, rem = poly_divrem(field, P.q0, P.q1)
+    quo, rem = field.poly_divrem(P.q0, P.q1)
     if rem:
         return None
-    u = [field.neg(c) for c in quo]
+    u = field.poly_sub([], quo)
     if poly_deg(u) >= k:
         return None
     return u

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .galois import Field, make_field, poly_deg, poly_eval, lagrange_interpolate
+from .galois import Field, lagrange_interpolate, make_field, poly_deg
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,21 +76,26 @@ def encode(code: CodeParams, message: list[int]) -> tuple[int, ...]:
     if poly_deg(message) >= code.k:
         raise ValueError(f"message degree {poly_deg(message)} >= k = {code.k}")
     fld = code.field
-    return tuple(poly_eval(fld, message, x) for x in code.eval_points)
+    return tuple(fld.poly_eval(message, x) for x in code.eval_points)
+
+
+def _fit_first_k(code: CodeParams, v) -> list[int]:
+    """The degree-< k polynomial through the first k coordinates of v: O(k^2)."""
+    if len(v) != code.n:
+        raise ValueError("length != n")
+    k = code.k
+    return lagrange_interpolate(code.field, list(code.eval_points[:k]), list(v[:k]))
 
 
 def is_codeword(code: CodeParams, v: tuple[int, ...] | list[int]) -> bool:
-    """True iff v interpolates to a polynomial of degree < k."""
-    if len(v) != code.n:
-        raise ValueError("length != n")
-    u = lagrange_interpolate(code.field, list(code.eval_points), list(v))
-    return poly_deg(u) < code.k
+    """True iff v is the encoding of some degree-< k message: O(n k)."""
+    return encode(code, _fit_first_k(code, v)) == tuple(v)
 
 
 def message_of(code: CodeParams, v: tuple[int, ...] | list[int]) -> list[int]:
-    """Interpolated message for a vector already known to be a codeword."""
-    u = lagrange_interpolate(code.field, list(code.eval_points), list(v))
-    if poly_deg(u) >= code.k:
+    """Message of a codeword; raises ValueError if v is not one."""
+    u = _fit_first_k(code, v)
+    if encode(code, u) != tuple(v):
         raise ValueError("not a codeword")
     return u
 

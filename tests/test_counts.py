@@ -1,0 +1,58 @@
+"""Pinned operation counts on a fixed seeded frame set.
+
+The paper measures decoding cost in hard-decision trials and interpolation
+updates.  Both are deterministic functions of the input, so a change that
+only makes arithmetic faster must reproduce these totals exactly.  Frames
+0..2999 of the [15,11] GF(16) code at 4 dB, seed 0, are drawn exactly as
+treechase.sim draws them.
+"""
+
+from collections import Counter
+
+from treechase.baselines import LccConfig, lcc_decode
+from treechase.channel import frame_rng, likelihoods, modulate, sigma_from_snr_db, transmit
+from treechase.decoder import DecoderConfig, tcgs_decode
+from treechase.rscode import encode, make_code
+
+FRAMES = 3000
+
+
+def _frames(code, snr_db, seed):
+    sigma = sigma_from_snr_db(snr_db, code.k / code.n)
+    for i in range(FRAMES):
+        rng = frame_rng(seed, i)
+        msg = [int(v) for v in rng.integers(0, code.field.q, size=code.k)]
+        tx = encode(code, msg)
+        r = transmit(modulate(code.field, tx), sigma, rng)
+        yield tx, likelihoods(code.field, code.n, r, sigma * sigma)
+
+
+def _tally(results):
+    tally = Counter()
+    exits = Counter()
+    for tx, res in results:
+        tally["trials"] += res.trials
+        tally["forward"] += res.forward_ops
+        tally["backward"] += res.backward_ops
+        tally["steps"] += res.steps
+        tally["wrong"] += res.codeword != tx
+        exits[res.exit_reason] += 1
+    return dict(tally), dict(exits)
+
+
+def test_pinned_counts_rs15_4db_seed0():
+    code = make_code(2, 4, 15, 11)
+    tcgs_cfg, lcc_cfg = DecoderConfig(max_trials=16), LccConfig(eta=4)
+    tcgs, lcc = [], []
+    for tx, pi in _frames(code, 4.0, seed=0):
+        tcgs.append((tx, tcgs_decode(code, pi, tcgs_cfg)))
+        lcc.append((tx, lcc_decode(code, pi, lcc_cfg)))
+
+    assert _tally(tcgs) == (
+        {"trials": 9443, "forward": 51443, "backward": 6443, "steps": 7041, "wrong": 63},
+        {"certified_kaneko": 2190, "certified_tree": 598, "budget_exhausted": 212})
+    tally, exits = _tally(lcc)
+    del tally["steps"]  # lcc reports trials - 1, which the trial total already pins
+    assert (tally, exits) == (
+        {"trials": 15255, "forward": 57255, "backward": 12255, "wrong": 77},
+        {"certified_kaneko": 2190, "budget_exhausted": 810})

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from treechase.baselines import lcc_decode
 from treechase.channel import likelihoods, modulate, soft_weights
 from treechase.decoder import (
     EXIT_BUDGET,
@@ -190,6 +191,25 @@ def test_decoder_config_validation():
 def test_pi_shape_check(code54):
     with pytest.raises(ValueError):
         tcgs_decode(code54, np.zeros((4, 4)))
+
+
+def _spoil(pi, how):
+    bad = pi.copy()
+    if how == "complex":
+        return bad.astype(complex)
+    if how == "bool":
+        return bad > bad.mean()
+    bad[[0, 2, 4], [1, 2, 3]] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[how]
+    return bad
+
+
+@pytest.mark.parametrize("decode", [tcgs_decode, lcc_decode])
+@pytest.mark.parametrize("how", ["nan", "+inf", "-inf", "complex", "bool"])
+def test_decoders_reject_non_finite_or_non_real_pi(code54, example1_pi, decode, how):
+    with pytest.raises(ValueError):
+        decode(code54, _spoil(example1_pi, how))
+    with pytest.raises(ValueError):
+        decode(code54, example1_pi.tolist())
 
 
 def test_verify_trace_detects_perturbation(code54, example1_pi, example1_trace):

@@ -9,13 +9,8 @@ from treechase.galois import (
     make_field,
     poly_add,
     poly_deg,
-    poly_div_linear,
-    poly_divrem,
-    poly_eval,
     poly_mul,
-    poly_mul_linear,
     poly_str,
-    poly_sub,
     poly_trim,
 )
 
@@ -92,19 +87,19 @@ coef5 = st.lists(st.integers(0, 4), max_size=6)
 @given(coef5, coef5)
 def test_poly_add_sub_roundtrip(a, b):
     s = poly_add(GF5, a, b)
-    assert poly_trim(poly_sub(GF5, s, b)) == poly_trim(a)
+    assert poly_trim(GF5.poly_sub(s, b)) == poly_trim(a)
 
 
 @given(coef5, coef5)
 def test_poly_mul_eval_homomorphism(a, b):
     prod = poly_mul(GF5, a, b)
     for x in range(5):
-        assert poly_eval(GF5, prod, x) == GF5.mul(poly_eval(GF5, a, x), poly_eval(GF5, b, x))
+        assert GF5.poly_eval(prod, x) == GF5.mul(GF5.poly_eval(a, x), GF5.poly_eval(b, x))
 
 
 @given(coef5, coef5.filter(lambda c: any(c)))
 def test_poly_divrem_identity(num, den):
-    quo, rem = poly_divrem(GF5, num, den)
+    quo, rem = GF5.poly_divrem(num, den)
     back = poly_add(GF5, poly_mul(GF5, quo, den), rem)
     assert poly_trim(back) == poly_trim(num)
     assert poly_deg(rem) < poly_deg(den) or not rem
@@ -112,17 +107,17 @@ def test_poly_divrem_identity(num, den):
 
 def test_div_linear_exact_and_inexact():
     f = GF5
-    a = poly_mul_linear(f, [1, 2, 3], 4)    # (1+2x+3x^2)(x-4)
-    assert poly_trim(poly_div_linear(f, a, 4)) == [1, 2, 3]
+    a = f.poly_mul_linear([1, 2, 3], 4)    # (1+2x+3x^2)(x-4)
+    assert poly_trim(f.poly_div_linear(a, 4)) == [1, 2, 3]
     with pytest.raises(RuntimeError):
-        poly_div_linear(f, [1, 1], 3)       # 1+x does not vanish at 3
+        f.poly_div_linear([1, 1], 3)       # 1+x does not vanish at 3
 
 
 def test_poly_eval_horner_matches_naive():
     coeffs = [3, 0, 2, 4]
     for x in range(5):
         naive = sum(GF5.mul(c, pow(x, i, 5)) for i, c in enumerate(coeffs)) % 5
-        assert poly_eval(GF5, coeffs, x) == naive
+        assert GF5.poly_eval(coeffs, x) == naive
 
 
 def test_poly_str_rendering():
@@ -138,12 +133,128 @@ def test_poly_str_rendering():
 def test_lagrange_interpolation_recovers_polynomial():
     coeffs = [2, 0, 1]  # 2 + x^2 over GF(5)
     xs = [0, 1, 2, 3]
-    ys = [poly_eval(GF5, coeffs, x) for x in xs]
+    ys = [GF5.poly_eval(coeffs, x) for x in xs]
     assert poly_trim(lagrange_interpolate(GF5, xs, ys)) == coeffs
 
 
 def test_lagrange_interpolation_gf16():
     pts = GF16.exp_order()[:5]
     coeffs = [7, 1, 9]
-    ys = [poly_eval(GF16, coeffs, x) for x in pts]
+    ys = [GF16.poly_eval(coeffs, x) for x in pts]
     assert poly_trim(lagrange_interpolate(GF16, pts, ys)) == coeffs
+
+
+# --- table kernels against plain scalar references ---
+#
+# The references below use only the scalar Field methods, one call per
+# coefficient; the kernels under test use exp/log tables and inline
+# arithmetic and must agree on every input, x = 0 and zero coefficients
+# included.
+
+KERNEL_FIELDS = [make_field(p) for p in (2, 3, 5, 7, 257)] + [
+    make_field(2, m) for m in (2, 4, 8, 12)]
+
+
+def ref_eval(f, a, x):
+    acc = 0
+    for v in reversed(a):
+        acc = f.add(f.mul(acc, x), v)
+    return acc
+
+
+def ref_scale(f, a, s):
+    return poly_trim([f.mul(v, s) for v in a])
+
+
+def ref_sub(f, a, b):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return poly_trim([f.add(u, f.neg(v)) for u, v in zip(a, b)])
+
+
+def ref_mul_linear(f, a, beta):
+    out = [0] * (len(a) + 1)
+    for i, v in enumerate(a):
+        out[i + 1] = f.add(out[i + 1], v)
+        out[i] = f.add(out[i], f.mul(f.neg(beta), v))
+    return poly_trim(out)
+
+
+def ref_divrem(f, num, den):
+    rem = list(num)
+    quo = [0] * max(len(num) - len(den) + 1, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        c = f.mul(rem[i + len(den) - 1], f.inv(den[-1]))
+        quo[i] = c
+        for j, dv in enumerate(den):
+            rem[i + j] = f.add(rem[i + j], f.neg(f.mul(c, dv)))
+    return poly_trim(quo), poly_trim(rem)
+
+
+def clmul_mod(a, b, m):
+    """GF(2^m) product by carry-less multiplication, independent of the tables."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a >> m:
+            a ^= PRIMITIVE_POLY[m]
+    return out
+
+
+@st.composite
+def field_and_polys(draw, count=2):
+    f = draw(st.sampled_from(KERNEL_FIELDS))
+    elem = st.one_of(st.just(0), st.just(1), st.integers(0, f.q - 1))
+    polys = [poly_trim(draw(st.lists(elem, max_size=8))) for _ in range(count)]
+    return f, polys, draw(elem)
+
+
+@given(field_and_polys())
+def test_kernel_eval_scale_sub_match_reference(case):
+    f, (a, b), x = case
+    assert f.poly_eval(a, x) == ref_eval(f, a, x)
+    assert f.poly_eval(a, 0) == (a[0] if a else 0)
+    assert f.poly_scale(a, x) == ref_scale(f, a, x)
+    assert f.poly_sub(a, b) == ref_sub(f, a, b)
+    assert f.poly_sub([], a) == ref_sub(f, [], a)
+
+
+@given(field_and_polys(count=1))
+def test_kernel_linear_factor_match_reference(case):
+    f, (a,), beta = case
+    prod = f.poly_mul_linear(a, beta)
+    assert prod == ref_mul_linear(f, a, beta)
+    assert f.poly_div_linear(prod, beta) == a
+    quo, rem = ref_divrem(f, a, [f.neg(beta), 1]) if a else ([], [])
+    if rem:
+        with pytest.raises(RuntimeError):
+            f.poly_div_linear(a, beta)
+    else:
+        assert f.poly_div_linear(a, beta) == quo
+
+
+@given(field_and_polys())
+def test_kernel_divrem_matches_reference(case):
+    f, (num, den), _ = case
+    if not den:
+        with pytest.raises(ZeroDivisionError):
+            f.poly_divrem(num, den)
+        return
+    assert f.poly_divrem(num, den) == ref_divrem(f, num, den)
+
+
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+def test_scalar_table_ops_match_independent_arithmetic(f, data):
+    a, b = (data.draw(st.one_of(st.just(0), st.integers(0, f.q - 1))) for _ in range(2))
+    if f.m == 1:
+        assert f.poly_scale([a], b) == poly_trim([a * b % f.p])
+        if a:
+            assert a * f.inv(a) % f.p == 1
+    else:
+        assert f.mul(a, b) == clmul_mod(a, b, f.m)
+        if a:
+            assert clmul_mod(a, f.inv(a), f.m) == 1
+    assert sorted(f.exp_order()) == list(range(1, f.q))

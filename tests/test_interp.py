@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treechase.galois import BinaryField, PrimeField, poly_eval, poly_trim
+from treechase.galois import BinaryField, PrimeField, poly_trim
 from treechase.interp import (
     backward_remove,
     basis_init,
@@ -122,7 +122,7 @@ def test_degree_k_quotient_rejected():
     # y values from a degree-2 polynomial with k = 2: quotient too big
     f = GF7
     coeffs = [1, 0, 1]
-    pts = [(x, poly_eval(f, coeffs, x)) for x in range(7)]
+    pts = [(x, f.poly_eval(coeffs, x)) for x in range(7)]
     basis = interpolate_points(f, 2, pts)
     assert factorize(basis) is None
 
@@ -148,3 +148,18 @@ def test_module_membership_property(points, k):
     # weighted degrees grow by exactly one per added point in total
     total = sum(wdeg_key(k, P)[0] for P in basis.polys)
     assert total == len(points) + (k - 1)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([GF7, GF16]), st.data())
+def test_forward_then_backward_restores_point_set(field, data):
+    xs = data.draw(st.lists(st.integers(0, field.q - 1), min_size=2, max_size=9, unique=True))
+    ys = data.draw(st.lists(st.integers(0, field.q - 1), min_size=len(xs), max_size=len(xs)))
+    k = data.draw(st.integers(1, len(xs) - 1))
+    basis = interpolate_points(field, k, zip(xs[:-1], ys[:-1]))
+    added = forward_add(basis, xs[-1], ys[-1])
+    assert vanishes_everywhere(added)
+    removed = backward_remove(added, xs[-1], ys[-1])
+    assert removed.points == basis.points
+    assert vanishes_everywhere(removed)
+    assert leading_terms_split(removed)

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from treechase.galois import poly_eval
 from treechase.rscode import codebook, encode, is_codeword, make_code, message_of
 
 
@@ -17,7 +16,7 @@ def test_encode_is_evaluation(code54):
     msg = [1, 2]
     cw = encode(code54, msg)
     assert cw == (1, 3, 0, 2)
-    assert cw == tuple(poly_eval(code54.field, msg, x) for x in code54.eval_points)
+    assert cw == tuple(code54.field.poly_eval(msg, x) for x in code54.eval_points)
 
 
 def test_encode_rejects_overlong_message(code54):
