@@ -26,7 +26,7 @@ from .decoder import (
     EXIT_GENIE,
     DecodeResult,
 )
-from .interp import backward_remove, basis_init, factorize, forward_add
+from .interp import backward_remove, factorize, forward_add, interpolate_prefix
 from .rscode import CodeParams, encode
 
 
@@ -56,9 +56,8 @@ def lcc_decode(code: CodeParams, pi: np.ndarray, cfg: LccConfig | None = None,
     genie = tuple(genie_codeword) if genie_codeword is not None else None
 
     # reliability of a coordinate = weight of its cheapest single-symbol change
-    rel = sw.lam.min(axis=0)
     delta_star = sw.lam.argmin(axis=0) + 1
-    lrps = [int(j) for j in np.argsort(rel, kind="stable")[:cfg.eta]]
+    lrps = chain.floor[0][:cfg.eta]
     second = {j: sub(z[j], int(delta_star[j])) for j in lrps}
 
     e_star = z
@@ -85,10 +84,10 @@ def lcc_decode(code: CodeParams, pi: np.ndarray, cfg: LccConfig | None = None,
             return EXIT_GENIE
         return None
 
-    basis = basis_init(field, code.k)
-    for j, x in enumerate(code.eval_points):
-        basis = forward_add(basis, x, z[j])
-    forward_ops += code.n
+    basis = interpolate_prefix(field, code.k, zip(code.eval_points[:code.k], z))
+    for j in range(code.k, code.n):
+        basis = forward_add(basis, code.eval_points[j], z[j])
+    forward_ops += code.n - code.k
     trials = 1
     exit_reason = attempt(basis)
 

@@ -72,7 +72,7 @@ def check_pi(pi, q: int, n: int) -> None:
 
 def hard_decision(pi: np.ndarray) -> tuple[int, ...]:
     """Columnwise argmax; ties resolve to the smallest field value."""
-    return tuple(int(v) for v in np.argmax(pi, axis=0))
+    return tuple(np.argmax(pi, axis=0).tolist())
 
 
 def _sub_table(field: Field, z: np.ndarray, deltas: np.ndarray) -> np.ndarray:

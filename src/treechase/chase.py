@@ -15,6 +15,14 @@ scan gives min over G(f) exactly, and
 lower-bounds the weight of every error hypothesis whose minimal decomposition
 starts with f.  B is monotone along the sibling order and from parent to
 child, which is what makes best-first traversal with a sorted frontier exact.
+
+AtomChain holds the weight table and sorts it the first time the tree search
+(or a trace) reads a rank.  The Kaneko floor kaneko_B0 needs only the first
+atom of each coordinate in chain order, so it reads a per-coordinate floor
+instead: coordinates ordered by (lightest weight, coordinate).  That is the
+order in which the chain scan meets them, so the floor sums the same floats
+in the same order, and frames that stop at a Kaneko certificate, or never
+search the tree (lcc), never pay for the sort.
 """
 
 from __future__ import annotations
@@ -29,39 +37,67 @@ import numpy as np
 from .channel import SoftWeights
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomChain:
-    """All n*(q-1) atoms sorted ascending; parallel tuples indexed by 0-based rank."""
+    """All n*(q-1) atoms of lam[d-1][j], sorted ascending on first read.
 
-    n: int
-    q: int
-    coords: tuple[int, ...]
-    deltas: tuple[int, ...]
-    weights: tuple[float, ...]
+    coords, deltas and weights are parallel tuples indexed by 0-based rank;
+    the lexsort behind them runs the first time one of them is read.
+    """
+
+    lam: np.ndarray  # shape (q-1, n)
+
+    @property
+    def n(self) -> int:
+        return self.lam.shape[1]
+
+    @property
+    def size(self) -> int:
+        return self.lam.size
+
+    @cached_property
+    def _order(self) -> np.ndarray:
+        """Flat lam indices (d-1)*n + j sorted by (weight, coord, delta)."""
+        qm1, n = self.lam.shape
+        flat = np.arange(qm1 * n)
+        return np.lexsort((flat // n, flat % n, self.lam.ravel()))
+
+    @cached_property
+    def coords(self) -> tuple[int, ...]:
+        return tuple((self._order % self.n).tolist())
+
+    @cached_property
+    def deltas(self) -> tuple[int, ...]:
+        return tuple((self._order // self.n + 1).tolist())
+
+    @cached_property
+    def weights(self) -> tuple[float, ...]:
+        return tuple(self.lam.ravel()[self._order].tolist())
 
     @cached_property
     def rank_of(self) -> dict[tuple[int, int], int]:
         """0-based rank of each atom (coord, delta); built on first use."""
         return {a: r for r, a in enumerate(zip(self.coords, self.deltas))}
 
-    @property
-    def size(self) -> int:
-        return len(self.coords)
+    @cached_property
+    def floor(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """Coordinates ordered by (lightest atom weight, coordinate), with that weight.
+
+        This is the order in which a scan of the sorted chain first meets
+        each coordinate, so sums over it equal the chain scan bit for bit.
+        """
+        mins = self.lam.min(axis=0)
+        order = np.argsort(mins, kind="stable")
+        return tuple(order.tolist()), tuple(mins[order].tolist())
 
     def atom(self, rank: int) -> tuple[int, int]:
         return (self.coords[rank], self.deltas[rank])
 
 
 def build_atom_chain(sw: SoftWeights) -> AtomChain:
-    qm1, n = sw.lam.shape
-    w = sw.lam.ravel()
-    if w.size and float(w.min()) < 0.0:
+    if sw.lam.size and float(sw.lam.min()) < 0.0:
         raise ValueError("negative soft weight: z must be the columnwise argmax")
-    coords = np.tile(np.arange(n), qm1)
-    deltas = np.repeat(np.arange(1, qm1 + 1), n)
-    order = np.lexsort((deltas, coords, w))
-    return AtomChain(n=n, q=qm1 + 1, coords=tuple(coords[order].tolist()),
-                     deltas=tuple(deltas[order].tolist()), weights=tuple(w[order].tolist()))
+    return AtomChain(sw.lam)
 
 
 @dataclass(frozen=True)
@@ -175,13 +211,11 @@ def kaneko_B0(chain: AtomChain, e, d_min: int) -> float:
     if need <= 0:
         return 0.0
     total = 0.0
-    taken = support
-    for r in range(len(chain.coords)):
-        c = chain.coords[r]
-        if c in taken:
+    coords, weights = chain.floor
+    for c, w in zip(coords, weights):
+        if c in support:
             continue
-        taken = taken | {c}
-        total += chain.weights[r]
+        total += w
         need -= 1
         if need == 0:
             return total

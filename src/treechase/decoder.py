@@ -30,7 +30,6 @@ import numpy as np
 from .channel import check_pi, hard_decision, soft_weights
 from .chase import (
     ROOT,
-    AtomChain,
     TreeNode,
     bound_B,
     build_atom_chain,
@@ -40,7 +39,7 @@ from .chase import (
     render_pattern,
 )
 from .galois import poly_str
-from .interp import backward_remove, basis_init, factorize, forward_add
+from .interp import backward_remove, factorize, forward_add, interpolate_prefix
 from .rscode import CodeParams, codebook, encode
 from .stats import chi2_threshold
 
@@ -136,10 +135,10 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
     if trace is not None:
         trace.append(f"INIT weight={w_star:.4f}")
 
-    basis = basis_init(field, code.k)
-    for j, x in enumerate(code.eval_points):
-        basis = forward_add(basis, x, z[j])
-    forward_ops = code.n
+    basis = interpolate_prefix(field, code.k, zip(code.eval_points[:code.k], z))
+    for j in range(code.k, code.n):
+        basis = forward_add(basis, code.eval_points[j], z[j])
+    forward_ops = code.n - code.k
     backward_ops = 0
     trials = 1
     steps = 0
@@ -157,16 +156,15 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
         e = tuple(sub(zj, cj) for zj, cj in zip(z, c))
         w = sw.pattern_weight(e)
         improved = w < w_star or (u_star is None and w == w_star)
-        line = (f"HDD trial={trials} step={steps} pattern={pat_str} result=u "
-                f"msg={poly_str(u)} weight={w:.4f} improved={int(improved)}")
-        if not improved:
-            if trace is not None:
-                trace.append(line)
-            return None
-        e_star, w_star, u_star, c_star = e, w, u, c
-        b0 = kaneko_B0(chain, e, d_min)
+        if improved:
+            e_star, w_star, u_star, c_star = e, w, u, c
+            b0 = kaneko_B0(chain, e, d_min)
         if trace is not None:
-            trace.append(line + f" b0={b0:.4f}")
+            tail = f" b0={b0:.4f}" if improved else ""
+            trace.append(f"HDD trial={trials} step={steps} pattern={pat_str} result=u "
+                         f"msg={poly_str(u)} weight={w:.4f} improved={int(improved)}{tail}")
+        if not improved:
+            return None
         if w <= b0:
             return EXIT_CERTIFIED_KANEKO
         if genie_codeword is not None and c == tuple(genie_codeword):

@@ -13,6 +13,13 @@ Three point operations keep the basis updated in O(n) per call:
   backward_remove delete one interpolation point (division update)
   factorize       read a degree-< k message off the minimal basis element
 
+A decode starts from interpolate_prefix, which builds the basis for its first
+k points in closed form: for those points Koetter's update always multiplies
+the y-free element by (x - x_j), so the basis is {N_k, c*(y - R)} with N_k the
+product of the (x - x_j) and R the Newton interpolant.  It returns exactly
+the GroebnerBasis (same polys, same points) that interpolate_points, the fold
+of forward_add from {1, y}, returns for the same points.
+
 All operations are pure: they return new objects and never mutate their
 inputs, so bases branched across search-tree nodes may share structure.
 """
@@ -20,6 +27,7 @@ inputs, so bases branched across search-tree nodes may share structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .galois import Field, poly_deg
 
@@ -152,3 +160,49 @@ def interpolate_points(field: Field, k: int, points) -> GroebnerBasis:
     for x, y in points:
         basis = forward_add(basis, x, y)
     return basis
+
+
+@lru_cache(maxsize=16)
+def _prefix_tables(field: Field, xs: tuple[int, ...]):
+    """Per-code Newton tables: N_j / N_j(x_j) and N_j(x_j) for j < k, and N_k,
+    where N_j = (x - x_0)...(x - x_{j-1})."""
+    unit, at_node = [], []
+    N = [1]
+    for x in xs:
+        s = field.poly_eval(N, x)
+        unit.append(field.poly_scale(N, field.inv(s)))
+        at_node.append(s)
+        N = field.poly_mul_linear(N, x)
+    return tuple(unit), tuple(at_node), tuple(N)
+
+
+def interpolate_prefix(field: Field, k: int, points) -> GroebnerBasis:
+    """interpolate_points over exactly k points with distinct x, in closed form.
+
+    For j < k the y-free element has the lower order, so Koetter's update
+    always multiplies it by (x - x_j) and corrects the y-bearing one.  The
+    result is P0 = N_k and P1 = -c*R + c*y, where R is the Newton interpolant
+    of the k points and c is the product of N_j(x_j) over the steps whose
+    Newton coefficient is nonzero (forward_add leaves P1 unscaled when its
+    discrepancy is 0).  O(k^2) per call with the per-code tables cached.
+    """
+    points = tuple((x, y) for x, y in points)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if len(points) != k:
+        raise ValueError(f"prefix needs exactly k = {k} points, got {len(points)}")
+    xs = tuple(x for x, _ in points)
+    if len(set(xs)) != k:
+        raise ValueError("duplicate x coordinates")
+    unit, at_node, N = _prefix_tables(field, xs)
+    add, mul = field.add, field.mul
+    poly_eval, poly_scale, poly_sub = field.poly_eval, field.poly_scale, field.poly_sub
+    S: list[int] = []  # -R through the points so far
+    c = 1
+    for (x, y), U, s in zip(points, unit, at_node):
+        b = add(y, poly_eval(S, x))  # y - R(x): the Newton coefficient times N_j(x_j)
+        if b:
+            S = poly_sub(S, poly_scale(U, b))
+            c = mul(c, s)
+    return GroebnerBasis(field, k, (BivarPoly(N, ()), BivarPoly(tuple(poly_scale(S, c)), (c,))),
+                         points)

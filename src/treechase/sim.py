@@ -20,13 +20,10 @@ import time
 from dataclasses import dataclass
 from multiprocessing import get_context
 
-import numpy as np
-
 from .baselines import BoundTally, LccConfig, classify_ml, lcc_decode
 from .channel import frame_rng, likelihoods, modulate, sigma_from_snr_db, transmit
 from .decoder import DecoderConfig, tcgs_decode
 from .rscode import CodeParams, encode, make_code
-from .stats import chi2_threshold, wilson_interval  # re-exported for callers
 
 ALGORITHMS = ("tcgs", "lcc", "hdd")
 CHUNK = 1000

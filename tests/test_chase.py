@@ -122,6 +122,44 @@ def test_pattern_from_ranks_rejects_coordinate_clash(ex_chain):
         pattern_from_ranks(ex_chain, (r1, r2))
 
 
+def b0_by_chain_scan(chain, e, d_min):
+    """Reference floor: scan the fully sorted atom chain from rank 0."""
+    taken = {j for j, v in enumerate(e) if v}
+    need = d_min - len(taken)
+    if need <= 0:
+        return 0.0
+    total = 0.0
+    for c, w in zip(chain.coords, chain.weights):
+        if c in taken:
+            continue
+        taken.add(c)
+        total += w
+        need -= 1
+        if need == 0:
+            return total
+    return math.inf
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+def test_kaneko_floor_equals_chain_scan(quantized):
+    rng = np.random.default_rng(13)
+    for _ in range(60):
+        n, q = int(rng.integers(1, 9)), int(rng.choice([2, 3, 5, 8]))
+        if quantized:  # few levels, so weights tie within and across coordinates
+            lam = rng.integers(0, 3, size=(q - 1, n)).astype(np.float64)
+        else:
+            lam = random_lam(n, q, rng)
+        chain, ref = chain_from_lam(lam), chain_from_lam(lam.copy())
+        for size in range(n + 1):
+            support = rng.permutation(n)[:size]
+            e = [0] * n
+            for j in support:
+                e[j] = int(rng.integers(1, q))
+            for d_min in range(1, n + 2):
+                assert kaneko_B0(chain, e, d_min) == b0_by_chain_scan(ref, e, d_min)
+        assert not {"_order", "coords", "deltas", "weights"} & set(vars(chain))
+
+
 def test_kaneko_examples(ex_chain):
     assert kaneko_B0(ex_chain, (0, 1, 0, 0), 3) == pytest.approx(0.18, abs=5e-3)
     assert kaneko_B0(ex_chain, (0, 0, 3, 2), 3) == pytest.approx(0.09, abs=5e-3)

@@ -49,10 +49,10 @@ def test_pinned_counts_rs15_4db_seed0():
         lcc.append((tx, lcc_decode(code, pi, lcc_cfg)))
 
     assert _tally(tcgs) == (
-        {"trials": 9443, "forward": 51443, "backward": 6443, "steps": 7041, "wrong": 63},
+        {"trials": 9443, "forward": 18443, "backward": 6443, "steps": 7041, "wrong": 63},
         {"certified_kaneko": 2190, "certified_tree": 598, "budget_exhausted": 212})
     tally, exits = _tally(lcc)
     del tally["steps"]  # lcc reports trials - 1, which the trial total already pins
     assert (tally, exits) == (
-        {"trials": 15255, "forward": 57255, "backward": 12255, "wrong": 77},
+        {"trials": 15255, "forward": 24255, "backward": 12255, "wrong": 77},
         {"certified_kaneko": 2190, "budget_exhausted": 810})

@@ -30,9 +30,9 @@ def test_worked_example_end_to_end(code54, example1_pi):
     assert res.trials == 10
     assert res.exit_reason == EXIT_CERTIFIED_TREE
     assert res.certified
-    # one swap per non-initial trial
+    # one swap per non-initial trial; the first k points need no forward update
     assert res.backward_ops == res.trials - 1
-    assert res.forward_ops == code54.n + res.trials - 1
+    assert res.forward_ops == code54.n - code54.k + res.trials - 1
 
 
 def test_worked_example_trace_checkpoints(code54, example1_pi):

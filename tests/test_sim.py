@@ -77,6 +77,27 @@ def test_csv_timing_flag_reports_nonzero():
     assert wall > 0.0
 
 
+SWEEP_RS15_4_6_1_300 = (
+    "algorithm,snr_db,frames,frame_errors,fer,avg_trials,e_upper_rate,e_lower_rate,wall_seconds\n"
+    "tcgs,4,300,4,0.013333333,3.55,0.073333333,0,0.000\n"
+    "tcgs,5,300,1,0.0033333333,1.49,0.0066666667,0,0.000\n"
+    "tcgs,6,300,0,0,1.0266667,0,0,0.000\n"
+    "lcc,4,300,10,0.033333333,5.9333333,0.32666667,0,0.000\n"
+    "lcc,5,300,1,0.0033333333,2.43,0.093333333,0,0.000\n"
+    "lcc,6,300,0,0,1.21,0.013333333,0,0.000\n"
+    "hdd,4,300,69,0.23,1,0.35666667,0,0.000\n"
+    "hdd,5,300,21,0.07,1,0.11333333,0,0.000\n"
+    "hdd,6,300,5,0.016666667,1,0.023333333,0,0.000\n")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_csv_is_pinned(workers):
+    """The seeded sweep CSV is a behaviour artefact: it must not change by a byte."""
+    cfg = small_cfg(snr_db=parse_snr_spec("4:6:1"), algorithms=("tcgs", "lcc", "hdd"),
+                    max_frames=300, seed=0, workers=workers)
+    assert rows_to_csv(run_sweep(cfg)) == SWEEP_RS15_4_6_1_300
+
+
 def test_worker_count_invariance_small():
     cfg1 = small_cfg(max_frames=250, workers=1)
     cfg2 = small_cfg(max_frames=250, workers=3)
