@@ -1,11 +1,12 @@
 """Gray-coded low-complexity Chase baseline and ML-performance bookkeeping.
 
-The baseline ranks coordinates by the gap between the two best column
-log-likelihoods, takes the eta least reliable positions, and walks all
-2^eta hard-decision test vectors built from {best, second-best} symbols in
-Gray-code order, so consecutive vectors differ in a single coordinate and
-reuse the interpolation basis through one point swap.  The same early
-termination floor as the tree decoder (kaneko_B0) applies.
+The baseline is the second pattern order over the decoder's trial engine
+(decoder._Search), which supplies the front end, the running hypothesis, the
+point swap, the Kaneko and genie exits and the result.  The order itself
+ranks coordinates by the gap between the two best column log-likelihoods,
+takes the eta least reliable positions, and walks all 2^eta hard-decision
+test vectors built from {best, second-best} symbols in Gray-code order, so
+consecutive vectors differ in a single coordinate and each costs one swap.
 
 classify_ml sandwiches the simulated ML frame-error rate: every frame
 contributes indicator bounds e_lower <= E_ML <= e_upper based on whether the
@@ -18,16 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import check_pi, hard_decision, soft_weights
-from .chase import build_atom_chain, kaneko_B0
-from .decoder import (
-    EXIT_BUDGET,
-    EXIT_CERTIFIED_KANEKO,
-    EXIT_GENIE,
-    DecodeResult,
-)
-from .interp import backward_remove, factorize, forward_add, interpolate_prefix
-from .rscode import CodeParams, encode
+from .channel import hard_decision, soft_weights
+from .decoder import EXIT_BUDGET, DecodeResult, _Search
+from .rscode import CodeParams
+
+# Unused here: the benchmark tracer (perfbench/tracing.py) wraps these names in this module.
+from .chase import build_atom_chain, kaneko_B0  # noqa: F401
+from .interp import backward_remove, factorize, forward_add  # noqa: F401
+from .rscode import encode  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -44,77 +43,32 @@ class LccConfig:
 def lcc_decode(code: CodeParams, pi: np.ndarray, cfg: LccConfig | None = None,
                genie_codeword: tuple[int, ...] | None = None) -> DecodeResult:
     cfg = cfg or LccConfig()
-    field = code.field
-    check_pi(pi, field.q, code.n)
+    s = _Search(code, pi, genie_codeword, None)
     if cfg.eta > code.n:
         raise ValueError("eta must be <= n")
-    sub = field.sub
-    z = hard_decision(pi)
-    sw = soft_weights(field, pi, z)
-    chain = build_atom_chain(sw)
-    d_min = code.d_min
-    genie = tuple(genie_codeword) if genie_codeword is not None else None
+    z, sub = s.z, s.sub
 
     # reliability of a coordinate = weight of its cheapest single-symbol change
-    delta_star = sw.lam.argmin(axis=0) + 1
-    lrps = chain.floor[0][:cfg.eta]
+    delta_star = s.sw.lam.argmin(axis=0) + 1
+    lrps = s.chain.floor[0][:cfg.eta]
     second = {j: sub(z[j], int(delta_star[j])) for j in lrps}
 
-    e_star = z
-    w_star = sw.pattern_weight(z)
-    u_star: list[int] | None = None
-    c_star: tuple[int, ...] | None = None
-    backward_ops = 0
-    forward_ops = 0
-
-    def attempt(b) -> str | None:
-        nonlocal e_star, w_star, u_star, c_star
-        u = factorize(b)
-        if u is None:
-            return None
-        c = encode(code, u)
-        e = tuple(sub(zj, cj) for zj, cj in zip(z, c))
-        w = sw.pattern_weight(e)
-        if not (w < w_star or (u_star is None and w == w_star)):
-            return None
-        e_star, w_star, u_star, c_star = e, w, u, c
-        if w <= kaneko_B0(chain, e, d_min):
-            return EXIT_CERTIFIED_KANEKO
-        if genie is not None and c == genie:
-            return EXIT_GENIE
-        return None
-
-    basis = interpolate_prefix(field, code.k, zip(code.eval_points[:code.k], z))
-    for j in range(code.k, code.n):
-        basis = forward_add(basis, code.eval_points[j], z[j])
-    forward_ops += code.n - code.k
-    trials = 1
-    exit_reason = attempt(basis)
-
+    basis, exit_reason = s.first_trial()
     state = list(z)
     if exit_reason is None:
         for i in range(1, 1 << cfg.eta):
             gray, prev = i ^ (i >> 1), (i - 1) ^ ((i - 1) >> 1)
-            b = (gray ^ prev).bit_length() - 1
-            j = lrps[b]
-            x = code.eval_points[j]
+            j = lrps[(gray ^ prev).bit_length() - 1]
             y_new = second[j] if state[j] == z[j] else z[j]
-            basis = backward_remove(basis, x, state[j])
-            backward_ops += 1
-            basis = forward_add(basis, x, y_new)
-            forward_ops += 1
+            basis = s.swap(basis, j, state[j], y_new)
             state[j] = y_new
-            trials += 1
-            exit_reason = attempt(basis)
+            s.steps += 1
+            exit_reason = s.attempt(basis)
             if exit_reason is not None:
                 break
         else:
             exit_reason = EXIT_BUDGET
-
-    return DecodeResult(message=u_star, codeword=c_star, best_error=e_star,
-                        best_weight=w_star, trials=trials, steps=trials - 1,
-                        exit_reason=exit_reason, backward_ops=backward_ops,
-                        forward_ops=forward_ops)
+    return s.result(exit_reason)
 
 
 def classify_ml(code: CodeParams, pi: np.ndarray, result: DecodeResult,

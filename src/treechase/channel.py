@@ -89,9 +89,6 @@ class SoftWeights:
     z: tuple[int, ...]
     lam: np.ndarray  # shape (q-1, n)
 
-    def weight_of(self, j: int, delta: int) -> float:
-        return float(self.lam[delta - 1, j])
-
     def pattern_weight(self, e) -> float:
         """Total weight of an error vector (0 entries contribute nothing)."""
         return float(sum(self.lam[ej - 1, j] for j, ej in enumerate(e) if ej))

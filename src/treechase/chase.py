@@ -242,11 +242,6 @@ def pattern_key(bound: float, f: FlippingPattern) -> tuple[float, int, tuple[int
     return (bound, len(f.ranks), f.ranks)
 
 
-def pattern_order_less(chain: AtomChain, t_min: int,
-                       a: FlippingPattern, b: FlippingPattern) -> bool:
-    return pattern_key(bound_B(chain, a, t_min), a) < pattern_key(bound_B(chain, b, t_min), b)
-
-
 @dataclass(frozen=True)
 class TreeNode:
     """Frontier entry: a pattern, its bound, and the basis of its parent."""

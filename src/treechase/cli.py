@@ -17,8 +17,7 @@ from importlib import resources
 
 from .channel import load_pi
 from .decoder import DecoderConfig, compare_traces, decode_with_trace
-from .galois import make_field
-from .rscode import CodeParams
+from .rscode import make_code
 from .sim import SweepConfig, parse_snr_spec, rows_to_csv, run_sweep
 from .stats import chi2_threshold
 
@@ -94,27 +93,11 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _replay_code(q: int, n: int, k: int) -> CodeParams:
-    """Code convention for replayed matrices: prime q evaluates at 0..n-1,
-    q = 2^m at the first n powers of the primitive element."""
-    if q < 2:
-        raise ValueError(f"bad q = {q}")
-    mdeg = q.bit_length() - 1
-    if q == 1 << mdeg and mdeg > 1:
-        fld = make_field(2, mdeg)
-        pts = tuple(fld.exp_order()[:n])
-    else:
-        fld = make_field(q, 1)
-        if n > q:
-            raise ValueError("n > q for a prime-field matrix")
-        pts = tuple(range(n))
-    return CodeParams(field=fld, n=n, k=k, eval_points=pts)
-
-
 def _cmd_replay(args) -> int:
     pi = load_pi(args.pi)
     q, n = pi.shape
-    code = _replay_code(q, n, args.k)
+    m = q.bit_length() - 1
+    code = make_code(2, m, n, args.k) if q == 1 << m else make_code(q, 1, n, args.k)
     res, lines = decode_with_trace(code, pi, DecoderConfig(max_trials=args.L))
     for ln in lines:
         print(ln)

@@ -1,11 +1,15 @@
-"""Best-first soft-decision decoder over the flipping-pattern tree.
+"""One trial engine and the best-first tree search that drives it.
 
-The decoder keeps one running hypothesis: the lightest error pattern e* whose
-subtraction from the hard decision z gives a codeword.  Search states are
-flipping patterns ordered by their bound B; each popped pattern costs one
-backward point removal, one forward point insertion, and one factorization
-attempt on the inherited interpolation basis ("one trial" = one hard-decision
-decode).  Certificates:
+A trial is one hard-decision decode: the inherited interpolation basis with
+one point swapped (one backward removal, one forward insertion), then one
+factorization attempt.  _Search is the engine every decoder shares.  It owns
+the front end (hard decision z, soft weights, atom chain), the running
+hypothesis (the lightest error pattern e* whose subtraction from z gives a
+codeword), the initial interpolation, the point swap, the attempt, and the
+assembly of the DecodeResult.  A decoder is a pattern order over it:
+tcgs_decode pops flipping patterns best-first by their bound B, and
+baselines.lcc_decode Gray-walks the test vectors of its least reliable
+positions.  Certificates:
 
   certified_tree    at a pop, weight(e*) <= B(front pattern): nothing lighter
                     can be generated by any unexplored pattern.
@@ -39,7 +43,8 @@ from .chase import (
     render_pattern,
 )
 from .galois import poly_str
-from .interp import backward_remove, factorize, forward_add, interpolate_prefix
+from .interp import (GroebnerBasis, backward_remove, factorize, forward_add,
+                     interpolate_prefix)
 from .rscode import CodeParams, codebook, encode
 from .stats import chi2_threshold
 
@@ -89,7 +94,109 @@ class DecodeResult:
 
     @property
     def certified(self) -> bool:
+        """True when a certificate fired: no codeword scores higher than the output.
+
+        Certified means score-optimal.  Which of several codewords tied for the
+        best score is returned is unspecified, and may differ from mld_oracle's
+        lexicographic tie-break.
+        """
         return self.exit_reason in CERTIFIED_EXITS
+
+
+class _Search:
+    """The state of one decode, shared by every pattern order.
+
+    The order picks which basis to try next; the engine interpolates, swaps
+    points, attempts each basis, counts the work, and assembles the result.
+    """
+
+    def __init__(self, code: CodeParams, pi: np.ndarray,
+                 genie_codeword: tuple[int, ...] | None, trace: list[str] | None):
+        field = code.field
+        check_pi(pi, field.q, code.n)
+        self.code, self.sub, self.d_min, self.trace = code, field.sub, code.d_min, trace
+        self.z = z = hard_decision(pi)
+        self.sw = sw = soft_weights(field, pi, z)
+        self.chain = chain = build_atom_chain(sw)
+        self.genie = tuple(genie_codeword) if genie_codeword is not None else None
+        # running hypothesis: initially e* = z itself (codeword 0, no message kept yet)
+        self.e_star, self.w_star = z, sw.pattern_weight(z)
+        self.u_star: list[int] | None = None
+        self.c_star: tuple[int, ...] | None = None
+        self.trials = self.steps = self.backward_ops = self.forward_ops = 0
+        if trace is not None:
+            trace.append(f"CODE q={field.q} n={code.n} k={code.k}")
+            trace.append("Z z=" + ",".join(str(v) for v in z))
+            for r in range(chain.size):
+                c, d = chain.atom(r)
+                trace.append(f"ATOM rank={r + 1} coord={c} delta={d} weight={chain.weights[r]:.4f}")
+            trace.append(f"INIT weight={self.w_star:.4f}")
+
+    def first_trial(self) -> tuple[GroebnerBasis, str | None]:
+        """Interpolate z (the first k points in closed form) and attempt it."""
+        code, z, k = self.code, self.z, self.code.k
+        basis = interpolate_prefix(code.field, k, zip(code.eval_points[:k], z))
+        for j in range(k, code.n):
+            basis = forward_add(basis, code.eval_points[j], z[j])
+        self.forward_ops = code.n - k
+        self.trials = 1
+        return basis, self.attempt(basis, "0")
+
+    def swap(self, basis: GroebnerBasis, j: int, y_old: int, y_new: int) -> GroebnerBasis:
+        """The point swap of one trial: y_new replaces y_old at coordinate j."""
+        x = self.code.eval_points[j]
+        basis = forward_add(backward_remove(basis, x, y_old), x, y_new)
+        self.backward_ops += 1
+        self.forward_ops += 1
+        self.trials += 1
+        return basis
+
+    def attempt(self, basis: GroebnerBasis, pattern: str = "") -> str | None:
+        """Factorize, update the running best, fire Kaneko / genie exits.
+
+        pattern labels the trial in the trace.
+        """
+        trace = self.trace
+        u = factorize(basis)
+        if u is None:
+            if trace is not None:
+                trace.append(f"HDD trial={self.trials} step={self.steps} pattern={pattern} "
+                             "result=none")
+            return None
+        c = encode(self.code, u)
+        sub = self.sub
+        e = tuple(sub(zj, cj) for zj, cj in zip(self.z, c))
+        w = self.sw.pattern_weight(e)
+        improved = w < self.w_star or (self.u_star is None and w == self.w_star)
+        if improved:
+            self.e_star, self.w_star, self.u_star, self.c_star = e, w, u, c
+            b0 = kaneko_B0(self.chain, e, self.d_min)
+        if trace is not None:
+            tail = f" b0={b0:.4f}" if improved else ""
+            trace.append(f"HDD trial={self.trials} step={self.steps} pattern={pattern} "
+                         f"result=u msg={poly_str(u)} weight={w:.4f} "
+                         f"improved={int(improved)}{tail}")
+        if not improved:
+            return None
+        if w <= b0:
+            return EXIT_CERTIFIED_KANEKO
+        if self.genie is not None and c == self.genie:
+            return EXIT_GENIE
+        return None
+
+    def result(self, exit_reason: str) -> DecodeResult:
+        if exit_reason in CERTIFIED_EXITS and self.u_star is None:
+            # e* is still z itself, so the certified output is the zero codeword
+            self.u_star = []
+            self.c_star = tuple([0] * self.code.n)
+        if self.trace is not None:
+            msg = poly_str(self.u_star) if self.u_star is not None else "none"
+            self.trace.append(f"EXIT reason={exit_reason} trials={self.trials} msg={msg} "
+                              f"weight={self.w_star:.4f}")
+        return DecodeResult(message=self.u_star, codeword=self.c_star, best_error=self.e_star,
+                            best_weight=self.w_star, trials=self.trials, steps=self.steps,
+                            exit_reason=exit_reason, backward_ops=self.backward_ops,
+                            forward_ops=self.forward_ops)
 
 
 def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = None,
@@ -98,25 +205,14 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
     """Decode a likelihood matrix pi (one row per field value, one column per
     coordinate) into the most plausible message found within the budget."""
     cfg = cfg or DecoderConfig()
-    field = code.field
-    check_pi(pi, field.q, code.n)
-    sub = field.sub
-    z = hard_decision(pi)
-    sw = soft_weights(field, pi, z)
-    chain = build_atom_chain(sw)
-    t_min, d_min = code.t_min, code.d_min
-    L = cfg.max_trials
-
-    if trace is not None:
-        trace.append(f"CODE q={field.q} n={code.n} k={code.k}")
-        trace.append("Z z=" + ",".join(str(v) for v in z))
-        for r in range(chain.size):
-            c, d = chain.atom(r)
-            trace.append(f"ATOM rank={r + 1} coord={c} delta={d} weight={chain.weights[r]:.4f}")
+    s = _Search(code, pi, genie_codeword, trace)
+    chain, z, sub = s.chain, s.z, s.sub
+    t_min, L = code.t_min, cfg.max_trials
 
     # threshold setup: T_z in soft-weight units, from the Euclidean sphere test
     T_z = None
     if cfg.threshold_eps is not None:
+        field = code.field
         if field.p != 2:
             raise ValueError("threshold mode requires a characteristic-2 field")
         dof = code.n * field.m
@@ -126,86 +222,35 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
         resid_z = -2.0 * s2 * (float(sum(pi[zj, j] for j, zj in enumerate(z))) + code.n * log_norm)
         T_z = (T - resid_z) / (2.0 * s2)
 
-    # running hypothesis: initially e* = z itself (codeword 0, no message kept yet)
-    e_star = z
-    w_star = sw.pattern_weight(z)
-    u_star: list[int] | None = None
-    c_star: tuple[int, ...] | None = None
-
-    if trace is not None:
-        trace.append(f"INIT weight={w_star:.4f}")
-
-    basis = interpolate_prefix(field, code.k, zip(code.eval_points[:code.k], z))
-    for j in range(code.k, code.n):
-        basis = forward_add(basis, code.eval_points[j], z[j])
-    forward_ops = code.n - code.k
-    backward_ops = 0
-    trials = 1
-    steps = 0
-    exit_reason: str | None = None
-
-    def attempt(b, pat_str: str) -> str | None:
-        """Factorize, update the running best, fire Kaneko / genie exits."""
-        nonlocal e_star, w_star, u_star, c_star
-        u = factorize(b)
-        if u is None:
-            if trace is not None:
-                trace.append(f"HDD trial={trials} step={steps} pattern={pat_str} result=none")
-            return None
-        c = encode(code, u)
-        e = tuple(sub(zj, cj) for zj, cj in zip(z, c))
-        w = sw.pattern_weight(e)
-        improved = w < w_star or (u_star is None and w == w_star)
-        if improved:
-            e_star, w_star, u_star, c_star = e, w, u, c
-            b0 = kaneko_B0(chain, e, d_min)
-        if trace is not None:
-            tail = f" b0={b0:.4f}" if improved else ""
-            trace.append(f"HDD trial={trials} step={steps} pattern={pat_str} result=u "
-                         f"msg={poly_str(u)} weight={w:.4f} improved={int(improved)}{tail}")
-        if not improved:
-            return None
-        if w <= b0:
-            return EXIT_CERTIFIED_KANEKO
-        if genie_codeword is not None and c == tuple(genie_codeword):
-            return EXIT_GENIE
-        return None
-
-    exit_reason = attempt(basis, "0")
-
+    basis, exit_reason = s.first_trial()
     frontier: list[TreeNode] = []
     dropped = False
     if exit_reason is None:
         first = leftmost_child(chain, ROOT)
         if first is not None:
             frontier.append(TreeNode(first, bound_B(chain, first, t_min), basis))
-        while trials < L:
+        while s.trials < L:
             if not frontier:
                 # tree exhausted; exact search unless the cap discarded nodes
                 exit_reason = EXIT_BUDGET if dropped else EXIT_CERTIFIED_TREE
                 break
             node = frontier.pop(0)
-            steps += 1
+            s.steps += 1
             f = node.pattern
             pat_str = render_pattern(chain, f)
             if trace is not None:
-                trace.append(f"POP step={steps} pattern={pat_str} bound={node.bound:.4f}")
+                trace.append(f"POP step={s.steps} pattern={pat_str} bound={node.bound:.4f}")
             if T_z is not None:
                 if node.bound >= T_z:
                     exit_reason = EXIT_THRESHOLD
                     break
-            elif w_star <= node.bound:
+            elif s.w_star <= node.bound:
                 exit_reason = EXIT_CERTIFIED_TREE
                 break
-            # one-point swap: last atom of f replaces z at its coordinate
+            # the last atom of f replaces z at its coordinate
             j, delta = chain.atom(f.ranks[-1])
-            x = code.eval_points[j]
-            nb = backward_remove(node.basis, x, z[j])
-            backward_ops += 1
-            nb = forward_add(nb, x, sub(z[j], delta))
-            forward_ops += 1
-            trials += 1
-            exit_reason = attempt(nb, pat_str)
+            nb = s.swap(node.basis, j, z[j], sub(z[j], delta))
+            exit_reason = s.attempt(nb, pat_str)
             if exit_reason is not None:
                 break
             child = leftmost_child(chain, f)
@@ -216,26 +261,13 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
             if sib is not None:
                 snode = TreeNode(sib, bound_B(chain, sib, t_min), node.basis)
                 bisect.insort(frontier, snode, key=TreeNode.key)
-            cap = L - trials
+            cap = L - s.trials
             if len(frontier) > cap:
                 del frontier[cap:]
                 dropped = True
         else:
             exit_reason = EXIT_BUDGET
-
-    if exit_reason in CERTIFIED_EXITS and u_star is None:
-        # e* is still z itself, so the certified output is the zero codeword
-        u_star = []
-        c_star = tuple([0] * code.n)
-
-    if trace is not None:
-        msg = poly_str(u_star) if u_star is not None else "none"
-        trace.append(f"EXIT reason={exit_reason} trials={trials} msg={msg} weight={w_star:.4f}")
-
-    return DecodeResult(message=u_star, codeword=c_star, best_error=e_star,
-                        best_weight=w_star, trials=trials, steps=steps,
-                        exit_reason=exit_reason, backward_ops=backward_ops,
-                        forward_ops=forward_ops)
+    return s.result(exit_reason)
 
 
 @lru_cache(maxsize=8)

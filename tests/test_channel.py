@@ -76,7 +76,7 @@ def test_soft_weights_reproduce_worked_matrix(example1_pi):
     ]
     for d in range(1, 5):
         for j in range(4):
-            assert sw.weight_of(j, d) == pytest.approx(expected[d - 1][j], abs=5e-3)
+            assert float(sw.lam[d - 1, j]) == pytest.approx(expected[d - 1][j], abs=5e-3)
 
 
 def test_soft_weights_nonnegative_at_hard_decision(code16):
@@ -103,7 +103,7 @@ def test_char2_weights_use_xor_indexing():
     z = sw.z
     for j in (0, 7, 14):
         for d in (1, 9, 15):
-            assert sw.weight_of(j, d) == pytest.approx(float(pi[z[j], j] - pi[z[j] ^ d, j]))
+            assert float(sw.lam[d - 1, j]) == pytest.approx(float(pi[z[j], j] - pi[z[j] ^ d, j]))
 
 
 def test_save_load_roundtrip(tmp_path, example1_pi):

@@ -18,7 +18,6 @@ from treechase.chase import (
     pattern_atoms,
     pattern_from_ranks,
     pattern_key,
-    pattern_order_less,
     render_pattern,
 )
 from treechase.galois import PrimeField
@@ -250,8 +249,9 @@ def test_bound_soundness_exhaustive_gf5(code54):
 def test_pattern_order_keys(ex_chain):
     a = pattern_from_ranks(ex_chain, (0,))
     b = pattern_from_ranks(ex_chain, (1,))
-    assert pattern_order_less(ex_chain, 1, a, b)      # 0.12 < 0.20
-    assert not pattern_order_less(ex_chain, 1, a, a)  # irreflexive
+    ka, kb = (pattern_key(bound_B(ex_chain, f, 1), f) for f in (a, b))
+    assert ka < kb      # 0.12 < 0.20
+    assert not ka < ka  # irreflexive
     # same bound: shorter pattern first, then leftmost ranks
     k1 = pattern_key(0.5, pattern_from_ranks(ex_chain, (0,)))
     k2 = pattern_key(0.5, pattern_from_ranks(ex_chain, (0, 1)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treechase.baselines import lcc_decode
+from treechase.baselines import LccConfig, lcc_decode
 from treechase.channel import likelihoods, modulate, soft_weights
 from treechase.decoder import (
     EXIT_BUDGET,
@@ -16,7 +16,7 @@ from treechase.decoder import (
     tcgs_decode,
     verify_trace,
 )
-from treechase.rscode import encode
+from treechase.rscode import encode, make_code
 
 from conftest import pam_pi
 
@@ -97,6 +97,29 @@ def test_certified_exits_agree_with_oracle_quick(code54):
     assert certified > 100  # the certificate fires on most frames
 
 
+@pytest.mark.parametrize("alg", ["tcgs", "lcc"])
+def test_certified_is_score_optimal_under_ties(alg):
+    """Likelihoods quantized to the integers -4..0 make score ties common.  A
+    certified output must reach the best codeword score; which tied codeword
+    it is may differ from mld_oracle's lexicographic tie-break, so scores are
+    compared."""
+    rng = np.random.default_rng(17)
+    certified = 0
+    for code in (make_code(5, 1, 4, 2), make_code(7, 1, 6, 2), make_code(2, 3, 7, 3)):
+        cols = np.arange(code.n)
+        for _ in range(150):
+            pi = np.maximum(np.round(pam_pi(code, rng)[0]), -4.0)
+            if alg == "tcgs":
+                res = tcgs_decode(code, pi, DecoderConfig(max_trials=16))
+            else:
+                res = lcc_decode(code, pi, LccConfig(eta=4))
+            if res.certified:
+                certified += 1
+                _, best = mld_oracle(code, pi)
+                assert pi[list(res.codeword), cols].sum() == pi[list(best), cols].sum()
+    assert certified > 100
+
+
 def test_popped_bounds_nondecreasing_and_weight_nonincreasing(code54):
     rng = np.random.default_rng(17)
     for _ in range(50):
@@ -119,7 +142,13 @@ def test_trials_never_exceed_budget(code54):
             assert 1 <= res.trials <= L
 
 
-def test_genie_mode_stops_on_transmitted(code16):
+@pytest.mark.parametrize("alg", ["tcgs", "lcc"])
+def test_genie_mode_stops_on_transmitted(code16, alg):
+    def decode(pi, genie=None):
+        if alg == "tcgs":
+            return tcgs_decode(code16, pi, DecoderConfig(max_trials=64), genie_codeword=genie)
+        return lcc_decode(code16, pi, LccConfig(eta=4), genie_codeword=genie)
+
     rng = np.random.default_rng(4)
     from treechase.channel import sigma_from_snr_db, transmit
     sigma = sigma_from_snr_db(4.0, 11 / 15)
@@ -129,8 +158,8 @@ def test_genie_mode_stops_on_transmitted(code16):
         tx = encode(code16, msg)
         r = transmit(modulate(code16.field, tx), sigma, rng)
         pi = likelihoods(code16.field, 15, r, sigma * sigma)
-        plain = tcgs_decode(code16, pi, DecoderConfig(max_trials=64))
-        aided = tcgs_decode(code16, pi, DecoderConfig(max_trials=64), genie_codeword=tx)
+        plain = decode(pi)
+        aided = decode(pi, genie=tx)
         assert aided.trials <= plain.trials
         if aided.exit_reason == EXIT_GENIE:
             hits += 1
