@@ -14,7 +14,7 @@ from .chase import (AtomChain, FlippingPattern, ROOT, bound_B, build_atom_chain,
 from .decoder import (CERTIFIED_EXITS, DecodeResult, DecoderConfig,
                       EXIT_BUDGET, EXIT_CERTIFIED_KANEKO, EXIT_CERTIFIED_TREE, EXIT_GENIE,
                       EXIT_THRESHOLD, compare_traces, decode_with_trace,
-                      mld_oracle, tcgs_decode, verify_trace)
+                      mld_oracle, tcgs_decode)
 from .galois import BinaryField, Field, PrimeField, make_field
 from .interp import (GroebnerBasis, backward_remove, basis_init, factorize,
                      forward_add, interpolate_points, interpolate_prefix, minimal_poly,
@@ -39,5 +39,5 @@ __all__ = [
     "minimal_poly", "mld_oracle", "modulate", "next_sibling", "parse_snr_spec",
     "pattern_from_ranks", "render_pattern", "rows_to_csv", "run_point",
     "run_sweep", "save_pi", "sigma_from_snr_db", "soft_weights", "tcgs_decode",
-    "transmit", "verify_trace", "wdeg_key", "wilson_interval",
+    "transmit", "wdeg_key", "wilson_interval",
 ]

@@ -49,8 +49,7 @@ def likelihoods(field: Field, n: int, samples: np.ndarray, sigma2: float) -> np.
         raise ValueError("sigma2 must be > 0")
     m = field.m
     r = np.asarray(samples, dtype=np.float64).reshape(n, m)
-    vals = np.arange(field.q, dtype=np.int64)
-    signs = 1.0 - 2.0 * ((vals[:, None] >> np.arange(m)[None, :]) & 1)
+    signs = modulate(field, range(field.q)).reshape(field.q, m)
     d = r[None, :, :] - signs[:, None, :]
     return -(d * d).sum(axis=2) / (2.0 * sigma2) - 0.5 * m * math.log(2.0 * math.pi * sigma2)
 

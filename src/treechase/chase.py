@@ -106,20 +106,12 @@ class FlippingPattern:
 
     ranks: tuple[int, ...]
     coords: frozenset[int]
-    weight: float
-
-    @property
-    def wh(self) -> int:
-        return len(self.ranks)
+    weight: float  # the atom weights summed left to right in rank order
 
     @property
     def upper_rank(self) -> int:
         """Rank of the last atom; -1 for the empty pattern (scan sentinel)."""
         return self.ranks[-1] if self.ranks else -1
-
-    @property
-    def lower_rank(self) -> float:
-        return self.ranks[0] if self.ranks else math.inf
 
 
 ROOT = FlippingPattern((), frozenset(), 0.0)
@@ -172,15 +164,20 @@ def bound_B(chain: AtomChain, f: FlippingPattern, t_min: int) -> float:
     return f.weight + greedy_g_min(chain, f, t_min)
 
 
+def _extend(chain: AtomChain, ranks: tuple[int, ...], taken: frozenset[int], weight: float,
+            start: int) -> FlippingPattern | None:
+    """ranks plus the first atom at rank >= start on a coordinate not in taken, or None."""
+    coords = chain.coords
+    for r in range(start, len(coords)):
+        c = coords[r]
+        if c not in taken:
+            return FlippingPattern(ranks + (r,), taken | {c}, weight + chain.weights[r])
+    return None
+
+
 def leftmost_child(chain: AtomChain, f: FlippingPattern) -> FlippingPattern | None:
     """Lowest-rank extension of f on an unused coordinate, or None."""
-    coords = chain.coords
-    for r in range(f.upper_rank + 1, len(coords)):
-        c = coords[r]
-        if c not in f.coords:
-            return FlippingPattern(f.ranks + (r,), f.coords | {c},
-                                   sum(chain.weights[i] for i in f.ranks) + chain.weights[r])
-    return None
+    return _extend(chain, f.ranks, f.coords, f.weight, f.upper_rank + 1)
 
 
 def next_sibling(chain: AtomChain, f: FlippingPattern) -> FlippingPattern | None:
@@ -188,15 +185,8 @@ def next_sibling(chain: AtomChain, f: FlippingPattern) -> FlippingPattern | None
     if not f.ranks:
         raise ValueError("the empty pattern has no siblings")
     head = f.ranks[:-1]
-    head_coords = frozenset(chain.coords[r] for r in head)
-    head_weight = sum(chain.weights[r] for r in head)
-    coords = chain.coords
-    for r in range(f.ranks[-1] + 1, len(coords)):
-        c = coords[r]
-        if c not in head_coords:
-            return FlippingPattern(head + (r,), head_coords | {c},
-                                   head_weight + chain.weights[r])
-    return None
+    return _extend(chain, head, frozenset(chain.coords[r] for r in head),
+                   sum(chain.weights[r] for r in head), f.ranks[-1] + 1)
 
 
 def kaneko_B0(chain: AtomChain, e, d_min: int) -> float:

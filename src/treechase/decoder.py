@@ -237,8 +237,9 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
             node = frontier.pop(0)
             s.steps += 1
             f = node.pattern
-            pat_str = render_pattern(chain, f)
+            pat_str = ""  # only trace lines read the rendered pattern
             if trace is not None:
+                pat_str = render_pattern(chain, f)
                 trace.append(f"POP step={s.steps} pattern={pat_str} bound={node.bound:.4f}")
             if T_z is not None:
                 if node.bound >= T_z:
@@ -307,10 +308,3 @@ def compare_traces(got_lines: list[str], expected_lines: list[str]) -> tuple[boo
     if len(got) != len(expected):
         return False, f"length mismatch: got {len(got)} lines, expected {len(expected)}"
     return True, "ok"
-
-
-def verify_trace(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig,
-                 expected_lines: list[str]) -> tuple[bool, str]:
-    """Re-run the decode and compare traces against an expected transcript."""
-    _, got = decode_with_trace(code, pi, cfg)
-    return compare_traces(got, expected_lines)

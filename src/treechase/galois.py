@@ -32,9 +32,14 @@ poly_div_linear, poly_divrem) are Field methods that loop over local table
 lookups, so no coefficient costs a method call.  poly_scale only multiplies
 and is shared; the others add, so each field kind has its own: XOR in
 GF(2^m), integer arithmetic mod p in GF(p).
+
+newton_tables caches the Newton basis of a node tuple per field; it is the
+one Newton fit, read by lagrange_interpolate and interp.interpolate_prefix.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 PRIMITIVE_POLY = {
     2: 0x7,
@@ -377,21 +382,34 @@ def poly_str(c: list[int]) -> str:
     return "+".join(terms) if terms else "0"
 
 
+@lru_cache(maxsize=16)
+def newton_tables(field: Field, xs: tuple[int, ...]):
+    """N_j / N_j(x_j) and N_j(x_j) for each node x_j, and N_len(xs), where
+    N_j = (x - x_0)...(x - x_{j-1}); a code's first k points build them once."""
+    unit, at_node = [], []
+    N = [1]
+    for x in xs:
+        s = field.poly_eval(N, x)
+        unit.append(field.poly_scale(N, field.inv(s)))
+        at_node.append(s)
+        N = field.poly_mul_linear(N, x)
+    return tuple(unit), tuple(at_node), tuple(N)
+
+
 def lagrange_interpolate(field: Field, xs: list[int], ys: list[int]) -> list[int]:
     """Unique polynomial of degree < len(xs) through the given points.
 
-    Newton's divided differences, then the nested form expanded: O(len(xs)^2).
+    Newton form over the cached newton_tables: each point adds its residual
+    times N_j / N_j(x_j).  O(len(xs)^2).
     """
     if len(xs) != len(ys):
         raise ValueError("point count mismatch")
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate x coordinates")
-    sub, div = field.sub, field.div
-    c = list(ys)
-    for j in range(1, len(xs)):
-        for i in range(len(xs) - 1, j - 1, -1):
-            c[i] = div(sub(c[i], c[i - 1]), sub(xs[i], xs[i - j]))
+    unit = newton_tables(field, tuple(xs))[0]
     out: list[int] = []
-    for i in range(len(xs) - 1, -1, -1):
-        out = poly_add(field, field.poly_mul_linear(out, xs[i]), [c[i]])
+    for x, y, U in zip(xs, ys, unit):
+        b = field.sub(y, field.poly_eval(out, x))
+        if b:
+            out = poly_add(field, out, field.poly_scale(U, b))
     return out

@@ -27,9 +27,8 @@ inputs, so bases branched across search-tree nodes may share structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .galois import Field, poly_deg
+from .galois import Field, newton_tables, poly_deg
 
 _NEG = -(10**9)  # stand-in for the weighted degree of a zero part
 
@@ -162,20 +161,6 @@ def interpolate_points(field: Field, k: int, points) -> GroebnerBasis:
     return basis
 
 
-@lru_cache(maxsize=16)
-def _prefix_tables(field: Field, xs: tuple[int, ...]):
-    """Per-code Newton tables: N_j / N_j(x_j) and N_j(x_j) for j < k, and N_k,
-    where N_j = (x - x_0)...(x - x_{j-1})."""
-    unit, at_node = [], []
-    N = [1]
-    for x in xs:
-        s = field.poly_eval(N, x)
-        unit.append(field.poly_scale(N, field.inv(s)))
-        at_node.append(s)
-        N = field.poly_mul_linear(N, x)
-    return tuple(unit), tuple(at_node), tuple(N)
-
-
 def interpolate_prefix(field: Field, k: int, points) -> GroebnerBasis:
     """interpolate_points over exactly k points with distinct x, in closed form.
 
@@ -184,7 +169,7 @@ def interpolate_prefix(field: Field, k: int, points) -> GroebnerBasis:
     result is P0 = N_k and P1 = -c*R + c*y, where R is the Newton interpolant
     of the k points and c is the product of N_j(x_j) over the steps whose
     Newton coefficient is nonzero (forward_add leaves P1 unscaled when its
-    discrepancy is 0).  O(k^2) per call with the per-code tables cached.
+    discrepancy is 0).  O(k^2) per call over the code's cached newton_tables.
     """
     points = tuple((x, y) for x, y in points)
     if k < 1:
@@ -194,7 +179,7 @@ def interpolate_prefix(field: Field, k: int, points) -> GroebnerBasis:
     xs = tuple(x for x, _ in points)
     if len(set(xs)) != k:
         raise ValueError("duplicate x coordinates")
-    unit, at_node, N = _prefix_tables(field, xs)
+    unit, at_node, N = newton_tables(field, xs)
     add, mul = field.add, field.mul
     poly_eval, poly_scale, poly_sub = field.poly_eval, field.poly_scale, field.poly_sub
     S: list[int] = []  # -R through the points so far

@@ -80,7 +80,8 @@ def encode(code: CodeParams, message: list[int]) -> tuple[int, ...]:
 
 
 def _fit_first_k(code: CodeParams, v) -> list[int]:
-    """The degree-< k polynomial through the first k coordinates of v: O(k^2)."""
+    """The degree-< k polynomial through the first k coordinates of v: O(k^2),
+    over the same cached Newton tables the decoder's interpolate_prefix reads."""
     if len(v) != code.n:
         raise ValueError("length != n")
     k = code.k

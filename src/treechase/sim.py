@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import math
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
 from multiprocessing import get_context
 
@@ -150,24 +151,19 @@ def _stop(cfg: SweepConfig, tally: BoundTally) -> bool:
 def run_point(cfg: SweepConfig, alg: str, snr_db: float) -> SweepRow:
     start = time.perf_counter()
     tally = BoundTally()
-    if cfg.workers <= 1:
-        ctx = _PointCtx(cfg, alg, snr_db)
+    with ExitStack() as stack:
+        if cfg.workers > 1:
+            span_map = stack.enter_context(get_context("fork").Pool(
+                cfg.workers, initializer=_worker_init, initargs=(cfg, alg, snr_db))).map
+        else:
+            _worker_init(cfg, alg, snr_db)
+            span_map = map
         done = 0
         while done < cfg.max_frames and not _stop(cfg, tally):
             hi = min(done + CHUNK, cfg.max_frames)
-            for idx in range(done, hi):
-                tally.add(*ctx.run_frame(idx))
+            for part in span_map(_worker_span, _spans(done, hi, cfg.workers)):
+                tally = tally + part
             done = hi
-    else:
-        mp = get_context("fork")
-        with mp.Pool(cfg.workers, initializer=_worker_init,
-                     initargs=(cfg, alg, snr_db)) as pool:
-            done = 0
-            while done < cfg.max_frames and not _stop(cfg, tally):
-                hi = min(done + CHUNK, cfg.max_frames)
-                for part in pool.map(_worker_span, _spans(done, hi, cfg.workers)):
-                    tally = tally + part
-                done = hi
     wall = time.perf_counter() - start
     return SweepRow(algorithm=alg, snr_db=snr_db, frames=tally.frames,
                     frame_errors=tally.errors, fer=tally.fer,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import gammaincc
+from scipy.special import chdtri, gammaincc
 
 
 def chi2_sf(x: float, dof: int) -> float:
@@ -13,28 +13,12 @@ def chi2_sf(x: float, dof: int) -> float:
 
 
 def chi2_threshold(epsilon: float, dof: int) -> float:
-    """Upper (epsilon/2)-quantile T of chi-square: Pr{X >= T} = epsilon / 2.
-
-    Bisection on the regularized upper incomplete gamma function, absolute
-    tolerance 1e-9 on T.
-    """
+    """Upper (epsilon/2)-quantile T of chi-square: Pr{X >= T} = epsilon / 2."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
     if dof < 1:
         raise ValueError("dof must be >= 1")
-    target = epsilon / 2.0
-    lo, hi = 0.0, 1.0
-    while chi2_sf(hi, dof) > target:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("quantile bracket failed")
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if chi2_sf(mid, dof) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(chdtri(dof, epsilon / 2.0))
 
 
 def wilson_interval(successes: int, trials: int, z: float = 2.5758293035489004) -> tuple[float, float]:

@@ -168,12 +168,12 @@ def test_kaneko_examples(ex_chain):
 
 def test_minimal_decompose_identity_and_boundary(ex_chain):
     f, g = minimal_decompose(ex_chain, (0, 2, 2, 3), 1)
-    assert g.wh == 1 and not (f.coords & g.coords)
-    assert f.upper_rank < g.lower_rank
+    assert len(g.ranks) == 1 and not (f.coords & g.coords)
+    assert f.upper_rank < g.ranks[0]
     recombined = sorted(pattern_atoms(ex_chain, f) + pattern_atoms(ex_chain, g))
     assert recombined == [(1, 2), (2, 2), (3, 3)]
     f0, g0 = minimal_decompose(ex_chain, (0, 0, 0, 2), 1)
-    assert f0 == ROOT and g0.wh == 1
+    assert f0 == ROOT and len(g0.ranks) == 1
     with pytest.raises(ValueError):
         minimal_decompose(ex_chain, (0, 0, 0, 0), 1)
 

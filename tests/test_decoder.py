@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from treechase import decoder
 from treechase.baselines import LccConfig, lcc_decode
-from treechase.channel import likelihoods, modulate, soft_weights
+from treechase.channel import (frame_rng, likelihoods, modulate, sigma_from_snr_db,
+                               soft_weights, transmit)
 from treechase.decoder import (
     EXIT_BUDGET,
     EXIT_CERTIFIED_KANEKO,
@@ -14,7 +16,6 @@ from treechase.decoder import (
     decode_with_trace,
     mld_oracle,
     tcgs_decode,
-    verify_trace,
 )
 from treechase.rscode import encode, make_code
 
@@ -105,7 +106,11 @@ def test_certified_is_score_optimal_under_ties(alg):
     compared."""
     rng = np.random.default_rng(17)
     certified = 0
-    for code in (make_code(5, 1, 4, 2), make_code(7, 1, 6, 2), make_code(2, 3, 7, 3)):
+    # after the three tie fields: t_min = 0 ([4,3], [6,5]), k = 1 with n = q and the
+    # node x = 0 ([7,1]), and n = q ([5,2]); appended so earlier frames keep their draws
+    for code in (make_code(5, 1, 4, 2), make_code(7, 1, 6, 2), make_code(2, 3, 7, 3),
+                 make_code(5, 1, 4, 3), make_code(7, 1, 6, 5), make_code(7, 1, 7, 1),
+                 make_code(5, 1, 5, 2)):
         cols = np.arange(code.n)
         for _ in range(150):
             pi = np.maximum(np.round(pam_pi(code, rng)[0]), -4.0)
@@ -241,14 +246,37 @@ def test_decoders_reject_non_finite_or_non_real_pi(code54, example1_pi, decode, 
         decode(code54, example1_pi.tolist())
 
 
+def test_render_pattern_runs_only_for_trace_lines(code16, monkeypatch):
+    """Only trace lines read a rendered pattern: an untraced decode renders none,
+    a traced one renders one per POP line.  Frames 0..99 of [15,11] at 4 dB,
+    seed 0, drawn as treechase.sim draws them."""
+    rendered = []
+    real = decoder.render_pattern
+    monkeypatch.setattr(decoder, "render_pattern",
+                        lambda chain, f: rendered.append(f) or real(chain, f))
+    sigma = sigma_from_snr_db(4.0, code16.k / code16.n)
+    frames = []
+    for i in range(100):
+        rng = frame_rng(0, i)
+        tx = encode(code16, [int(v) for v in rng.integers(0, 16, size=code16.k)])
+        r = transmit(modulate(code16.field, tx), sigma, rng)
+        frames.append(likelihoods(code16.field, code16.n, r, sigma * sigma))
+    cfg = DecoderConfig(max_trials=16)
+    for pi in frames:
+        tcgs_decode(code16, pi, cfg)
+    assert rendered == []
+    pops = sum(ln.startswith("POP ") for pi in frames for ln in decode_with_trace(code16, pi, cfg)[1])
+    assert len(rendered) == pops > 0
+
+
 def test_verify_trace_detects_perturbation(code54, example1_pi, example1_trace):
-    ok, diag = verify_trace(code54, example1_pi, DecoderConfig(max_trials=16),
-                            example1_trace)
+    ok, diag = compare_traces(
+        decode_with_trace(code54, example1_pi, DecoderConfig(max_trials=16))[1], example1_trace)
     assert ok and diag == "ok"
     perturbed = example1_pi.copy()
     perturbed[2, 1] = -1.0  # reorders the atom chain
-    ok2, diag2 = verify_trace(code54, perturbed, DecoderConfig(max_trials=16),
-                              example1_trace)
+    ok2, diag2 = compare_traces(
+        decode_with_trace(code54, perturbed, DecoderConfig(max_trials=16))[1], example1_trace)
     assert not ok2
     assert "ATOM" in diag2 or "Z " in diag2
     with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from treechase.galois import (
     PRIMITIVE_POLY,
@@ -142,6 +142,23 @@ def test_lagrange_interpolation_gf16():
     coeffs = [7, 1, 9]
     ys = [GF16.poly_eval(coeffs, x) for x in pts]
     assert poly_trim(lagrange_interpolate(GF16, pts, ys)) == coeffs
+
+
+NEWTON_FIELDS = [make_field(5), make_field(257), make_field(2, 4), make_field(2, 8)]
+
+
+@settings(max_examples=200)  # far more distinct node tuples than the 16 cached tables
+@given(st.sampled_from(NEWTON_FIELDS), st.data())
+def test_lagrange_interpolate_recovers_random_polynomials(f, data):
+    xs = data.draw(st.lists(st.integers(0, f.q - 1), min_size=1, max_size=min(f.q, 12),
+                            unique=True))
+    coeffs = poly_trim(data.draw(st.lists(st.integers(0, f.q - 1), max_size=len(xs))))
+    ys = [f.poly_eval(coeffs, x) for x in xs]
+    assert lagrange_interpolate(f, xs, ys) == coeffs
+    with pytest.raises(ValueError, match="duplicate"):
+        lagrange_interpolate(f, xs + [xs[0]], ys + [ys[0]])
+    with pytest.raises(ValueError, match="mismatch"):
+        lagrange_interpolate(f, xs, ys[:-1])
 
 
 # --- table kernels against plain scalar references ---

@@ -98,6 +98,22 @@ def test_sweep_csv_is_pinned(workers):
     assert rows_to_csv(run_sweep(cfg)) == SWEEP_RS15_4_6_1_300
 
 
+SWEEP_RS15_4_6_1_300_EPS001 = (
+    "algorithm,snr_db,frames,frame_errors,fer,avg_trials,e_upper_rate,e_lower_rate,wall_seconds\n"
+    "tcgs,4,300,4,0.013333333,5.9333333,0.32666667,0,0.000\n"
+    "tcgs,5,300,1,0.0033333333,2.2733333,0.093333333,0,0.000\n"
+    "tcgs,6,300,1,0.0033333333,1.0666667,0.013333333,0,0.000\n")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_threshold_sweep_csv_is_pinned(workers):
+    """Threshold mode exits on bound >= T_z, so the CSV also pins the chi-square
+    radius against a knife-edge change of the quantile."""
+    cfg = small_cfg(snr_db=parse_snr_spec("4:6:1"), max_frames=300, seed=0,
+                    threshold_eps=0.01, workers=workers)
+    assert rows_to_csv(run_sweep(cfg)) == SWEEP_RS15_4_6_1_300_EPS001
+
+
 def test_worker_count_invariance_small():
     cfg1 = small_cfg(max_frames=250, workers=1)
     cfg2 = small_cfg(max_frames=250, workers=3)

@@ -25,6 +25,12 @@ def test_chi2_threshold_monotone_in_eps():
         prev = t
 
 
+@pytest.mark.parametrize("dof", [1, 2, 21, 60, 2040, 49140])  # 49140 = 4095 * 12, the largest n*m
+@pytest.mark.parametrize("eps", [1e-9, 1e-3, 0.3, 0.999999])
+def test_chi2_threshold_round_trip(eps, dof):
+    assert chi2_sf(chi2_threshold(eps, dof), dof) == pytest.approx(eps / 2.0, rel=1e-12)
+
+
 def test_chi2_threshold_input_validation():
     with pytest.raises(ValueError):
         chi2_threshold(0.0, 10)
