@@ -57,8 +57,7 @@ def lcc_decode(code: CodeParams, pi: np.ndarray, cfg: LccConfig | None = None,
     state = list(z)
     if exit_reason is None:
         for i in range(1, 1 << cfg.eta):
-            gray, prev = i ^ (i >> 1), (i - 1) ^ ((i - 1) >> 1)
-            j = lrps[(gray ^ prev).bit_length() - 1]
+            j = lrps[(i & -i).bit_length() - 1]  # Gray code i flips bit ctz(i)
             y_new = second[j] if state[j] == z[j] else z[j]
             basis = s.swap(basis, j, state[j], y_new)
             state[j] = y_new

@@ -31,7 +31,12 @@ def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
 
 
 def modulate(field: Field, codeword) -> np.ndarray:
-    """Codeword -> n*m array of +-1 samples, LSB-first within each symbol."""
+    """Codeword -> n*m array of +-1 samples, LSB-first within each symbol.
+
+    Binary fields only: m bits carry a GF(2^m) symbol, but not a GF(p) one.
+    """
+    if field.p != 2:
+        raise ValueError(f"BPSK carries GF(2^m) symbols only, not GF({field.p}^{field.m})")
     c = np.asarray(codeword, dtype=np.int64)
     bits = (c[:, None] >> np.arange(field.m)[None, :]) & 1
     return (1.0 - 2.0 * bits).reshape(-1)
@@ -44,7 +49,7 @@ def transmit(signal: np.ndarray, sigma: float, rng: np.random.Generator) -> np.n
 
 
 def likelihoods(field: Field, n: int, samples: np.ndarray, sigma2: float) -> np.ndarray:
-    """(q, n) matrix of per-symbol Gaussian log-likelihoods."""
+    """(q, n) matrix of per-symbol Gaussian log-likelihoods; binary fields only."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be > 0")
     m = field.m

@@ -223,16 +223,18 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
         T_z = (T - resid_z) / (2.0 * s2)
 
     basis, exit_reason = s.first_trial()
-    frontier: list[TreeNode] = []
-    dropped = False
     if exit_reason is None:
-        first = leftmost_child(chain, ROOT)
-        if first is not None:
+        # No cap at the b trials left: each pop spends a trial or exits, so a node
+        # with b better nodes ahead of it is never popped and a cap changes nothing.
+        frontier: list[TreeNode] = []
+        if s.trials < L:  # grow the tree only while a pop can follow
+            # ROOT's leftmost child is the chain's first atom, which always exists
+            first = leftmost_child(chain, ROOT)
             frontier.append(TreeNode(first, bound_B(chain, first, t_min), basis))
         while s.trials < L:
             if not frontier:
-                # tree exhausted; exact search unless the cap discarded nodes
-                exit_reason = EXIT_BUDGET if dropped else EXIT_CERTIFIED_TREE
+                # frontier exhaustion is always exact: every pattern of the tree was tried
+                exit_reason = EXIT_CERTIFIED_TREE
                 break
             node = frontier.pop(0)
             s.steps += 1
@@ -254,18 +256,13 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
             exit_reason = s.attempt(nb, pat_str)
             if exit_reason is not None:
                 break
-            child = leftmost_child(chain, f)
-            if child is not None:
-                cnode = TreeNode(child, bound_B(chain, child, t_min), nb)
-                bisect.insort(frontier, cnode, key=TreeNode.key)
-            sib = next_sibling(chain, f)
-            if sib is not None:
-                snode = TreeNode(sib, bound_B(chain, sib, t_min), node.basis)
-                bisect.insort(frontier, snode, key=TreeNode.key)
-            cap = L - s.trials
-            if len(frontier) > cap:
-                del frontier[cap:]
-                dropped = True
+            if s.trials == L:
+                continue  # no pop follows, so no child or sibling would be read
+            # the child extends the swapped basis; the sibling swaps from the parent's
+            for g, g_basis in ((leftmost_child(chain, f), nb), (next_sibling(chain, f), node.basis)):
+                if g is not None:
+                    gnode = TreeNode(g, bound_B(chain, g, t_min), g_basis)
+                    bisect.insort(frontier, gnode, key=TreeNode.key)
         else:
             exit_reason = EXIT_BUDGET
     return s.result(exit_reason)

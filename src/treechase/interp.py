@@ -86,17 +86,18 @@ def _pick(k: int, P: tuple[BivarPoly, BivarPoly], d: tuple[int, int]) -> int:
 
 
 def forward_add(basis: GroebnerBasis, x: int, y: int) -> GroebnerBasis:
-    """Koetter update: constrain the module to also vanish at (x, y)."""
+    """Koetter update: constrain the module to also vanish at (x, y).
+
+    The discrepancies d = (P0(x, y), P1(x, y)) are never both zero at a new x:
+    N_S, the product of (x - x_j) over the interpolated points, is a y-free
+    element of the module, so an F[x]-combination of P0 and P1, and N_S(x) != 0.
+    """
     field, k = basis.field, basis.k
     for px, _ in basis.points:
         if px == x:
             raise ValueError(f"x = {x} already interpolated")
     P = basis.polys
     d = (bivar_eval(field, P[0], x, y), bivar_eval(field, P[1], x, y))
-    pts = basis.points + ((x, y),)
-    if d == (0, 0):
-        # the whole module already vanishes here; nothing to update
-        return GroebnerBasis(field, k, P, pts)
     mu = _pick(k, P, d)
     nu = 1 - mu
     new = list(P)
@@ -104,11 +105,17 @@ def forward_add(basis: GroebnerBasis, x: int, y: int) -> GroebnerBasis:
         new[nu] = _combine(field, d[mu], P[nu], d[nu], P[mu])
     new[mu] = BivarPoly(tuple(field.poly_mul_linear(P[mu].q0, x)),
                         tuple(field.poly_mul_linear(P[mu].q1, x)))
-    return GroebnerBasis(field, k, (new[0], new[1]), pts)
+    return GroebnerBasis(field, k, (new[0], new[1]), basis.points + ((x, y),))
 
 
 def backward_remove(basis: GroebnerBasis, x: int, y: int) -> GroebnerBasis:
-    """Release the constraint at (x, y), enlarging the module by one point."""
+    """Release the constraint at (x, y), enlarging the module by one point.
+
+    The y-parts (P0.q1(x), P1.q1(x)) are never both zero at an interpolated x:
+    y - R_S, with R_S the interpolant of the points S, lies in the module and
+    has q1 = 1, so 1 is an F[x]-combination of P0.q1 and P1.q1.  The
+    RuntimeError below therefore flags a basis that is not a basis of the module.
+    """
     field, k = basis.field, basis.k
     if (x, y) not in basis.points:
         raise ValueError(f"point ({x}, {y}) not interpolated")

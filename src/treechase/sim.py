@@ -64,6 +64,8 @@ class SweepRow:
 
 def validate_config(cfg: SweepConfig) -> CodeParams:
     code = make_code(cfg.p, cfg.m, cfg.n, cfg.k)
+    if cfg.p != 2:
+        raise ValueError("sweeps simulate BPSK, which needs a binary field (p = 2)")
     if not cfg.algorithms:
         raise ValueError("no algorithms selected")
     for alg in cfg.algorithms:
@@ -81,11 +83,8 @@ def validate_config(cfg: SweepConfig) -> CodeParams:
         raise ValueError("min_errors must be >= 0")
     if cfg.workers < 1:
         raise ValueError("workers must be >= 1")
-    if cfg.threshold_eps is not None:
-        if cfg.p != 2:
-            raise ValueError("threshold mode requires a characteristic-2 field")
-        if not 0.0 < cfg.threshold_eps < 1.0:
-            raise ValueError("threshold-eps must be in (0, 1)")
+    if cfg.threshold_eps is not None and not 0.0 < cfg.threshold_eps < 1.0:
+        raise ValueError("threshold-eps must be in (0, 1)")
     return code
 
 

@@ -44,6 +44,17 @@ def test_transmit_deterministic_per_frame_stream():
         transmit(sig, -1.0, frame_rng(0, 0))
 
 
+def test_modulate_and_likelihoods_reject_prime_fields():
+    """m bits of BPSK carry a GF(2^m) symbol but not a GF(5) one: the low bit
+    alone would give symbols of equal parity identical likelihood rows."""
+    gf5 = PrimeField(5)
+    with pytest.raises(ValueError):
+        modulate(gf5, (1, 2))
+    with pytest.raises(ValueError):
+        likelihoods(gf5, 4, np.zeros(4), 1.0)
+    assert modulate(PrimeField(2), (1, 0)).tolist() == [-1.0, 1.0]
+
+
 def test_single_bit_loglik_difference():
     # one GF(2) symbol, r = 0.3, sigma = 1: pi0 - pi1 = 2r/sigma^2 = 0.6
     f2 = PrimeField(2)

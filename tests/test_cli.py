@@ -80,6 +80,12 @@ def test_sweep_stdout_and_bad_code(capsys):
     assert main(["sweep", "--code", "2,4,15,11", "--alg", "nope"]) == 1
 
 
+def test_sweep_rejects_prime_field(capsys):
+    assert main(["sweep", "--code", "5,1,4,2", "--snr", "4:8:2", "--alg", "tcgs,hdd",
+                 "--frames", "20", "--min-errors", "0"]) == 1
+    assert "binary field" in capsys.readouterr().err
+
+
 def test_replay_gf16_matrix_roundtrip(tmp_path, capsys, code16):
     """A 16x15 matrix replays under make_code's extension-field convention; the
     trace differs from the packaged golden so the exit code is 2, but the

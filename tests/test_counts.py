@@ -3,8 +3,8 @@
 The paper measures decoding cost in hard-decision trials and interpolation
 updates.  Both are deterministic functions of the input, so a change that
 only makes arithmetic faster must reproduce these totals exactly.  Frames
-0..2999 of the [15,11] GF(16) code at 4 dB, seed 0, are drawn exactly as
-treechase.sim draws them.
+0..2999 of the [15,11] GF(16) code at 4 dB and frames 0..39 of the [255,239]
+GF(256) code at 6 dB, seed 0, are drawn exactly as treechase.sim draws them.
 """
 
 from collections import Counter
@@ -17,9 +17,9 @@ from treechase.rscode import encode, make_code
 FRAMES = 3000
 
 
-def _frames(code, snr_db, seed):
+def _frames(code, snr_db, seed, frames=FRAMES):
     sigma = sigma_from_snr_db(snr_db, code.k / code.n)
-    for i in range(FRAMES):
+    for i in range(frames):
         rng = frame_rng(seed, i)
         msg = [int(v) for v in rng.integers(0, code.field.q, size=code.k)]
         tx = encode(code, msg)
@@ -56,3 +56,15 @@ def test_pinned_counts_rs15_4db_seed0():
     assert (tally, exits) == (
         {"trials": 15255, "forward": 24255, "backward": 12255, "wrong": 77},
         {"certified_kaneko": 2190, "budget_exhausted": 810})
+
+
+def test_pinned_counts_rs255_6db_seed0():
+    """The deployed-size [255,239] GF(256) code at 6 dB, seed 0, frames 0..39."""
+    code = make_code(2, 8, 255, 239)
+    frames = list(_frames(code, 6.0, seed=0, frames=40))
+    exits = {"certified_kaneko": 23, "budget_exhausted": 17}
+    tcgs_cfg, hdd_cfg = DecoderConfig(max_trials=16), DecoderConfig(max_trials=1)
+    assert _tally((tx, tcgs_decode(code, pi, tcgs_cfg)) for tx, pi in frames) == (
+        {"trials": 295, "forward": 895, "backward": 255, "steps": 255, "wrong": 4}, exits)
+    assert _tally((tx, tcgs_decode(code, pi, hdd_cfg)) for tx, pi in frames) == (
+        {"trials": 40, "forward": 640, "backward": 0, "steps": 0, "wrong": 11}, exits)

@@ -269,6 +269,53 @@ def test_render_pattern_runs_only_for_trace_lines(code16, monkeypatch):
     assert len(rendered) == pops > 0
 
 
+def _rs15_4db_frames(code16, count):
+    """Frames 0..count-1 of [15,11] at 4 dB, seed 0, drawn as treechase.sim draws them."""
+    sigma = sigma_from_snr_db(4.0, code16.k / code16.n)
+    for i in range(count):
+        rng = frame_rng(0, i)
+        tx = encode(code16, [int(v) for v in rng.integers(0, 16, size=code16.k)])
+        r = transmit(modulate(code16.field, tx), sigma, rng)
+        yield likelihoods(code16.field, code16.n, r, sigma * sigma)
+
+
+def _count_tree_calls(monkeypatch):
+    """Patch the decoder's tree helpers to count their calls; returns the live counts."""
+    calls = dict.fromkeys(("leftmost_child", "next_sibling", "bound_B"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(decoder, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(decoder, name, counted)
+    return calls
+
+
+def test_one_trial_budget_builds_no_tree(code16, monkeypatch):
+    """With max_trials=1 (the sweep's hdd) no pop can follow the first trial, so
+    the tree search reads no child, sibling or bound."""
+    calls = _count_tree_calls(monkeypatch)
+    cfg = DecoderConfig(max_trials=1)
+    for pi in _rs15_4db_frames(code16, 300):
+        assert tcgs_decode(code16, pi, cfg).trials == 1
+    assert calls == {"leftmost_child": 0, "next_sibling": 0, "bound_B": 0}
+
+
+def test_budget_exhausted_frame_expands_no_node_after_last_trial(code16, monkeypatch):
+    """A frame that spends all L = 16 trials pops 15 nodes: the root's child plus
+    the children and siblings of the first 14 pops.  The 15th pop is the last
+    trial, so its child and sibling are never built."""
+    calls = _count_tree_calls(monkeypatch)
+    cfg = DecoderConfig(max_trials=16)
+    exhausted = 0
+    for pi in _rs15_4db_frames(code16, 300):
+        before = dict(calls)
+        if tcgs_decode(code16, pi, cfg).exit_reason == EXIT_BUDGET:
+            exhausted += 1
+            assert {k: calls[k] - before[k] for k in calls} == {
+                "leftmost_child": 15, "next_sibling": 14, "bound_B": 29}
+    assert exhausted == 22
+
+
 def test_verify_trace_detects_perturbation(code54, example1_pi, example1_trace):
     ok, diag = compare_traces(
         decode_with_trace(code54, example1_pi, DecoderConfig(max_trials=16))[1], example1_trace)

@@ -166,6 +166,30 @@ def test_forward_then_backward_restores_point_set(field, data):
     assert leading_terms_split(removed)
 
 
+@settings(max_examples=120)
+@given(st.sampled_from([GF5, GF7, GF16, BinaryField(8)]), st.integers(1, 5), st.data())
+def test_random_walk_keeps_update_preconditions(field, k, data):
+    """Random forward_add / backward_remove walks from basis_init over up to 12
+    distinct x.  At a new x the discrepancies are never both zero (the y-free
+    product of (x - x_j) lies in the module), which is why forward_add has no
+    all-vanishing branch; at an interpolated x the y-parts are never both zero
+    (y - R_S lies in the module and has q1 = 1), so backward_remove never raises."""
+    pool = data.draw(st.lists(st.integers(0, field.q - 1), min_size=1, max_size=12, unique=True))
+    basis = basis_init(field, k)
+    for _ in range(data.draw(st.integers(1, 30))):
+        used = [x for x, _ in basis.points]
+        fresh = [x for x in pool if x not in used]
+        if fresh and (not used or data.draw(st.booleans())):
+            x, y = data.draw(st.sampled_from(fresh)), data.draw(st.integers(0, field.q - 1))
+            assert tuple(bivar_eval(field, P, x, y) for P in basis.polys) != (0, 0)
+            basis = forward_add(basis, x, y)
+        else:
+            basis = backward_remove(basis, *data.draw(st.sampled_from(basis.points)))
+        assert vanishes_everywhere(basis)
+        for x, _ in basis.points:
+            assert tuple(field.poly_eval(P.q1, x) for P in basis.polys) != (0, 0)
+
+
 PREFIX_FIELDS = [make_field(p) for p in (2, 3, 5, 7, 257)] + [make_field(2, m) for m in (2, 4, 8)]
 
 

@@ -55,6 +55,14 @@ def test_validate_config_rejections():
         validate_config(small_cfg(max_frames=0))
 
 
+def test_validate_config_requires_a_binary_field():
+    """Sweeps send each symbol as m BPSK bits, which cannot carry a GF(p) symbol
+    for odd p; GF(2) itself (p = 2, m = 1) stays valid."""
+    with pytest.raises(ValueError, match="binary field"):
+        validate_config(small_cfg(p=5, m=1, n=4, k=2))
+    assert validate_config(small_cfg(p=2, m=1, n=2, k=1)).field.q == 2
+
+
 def test_csv_layout_and_self_consistency():
     rows = run_sweep(small_cfg(max_frames=300))
     text = rows_to_csv(rows)
