@@ -5,7 +5,7 @@ tree-search decoder with its optimality certificates, a Chase baseline with
 Gray-ordered test patterns, and a seeded Monte-Carlo sweep harness.
 """
 
-from .baselines import BoundTally, LccConfig, classify_ml, lcc_decode
+from .baselines import LccConfig, classify_ml, lcc_decode
 from .channel import (SoftWeights, frame_rng, hard_decision, likelihoods, load_pi,
                       modulate, save_pi, sigma_from_snr_db, soft_weights, transmit)
 from .chase import (AtomChain, FlippingPattern, ROOT, bound_B, build_atom_chain,
@@ -26,7 +26,7 @@ from .stats import chi2_sf, chi2_threshold, wilson_interval
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomChain", "BinaryField", "BoundTally", "CERTIFIED_EXITS", "CodeParams",
+    "AtomChain", "BinaryField", "CERTIFIED_EXITS", "CodeParams",
     "DecodeResult", "DecoderConfig", "EXIT_BUDGET", "EXIT_CERTIFIED_TREE",
     "EXIT_CERTIFIED_KANEKO", "EXIT_GENIE", "EXIT_THRESHOLD", "Field", "FlippingPattern",
     "GroebnerBasis", "LccConfig", "PrimeField", "ROOT", "SoftWeights",

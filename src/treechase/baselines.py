@@ -10,7 +10,8 @@ consecutive vectors differ in a single coordinate and each costs one swap.
 
 classify_ml sandwiches the simulated ML frame-error rate: every frame
 contributes indicator bounds e_lower <= E_ML <= e_upper based on whether the
-decode was certified and whether its output out-scores the transmitted word.
+decode was certified and whether its output out-scores the transmitted word;
+sim.SweepRow counts them.
 """
 
 from __future__ import annotations
@@ -90,44 +91,3 @@ def classify_ml(code: CodeParams, pi: np.ndarray, result: DecodeResult,
     e_tx = tuple(field.sub(zj, cj) for zj, cj in zip(z, tx))
     w_tx = sw.pattern_weight(e_tx)
     return (1, 1) if result.best_weight < w_tx else (1, 0)
-
-
-@dataclass
-class BoundTally:
-    """Aggregated frame counts; merge tallies by +."""
-
-    frames: int = 0
-    errors: int = 0
-    e_upper: int = 0
-    e_lower: int = 0
-    trials: int = 0
-
-    def add(self, error: bool, eu: int, el: int, trials: int) -> None:
-        if not (el <= int(error) <= eu):
-            raise ValueError("per-frame bound ordering violated")
-        self.frames += 1
-        self.errors += int(error)
-        self.e_upper += eu
-        self.e_lower += el
-        self.trials += trials
-
-    def __add__(self, other: "BoundTally") -> "BoundTally":
-        return BoundTally(self.frames + other.frames, self.errors + other.errors,
-                          self.e_upper + other.e_upper, self.e_lower + other.e_lower,
-                          self.trials + other.trials)
-
-    @property
-    def fer(self) -> float:
-        return self.errors / self.frames if self.frames else 0.0
-
-    @property
-    def avg_trials(self) -> float:
-        return self.trials / self.frames if self.frames else 0.0
-
-    @property
-    def e_upper_rate(self) -> float:
-        return self.e_upper / self.frames if self.frames else 0.0
-
-    @property
-    def e_lower_rate(self) -> float:
-        return self.e_lower / self.frames if self.frames else 0.0

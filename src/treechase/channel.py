@@ -90,7 +90,6 @@ def _sub_table(field: Field, z: np.ndarray, deltas: np.ndarray) -> np.ndarray:
 class SoftWeights:
     """Weights lam[d-1][j] = pi[z_j][j] - pi[z_j - d][j] >= 0 for d in 1..q-1."""
 
-    z: tuple[int, ...]
     lam: np.ndarray  # shape (q-1, n)
 
     def pattern_weight(self, e) -> float:
@@ -107,7 +106,7 @@ def soft_weights(field: Field, pi: np.ndarray, z: tuple[int, ...] | None = None)
     idx = _sub_table(field, zv, deltas)
     cols = np.arange(n)
     lam = pi[zv, cols][None, :] - pi[idx, cols[None, :]]
-    return SoftWeights(z=tuple(int(v) for v in z), lam=lam)
+    return SoftWeights(lam=lam)
 
 
 # ---------------------------------------------------------------------------

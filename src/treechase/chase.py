@@ -14,7 +14,7 @@ scan gives min over G(f) exactly, and
 
 lower-bounds the weight of every error hypothesis whose minimal decomposition
 starts with f.  B is monotone along the sibling order and from parent to
-child, which is what makes best-first traversal with a sorted frontier exact.
+child, which is what makes best-first traversal with a priority queue exact.
 
 AtomChain holds the weight table and sorts it the first time the tree search
 (or a trace) reads a rank.  The Kaneko floor kaneko_B0 needs only the first
@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any
 
 import numpy as np
 
@@ -230,15 +229,3 @@ def minimal_decompose(chain: AtomChain, e, t_min: int) -> tuple[FlippingPattern,
 def pattern_key(bound: float, f: FlippingPattern) -> tuple[float, int, tuple[int, ...]]:
     """Total search order: bound, then Hamming weight, then leftmost position."""
     return (bound, len(f.ranks), f.ranks)
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    """Frontier entry: a pattern, its bound, and the basis of its parent."""
-
-    pattern: FlippingPattern
-    bound: float
-    basis: Any
-
-    def key(self):
-        return pattern_key(self.bound, self.pattern)

@@ -24,7 +24,7 @@ transmitted codeword (genie mode, simulation shortcut).
 
 from __future__ import annotations
 
-import bisect
+import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,12 +34,12 @@ import numpy as np
 from .channel import check_pi, hard_decision, soft_weights
 from .chase import (
     ROOT,
-    TreeNode,
     bound_B,
     build_atom_chain,
     kaneko_B0,
     leftmost_child,
     next_sibling,
+    pattern_key,
     render_pattern,
 )
 from .galois import poly_str
@@ -224,45 +224,47 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
 
     basis, exit_reason = s.first_trial()
     if exit_reason is None:
+        # A heap of pattern_key(bound, f) + (f, parent basis).  The keys are unique:
+        # ranks name the pattern and the tree holds each pattern once, so a
+        # comparison never reaches f (a tie would raise TypeError, not misorder).
         # No cap at the b trials left: each pop spends a trial or exits, so a node
         # with b better nodes ahead of it is never popped and a cap changes nothing.
-        frontier: list[TreeNode] = []
+        frontier: list[tuple] = []
         if s.trials < L:  # grow the tree only while a pop can follow
             # ROOT's leftmost child is the chain's first atom, which always exists
             first = leftmost_child(chain, ROOT)
-            frontier.append(TreeNode(first, bound_B(chain, first, t_min), basis))
+            frontier.append(pattern_key(bound_B(chain, first, t_min), first) + (first, basis))
         while s.trials < L:
             if not frontier:
                 # frontier exhaustion is always exact: every pattern of the tree was tried
                 exit_reason = EXIT_CERTIFIED_TREE
                 break
-            node = frontier.pop(0)
+            bound, _, _, f, f_basis = heapq.heappop(frontier)
             s.steps += 1
-            f = node.pattern
             pat_str = ""  # only trace lines read the rendered pattern
             if trace is not None:
                 pat_str = render_pattern(chain, f)
-                trace.append(f"POP step={s.steps} pattern={pat_str} bound={node.bound:.4f}")
+                trace.append(f"POP step={s.steps} pattern={pat_str} bound={bound:.4f}")
             if T_z is not None:
-                if node.bound >= T_z:
+                if bound >= T_z:
                     exit_reason = EXIT_THRESHOLD
                     break
-            elif s.w_star <= node.bound:
+            elif s.w_star <= bound:
                 exit_reason = EXIT_CERTIFIED_TREE
                 break
             # the last atom of f replaces z at its coordinate
             j, delta = chain.atom(f.ranks[-1])
-            nb = s.swap(node.basis, j, z[j], sub(z[j], delta))
+            nb = s.swap(f_basis, j, z[j], sub(z[j], delta))
             exit_reason = s.attempt(nb, pat_str)
             if exit_reason is not None:
                 break
             if s.trials == L:
                 continue  # no pop follows, so no child or sibling would be read
             # the child extends the swapped basis; the sibling swaps from the parent's
-            for g, g_basis in ((leftmost_child(chain, f), nb), (next_sibling(chain, f), node.basis)):
+            for g, g_basis in ((leftmost_child(chain, f), nb), (next_sibling(chain, f), f_basis)):
                 if g is not None:
-                    gnode = TreeNode(g, bound_B(chain, g, t_min), g_basis)
-                    bisect.insort(frontier, gnode, key=TreeNode.key)
+                    key = pattern_key(bound_B(chain, g, t_min), g)
+                    heapq.heappush(frontier, key + (g, g_basis))
         else:
             exit_reason = EXIT_BUDGET
     return s.result(exit_reason)

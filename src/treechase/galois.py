@@ -33,8 +33,9 @@ lookups, so no coefficient costs a method call.  poly_scale only multiplies
 and is shared; the others add, so each field kind has its own: XOR in
 GF(2^m), integer arithmetic mod p in GF(p).
 
-newton_tables caches the Newton basis of a node tuple per field; it is the
-one Newton fit, read by lagrange_interpolate and interp.interpolate_prefix.
+newton_tables caches the Newton basis of a node tuple per field, and
+newton_fit is the one Newton fit over it, read by rscode (message recovery)
+and interp.interpolate_prefix.
 """
 
 from __future__ import annotations
@@ -54,9 +55,6 @@ PRIMITIVE_POLY = {
     11: 0x805,
     12: 0x1053,
 }
-
-MAX_Q = 65536
-
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -317,8 +315,6 @@ def make_field(p: int, m: int = 1) -> Field:
         raise ValueError("m must be >= 1")
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    if p**m > MAX_Q:
-        raise ValueError(f"field size {p}^{m} exceeds {MAX_Q}")
     if m == 1:
         if p > 257:
             raise ValueError("prime fields supported up to p = 257")
@@ -396,20 +392,29 @@ def newton_tables(field: Field, xs: tuple[int, ...]):
     return tuple(unit), tuple(at_node), tuple(N)
 
 
-def lagrange_interpolate(field: Field, xs: list[int], ys: list[int]) -> list[int]:
-    """Unique polynomial of degree < len(xs) through the given points.
+def newton_fit(field: Field, xs, ys) -> tuple[list[int], int]:
+    """Newton fit through the points (xs[j], ys[j]): (R, c).
 
-    Newton form over the cached newton_tables: each point adds its residual
-    times N_j / N_j(x_j).  O(len(xs)^2).
+    R is the unique polynomial of degree < len(xs) through the points, and c
+    is the product of N_j(x_j) over the steps whose residual y_j - R_j(x_j)
+    is nonzero (R_j: the fit through the first j points), the scale that
+    Koetter's update puts on the y-bearing basis element.  Each such step adds
+    its residual times N_j / N_j(x_j) from the cached newton_tables.
+    O(len(xs)^2).
     """
+    xs = tuple(xs)
     if len(xs) != len(ys):
         raise ValueError("point count mismatch")
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate x coordinates")
-    unit = newton_tables(field, tuple(xs))[0]
-    out: list[int] = []
-    for x, y, U in zip(xs, ys, unit):
-        b = field.sub(y, field.poly_eval(out, x))
+    unit, at_node, _ = newton_tables(field, xs)
+    add, mul = field.add, field.mul
+    poly_eval, poly_scale, poly_sub = field.poly_eval, field.poly_scale, field.poly_sub
+    S: list[int] = []  # -R through the points so far
+    c = 1
+    for x, y, U, s in zip(xs, ys, unit, at_node):
+        b = add(y, poly_eval(S, x))  # y - R(x): the Newton coefficient times N_j(x_j)
         if b:
-            out = poly_add(field, out, field.poly_scale(U, b))
-    return out
+            S = poly_sub(S, poly_scale(U, b))
+            c = mul(c, s)
+    return poly_sub([], S), c

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .galois import Field, newton_tables, poly_deg
+from .galois import Field, newton_fit, newton_tables, poly_deg
 
 _NEG = -(10**9)  # stand-in for the weighted degree of a zero part
 
@@ -173,28 +173,17 @@ def interpolate_prefix(field: Field, k: int, points) -> GroebnerBasis:
 
     For j < k the y-free element has the lower order, so Koetter's update
     always multiplies it by (x - x_j) and corrects the y-bearing one.  The
-    result is P0 = N_k and P1 = -c*R + c*y, where R is the Newton interpolant
-    of the k points and c is the product of N_j(x_j) over the steps whose
-    Newton coefficient is nonzero (forward_add leaves P1 unscaled when its
-    discrepancy is 0).  O(k^2) per call over the code's cached newton_tables.
+    result is P0 = N_k and P1 = c*(y - R), with (R, c) the galois.newton_fit
+    of the k points (forward_add leaves P1 unscaled when its discrepancy is
+    0).  O(k^2) per call over the code's cached newton_tables.
     """
     points = tuple((x, y) for x, y in points)
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(points) != k:
         raise ValueError(f"prefix needs exactly k = {k} points, got {len(points)}")
-    xs = tuple(x for x, _ in points)
-    if len(set(xs)) != k:
-        raise ValueError("duplicate x coordinates")
-    unit, at_node, N = newton_tables(field, xs)
-    add, mul = field.add, field.mul
-    poly_eval, poly_scale, poly_sub = field.poly_eval, field.poly_scale, field.poly_sub
-    S: list[int] = []  # -R through the points so far
-    c = 1
-    for (x, y), U, s in zip(points, unit, at_node):
-        b = add(y, poly_eval(S, x))  # y - R(x): the Newton coefficient times N_j(x_j)
-        if b:
-            S = poly_sub(S, poly_scale(U, b))
-            c = mul(c, s)
-    return GroebnerBasis(field, k, (BivarPoly(N, ()), BivarPoly(tuple(poly_scale(S, c)), (c,))),
-                         points)
+    xs, ys = zip(*points)
+    R, c = newton_fit(field, xs, ys)
+    N = newton_tables(field, xs)[2]
+    q0 = field.poly_scale(field.poly_sub([], R), c)
+    return GroebnerBasis(field, k, (BivarPoly(N, ()), BivarPoly(tuple(q0), (c,))), points)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .galois import Field, lagrange_interpolate, make_field, poly_deg
+from .galois import Field, make_field, newton_fit, poly_deg
 
 
 @dataclass(frozen=True, eq=False)
@@ -18,7 +18,8 @@ class CodeParams:
     """An [n, k] evaluation code over the given field.
 
     eval_points are the n distinct evaluation abscissas, in the order that
-    defines codeword coordinates.
+    defines codeword coordinates.  Codes compare by identity, as fields do,
+    so the codebook caches hit for the same code object.
     """
 
     field: Field
@@ -41,15 +42,6 @@ class CodeParams:
     @property
     def t_min(self) -> int:
         return (self.n - self.k) // 2
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.m, self.n, self.k, self.eval_points))
-
-    def __eq__(self, other):
-        if not isinstance(other, CodeParams):
-            return NotImplemented
-        return (self.field.p, self.field.m, self.n, self.k, self.eval_points) == (
-            other.field.p, other.field.m, other.n, other.k, other.eval_points)
 
 
 def make_code(p: int, m: int, n: int, k: int) -> CodeParams:
@@ -81,11 +73,11 @@ def encode(code: CodeParams, message: list[int]) -> tuple[int, ...]:
 
 def _fit_first_k(code: CodeParams, v) -> list[int]:
     """The degree-< k polynomial through the first k coordinates of v: O(k^2),
-    over the same cached Newton tables the decoder's interpolate_prefix reads."""
+    by the same Newton fit the decoder's interpolate_prefix reads."""
     if len(v) != code.n:
         raise ValueError("length != n")
     k = code.k
-    return lagrange_interpolate(code.field, list(code.eval_points[:k]), list(v[:k]))
+    return newton_fit(code.field, code.eval_points[:k], v[:k])[0]
 
 
 def is_codeword(code: CodeParams, v: tuple[int, ...] | list[int]) -> bool:

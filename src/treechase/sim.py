@@ -21,7 +21,9 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from multiprocessing import get_context
 
-from .baselines import BoundTally, LccConfig, classify_ml, lcc_decode
+import numpy as np
+
+from .baselines import LccConfig, classify_ml, lcc_decode
 from .channel import frame_rng, likelihoods, modulate, sigma_from_snr_db, transmit
 from .decoder import DecoderConfig, tcgs_decode
 from .rscode import CodeParams, encode, make_code
@@ -51,15 +53,49 @@ class SweepConfig:
 
 @dataclass
 class SweepRow:
+    """One (algorithm, SNR) sweep point: frame, ML-bound and trial counts.
+
+    add counts one frame; + merges the counts of two frame spans of the point.
+    """
+
     algorithm: str
     snr_db: float
-    frames: int
-    frame_errors: int
-    fer: float
-    avg_trials: float
-    e_upper_rate: float
-    e_lower_rate: float
-    wall_seconds: float
+    frames: int = 0
+    frame_errors: int = 0
+    e_upper: int = 0
+    e_lower: int = 0
+    trials: int = 0
+    wall_seconds: float = 0.0
+
+    def add(self, error: bool, eu: int, el: int, trials: int) -> None:
+        if not (el <= int(error) <= eu):
+            raise ValueError("per-frame bound ordering violated")
+        self.frames += 1
+        self.frame_errors += int(error)
+        self.e_upper += eu
+        self.e_lower += el
+        self.trials += trials
+
+    def __add__(self, other: "SweepRow") -> "SweepRow":
+        return SweepRow(self.algorithm, self.snr_db, self.frames + other.frames,
+                        self.frame_errors + other.frame_errors, self.e_upper + other.e_upper,
+                        self.e_lower + other.e_lower, self.trials + other.trials, self.wall_seconds)
+
+    @property
+    def fer(self) -> float:
+        return self.frame_errors / self.frames if self.frames else 0.0
+
+    @property
+    def avg_trials(self) -> float:
+        return self.trials / self.frames if self.frames else 0.0
+
+    @property
+    def e_upper_rate(self) -> float:
+        return self.e_upper / self.frames if self.frames else 0.0
+
+    @property
+    def e_lower_rate(self) -> float:
+        return self.e_lower / self.frames if self.frames else 0.0
 
 
 def validate_config(cfg: SweepConfig) -> CodeParams:
@@ -88,12 +124,21 @@ def validate_config(cfg: SweepConfig) -> CodeParams:
     return code
 
 
+def draw_frame(code: CodeParams, sigma: float, seed: int, idx: int) -> tuple[tuple, np.ndarray]:
+    """Frame idx of a sweep: the transmitted codeword and its likelihood matrix,
+    drawn from the frame's own stream frame_rng(seed, idx)."""
+    rng = frame_rng(seed, idx)
+    tx = encode(code, [int(v) for v in rng.integers(0, code.field.q, size=code.k)])
+    r = transmit(modulate(code.field, tx), sigma, rng)
+    return tx, likelihoods(code.field, code.n, r, sigma * sigma)
+
+
 class _PointCtx:
     """Per-process state for one (algorithm, SNR) sweep point."""
 
     def __init__(self, cfg: SweepConfig, alg: str, snr_db: float):
         self.cfg = cfg
-        self.alg = alg
+        self.alg, self.snr_db = alg, snr_db
         self.code = make_code(cfg.p, cfg.m, cfg.n, cfg.k)
         self.sigma = sigma_from_snr_db(snr_db, cfg.k / cfg.n)
         self.sigma2 = self.sigma * self.sigma
@@ -108,11 +153,7 @@ class _PointCtx:
 
     def run_frame(self, idx: int) -> tuple[bool, int, int, int]:
         cfg, code = self.cfg, self.code
-        rng = frame_rng(cfg.seed, idx)
-        msg = [int(v) for v in rng.integers(0, code.field.q, size=code.k)]
-        tx = encode(code, msg)
-        r = transmit(modulate(code.field, tx), self.sigma, rng)
-        pi = likelihoods(code.field, code.n, r, self.sigma2)
+        tx, pi = draw_frame(code, self.sigma, cfg.seed, idx)
         genie = tx if cfg.genie else None
         if self.alg == "lcc":
             res = lcc_decode(code, pi, self.dec_cfg, genie_codeword=genie)
@@ -131,11 +172,11 @@ def _worker_init(cfg: SweepConfig, alg: str, snr_db: float) -> None:
     _WORKER_CTX = _PointCtx(cfg, alg, snr_db)
 
 
-def _worker_span(span: tuple[int, int]) -> BoundTally:
-    tally = BoundTally()
+def _worker_span(span: tuple[int, int]) -> SweepRow:
+    row = SweepRow(_WORKER_CTX.alg, _WORKER_CTX.snr_db)
     for idx in range(span[0], span[1]):
-        tally.add(*_WORKER_CTX.run_frame(idx))
-    return tally
+        row.add(*_WORKER_CTX.run_frame(idx))
+    return row
 
 
 def _spans(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
@@ -143,13 +184,13 @@ def _spans(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
     return [(a, min(a + step, hi)) for a in range(lo, hi, step)]
 
 
-def _stop(cfg: SweepConfig, tally: BoundTally) -> bool:
-    return cfg.min_errors > 0 and tally.errors >= cfg.min_errors
+def _stop(cfg: SweepConfig, row: SweepRow) -> bool:
+    return cfg.min_errors > 0 and row.frame_errors >= cfg.min_errors
 
 
 def run_point(cfg: SweepConfig, alg: str, snr_db: float) -> SweepRow:
     start = time.perf_counter()
-    tally = BoundTally()
+    row = SweepRow(alg, snr_db)
     with ExitStack() as stack:
         if cfg.workers > 1:
             span_map = stack.enter_context(get_context("fork").Pool(
@@ -158,16 +199,13 @@ def run_point(cfg: SweepConfig, alg: str, snr_db: float) -> SweepRow:
             _worker_init(cfg, alg, snr_db)
             span_map = map
         done = 0
-        while done < cfg.max_frames and not _stop(cfg, tally):
+        while done < cfg.max_frames and not _stop(cfg, row):
             hi = min(done + CHUNK, cfg.max_frames)
             for part in span_map(_worker_span, _spans(done, hi, cfg.workers)):
-                tally = tally + part
+                row = row + part
             done = hi
-    wall = time.perf_counter() - start
-    return SweepRow(algorithm=alg, snr_db=snr_db, frames=tally.frames,
-                    frame_errors=tally.errors, fer=tally.fer,
-                    avg_trials=tally.avg_trials, e_upper_rate=tally.e_upper_rate,
-                    e_lower_rate=tally.e_lower_rate, wall_seconds=wall)
+    row.wall_seconds = time.perf_counter() - start
+    return row
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:

@@ -160,7 +160,7 @@ def test_acceptance_greedy_equals_exhaustive(report):
         n = int(rng.integers(2, 7))
         q = int(rng.integers(3, 8))
         t_min = int(rng.integers(1, 3))
-        chain = build_atom_chain(SoftWeights(z=(0,) * n, lam=random_lam(n, q, rng)))
+        chain = build_atom_chain(SoftWeights(lam=random_lam(n, q, rng)))
         ranks, coords = [], set()
         start = int(rng.integers(0, chain.size))
         for r in range(start, chain.size):
@@ -216,7 +216,7 @@ def test_acceptance_minimal_decomposition(report, code54):
     checked = 0
     t_min = code54.t_min
     for _ in range(100):
-        chain = build_atom_chain(SoftWeights(z=(0,) * 4, lam=random_lam(4, 5, rng)))
+        chain = build_atom_chain(SoftWeights(lam=random_lam(4, 5, rng)))
         for _, cw in codebook(code54):
             e = tuple(code54.field.neg(c) for c in cw)  # z = 0
             wt = sum(1 for v in e if v)

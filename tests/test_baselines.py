@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from treechase.baselines import BoundTally, LccConfig, classify_ml, lcc_decode
+from treechase.baselines import LccConfig, classify_ml, lcc_decode
 from treechase.channel import hard_decision, soft_weights
 from treechase.decoder import DecoderConfig, tcgs_decode
 from treechase.galois import PrimeField
 from treechase.interp import factorize, interpolate_points
 from treechase.rscode import encode
+from treechase.sim import SweepRow
 
 from conftest import pam_pi
 
@@ -106,11 +107,11 @@ def test_classify_ml_none_output_counts_upper_only(code54, example1_pi):
 
 
 def test_bound_tally_invariants():
-    t = BoundTally()
+    t = SweepRow("tcgs", 5.0)
     t.add(False, 0, 0, 1)
     t.add(True, 1, 1, 4)
     t.add(True, 1, 0, 2)
-    assert (t.frames, t.errors, t.e_upper, t.e_lower) == (3, 2, 2, 1)
+    assert (t.frames, t.frame_errors, t.e_upper, t.e_lower) == (3, 2, 2, 1)
     assert t.e_lower_rate <= t.fer <= t.e_upper_rate
     assert t.avg_trials == pytest.approx(7 / 3)
     with pytest.raises(ValueError):
@@ -120,15 +121,15 @@ def test_bound_tally_invariants():
 
 
 def test_bound_tally_merge():
-    a = BoundTally(frames=2, errors=1, e_upper=1, e_lower=0, trials=5)
-    b = BoundTally(frames=3, errors=0, e_upper=1, e_lower=0, trials=3)
+    a = SweepRow("tcgs", 5.0, frames=2, frame_errors=1, e_upper=1, e_lower=0, trials=5)
+    b = SweepRow("tcgs", 5.0, frames=3, frame_errors=0, e_upper=1, e_lower=0, trials=3)
     c = a + b
-    assert (c.frames, c.errors, c.e_upper, c.e_lower, c.trials) == (5, 1, 2, 0, 8)
+    assert (c.frames, c.frame_errors, c.e_upper, c.e_lower, c.trials) == (5, 1, 2, 0, 8)
 
 
 def test_sandwich_holds_over_random_frames(code54):
     rng = np.random.default_rng(61)
-    tally = BoundTally()
+    tally = SweepRow("tcgs", 5.0)
     for _ in range(200):
         pi, tx = pam_pi(code54, rng)
         res = tcgs_decode(code54, pi, DecoderConfig(max_trials=8))

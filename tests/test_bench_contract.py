@@ -16,9 +16,8 @@ import pytest
 
 from treechase import sim
 from treechase.baselines import LccConfig
-from treechase.channel import frame_rng, likelihoods, modulate, sigma_from_snr_db, transmit
+from treechase.channel import sigma_from_snr_db
 from treechase.decoder import DecoderConfig
-from treechase.rscode import encode
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from tracing import TRACED, Tracer  # noqa: E402
@@ -34,12 +33,7 @@ def test_every_traced_name_resolves():
 @pytest.mark.parametrize("alg", ["tcgs", "lcc"])
 def test_traced_counts_equal_decoder_counts(code16, alg):
     sigma = sigma_from_snr_db(4.0, code16.k / code16.n)
-    frames = []
-    for i in range(FRAMES):
-        rng = frame_rng(0, i)
-        tx = encode(code16, [int(v) for v in rng.integers(0, 16, size=code16.k)])
-        r = transmit(modulate(code16.field, tx), sigma, rng)
-        frames.append(likelihoods(code16.field, code16.n, r, sigma * sigma))
+    frames = [sim.draw_frame(code16, sigma, 0, i)[1] for i in range(FRAMES)]
 
     tracer = Tracer()
     with tracer.installed():  # through sim, whose wrapped decoders open each init phase

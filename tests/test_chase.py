@@ -7,7 +7,6 @@ import pytest
 from treechase.channel import SoftWeights, soft_weights
 from treechase.chase import (
     ROOT,
-    TreeNode,
     bound_B,
     build_atom_chain,
     greedy_g_min,
@@ -30,7 +29,7 @@ GF5 = PrimeField(5)
 
 def chain_from_lam(lam: np.ndarray):
     qm1, n = lam.shape
-    return build_atom_chain(SoftWeights(z=(0,) * n, lam=lam))
+    return build_atom_chain(SoftWeights(lam=lam))
 
 
 @pytest.fixture(scope="module")
@@ -235,7 +234,7 @@ def test_bound_monotone_under_tree_moves():
 
 def test_bound_soundness_exhaustive_gf5(code54):
     rng = np.random.default_rng(8)
-    sw = SoftWeights(z=(0, 0, 0, 0), lam=random_lam(4, 5, rng))
+    sw = SoftWeights(lam=random_lam(4, 5, rng))
     chain = build_atom_chain(sw)
     t_min = code54.t_min
     for _, cw in codebook(code54):
@@ -258,12 +257,6 @@ def test_pattern_order_keys(ex_chain):
     assert k1 < k2
     k3 = pattern_key(0.5, pattern_from_ranks(ex_chain, (1,)))
     assert k1 < k3
-
-
-def test_tree_node_key_matches_pattern_key(ex_chain):
-    f = pattern_from_ranks(ex_chain, (0,))
-    node = TreeNode(f, 0.12, None)
-    assert node.key() == pattern_key(0.12, f)
 
 
 def test_render_pattern(ex_chain):

@@ -10,9 +10,10 @@ GF(256) code at 6 dB, seed 0, are drawn exactly as treechase.sim draws them.
 from collections import Counter
 
 from treechase.baselines import LccConfig, lcc_decode
-from treechase.channel import frame_rng, likelihoods, modulate, sigma_from_snr_db, transmit
+from treechase.channel import sigma_from_snr_db
 from treechase.decoder import DecoderConfig, tcgs_decode
-from treechase.rscode import encode, make_code
+from treechase.rscode import make_code
+from treechase.sim import draw_frame
 
 FRAMES = 3000
 
@@ -20,11 +21,7 @@ FRAMES = 3000
 def _frames(code, snr_db, seed, frames=FRAMES):
     sigma = sigma_from_snr_db(snr_db, code.k / code.n)
     for i in range(frames):
-        rng = frame_rng(seed, i)
-        msg = [int(v) for v in rng.integers(0, code.field.q, size=code.k)]
-        tx = encode(code, msg)
-        r = transmit(modulate(code.field, tx), sigma, rng)
-        yield tx, likelihoods(code.field, code.n, r, sigma * sigma)
+        yield draw_frame(code, sigma, seed, i)
 
 
 def _tally(results):

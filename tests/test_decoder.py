@@ -3,8 +3,8 @@ import pytest
 
 from treechase import decoder
 from treechase.baselines import LccConfig, lcc_decode
-from treechase.channel import (frame_rng, likelihoods, modulate, sigma_from_snr_db,
-                               soft_weights, transmit)
+from treechase.channel import likelihoods, modulate, sigma_from_snr_db, transmit
+from treechase.chase import bound_B, pattern_key
 from treechase.decoder import (
     EXIT_BUDGET,
     EXIT_CERTIFIED_KANEKO,
@@ -18,6 +18,7 @@ from treechase.decoder import (
     tcgs_decode,
 )
 from treechase.rscode import encode, make_code
+from treechase.sim import draw_frame
 
 from conftest import pam_pi
 
@@ -246,6 +247,27 @@ def test_decoders_reject_non_finite_or_non_real_pi(code54, example1_pi, decode, 
         decode(code54, example1_pi.tolist())
 
 
+def test_pops_follow_pattern_key_under_ties(code54, code76, monkeypatch):
+    """Rounded, clipped likelihoods make many bounds tie; the frontier must still
+    pop in strictly increasing pattern_key order (bound, weight, leftmost ranks)."""
+    popped = []
+    real = decoder.render_pattern
+    monkeypatch.setattr(decoder, "render_pattern",
+                        lambda chain, f: popped.append((chain, f)) or real(chain, f))
+    rng = np.random.default_rng(5)
+    cfg = DecoderConfig(max_trials=32)
+    ties = 0
+    for code in (code54, code76, make_code(2, 3, 7, 3)):
+        for _ in range(100):
+            pi = np.maximum(np.round(pam_pi(code, rng)[0]), -4.0)
+            popped.clear()
+            decode_with_trace(code, pi, cfg)
+            keys = [pattern_key(bound_B(chain, f, code.t_min), f) for chain, f in popped]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            ties += sum(a[0] == b[0] for a, b in zip(keys, keys[1:]))
+    assert ties > 0
+
+
 def test_render_pattern_runs_only_for_trace_lines(code16, monkeypatch):
     """Only trace lines read a rendered pattern: an untraced decode renders none,
     a traced one renders one per POP line.  Frames 0..99 of [15,11] at 4 dB,
@@ -255,12 +277,7 @@ def test_render_pattern_runs_only_for_trace_lines(code16, monkeypatch):
     monkeypatch.setattr(decoder, "render_pattern",
                         lambda chain, f: rendered.append(f) or real(chain, f))
     sigma = sigma_from_snr_db(4.0, code16.k / code16.n)
-    frames = []
-    for i in range(100):
-        rng = frame_rng(0, i)
-        tx = encode(code16, [int(v) for v in rng.integers(0, 16, size=code16.k)])
-        r = transmit(modulate(code16.field, tx), sigma, rng)
-        frames.append(likelihoods(code16.field, code16.n, r, sigma * sigma))
+    frames = [draw_frame(code16, sigma, 0, i)[1] for i in range(100)]
     cfg = DecoderConfig(max_trials=16)
     for pi in frames:
         tcgs_decode(code16, pi, cfg)
@@ -273,10 +290,7 @@ def _rs15_4db_frames(code16, count):
     """Frames 0..count-1 of [15,11] at 4 dB, seed 0, drawn as treechase.sim draws them."""
     sigma = sigma_from_snr_db(4.0, code16.k / code16.n)
     for i in range(count):
-        rng = frame_rng(0, i)
-        tx = encode(code16, [int(v) for v in rng.integers(0, 16, size=code16.k)])
-        r = transmit(modulate(code16.field, tx), sigma, rng)
-        yield likelihoods(code16.field, code16.n, r, sigma * sigma)
+        yield draw_frame(code16, sigma, 0, i)[1]
 
 
 def _count_tree_calls(monkeypatch):

@@ -5,8 +5,8 @@ from treechase.galois import (
     PRIMITIVE_POLY,
     BinaryField,
     PrimeField,
-    lagrange_interpolate,
     make_field,
+    newton_fit,
     poly_add,
     poly_deg,
     poly_mul,
@@ -77,6 +77,9 @@ def test_make_field_validation():
         make_field(3, 2)  # only characteristic 2 extensions supported
     with pytest.raises(ValueError):
         make_field(2, 13)  # no primitive polynomial pinned
+    for p, m in ((2, 17), (3, 20), (65537, 1)):  # too large: m > 12, or p > 257
+        with pytest.raises(ValueError):
+            make_field(p, m)
 
 
 # --- polynomial helpers (coefficient lists, low degree first) ---
@@ -134,14 +137,14 @@ def test_lagrange_interpolation_recovers_polynomial():
     coeffs = [2, 0, 1]  # 2 + x^2 over GF(5)
     xs = [0, 1, 2, 3]
     ys = [GF5.poly_eval(coeffs, x) for x in xs]
-    assert poly_trim(lagrange_interpolate(GF5, xs, ys)) == coeffs
+    assert poly_trim(newton_fit(GF5, xs, ys)[0]) == coeffs
 
 
 def test_lagrange_interpolation_gf16():
     pts = GF16.exp_order()[:5]
     coeffs = [7, 1, 9]
     ys = [GF16.poly_eval(coeffs, x) for x in pts]
-    assert poly_trim(lagrange_interpolate(GF16, pts, ys)) == coeffs
+    assert poly_trim(newton_fit(GF16, pts, ys)[0]) == coeffs
 
 
 NEWTON_FIELDS = [make_field(5), make_field(257), make_field(2, 4), make_field(2, 8)]
@@ -154,11 +157,11 @@ def test_lagrange_interpolate_recovers_random_polynomials(f, data):
                             unique=True))
     coeffs = poly_trim(data.draw(st.lists(st.integers(0, f.q - 1), max_size=len(xs))))
     ys = [f.poly_eval(coeffs, x) for x in xs]
-    assert lagrange_interpolate(f, xs, ys) == coeffs
+    assert newton_fit(f, xs, ys)[0] == coeffs
     with pytest.raises(ValueError, match="duplicate"):
-        lagrange_interpolate(f, xs + [xs[0]], ys + [ys[0]])
+        newton_fit(f, xs + [xs[0]], ys + [ys[0]])
     with pytest.raises(ValueError, match="mismatch"):
-        lagrange_interpolate(f, xs, ys[:-1])
+        newton_fit(f, xs, ys[:-1])
 
 
 # --- table kernels against plain scalar references ---
