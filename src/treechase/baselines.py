@@ -50,9 +50,8 @@ def lcc_decode(code: CodeParams, pi: np.ndarray, cfg: LccConfig | None = None,
     z, sub = s.z, s.sub
 
     # reliability of a coordinate = weight of its cheapest single-symbol change
-    delta_star = s.sw.lam.argmin(axis=0) + 1
     lrps = s.chain.floor[0][:cfg.eta]
-    second = {j: sub(z[j], int(delta_star[j])) for j in lrps}
+    second = {j: sub(z[j], int(s.sw.lam[:, j].argmin()) + 1) for j in lrps}
 
     basis, exit_reason = s.first_trial()
     state = list(z)
@@ -86,6 +85,7 @@ def classify_ml(code: CodeParams, pi: np.ndarray, result: DecodeResult,
     if result.codeword is None:
         return (1, 0)
     field = code.field
+    pi = np.asarray(pi, dtype=np.float64)  # as the decoder reads it
     z = hard_decision(pi)
     sw = soft_weights(field, pi, z)
     e_tx = tuple(field.sub(zj, cj) for zj, cj in zip(z, tx))

@@ -59,11 +59,13 @@ def likelihoods(field: Field, n: int, samples: np.ndarray, sigma2: float) -> np.
     return -(d * d).sum(axis=2) / (2.0 * sigma2) - 0.5 * m * math.log(2.0 * math.pi * sigma2)
 
 
-def check_pi(pi, q: int, n: int) -> None:
-    """Raise ValueError unless pi is a real (q, n) array with every entry finite.
+def check_pi(pi, q: int, n: int) -> np.ndarray:
+    """pi as float64; ValueError unless it is a real (q, n) array, every entry finite.
 
     Decoder entry check: an infinite or NaN log-likelihood makes soft weights
-    infinite or NaN, and then a certificate would compare garbage.
+    infinite or NaN, and then a certificate would compare garbage.  Integer
+    and low-precision weights and sums would wrap or round, so the decoder
+    reads only the float64 copy.
     """
     if not isinstance(pi, np.ndarray) or pi.dtype.kind not in "iuf":
         kind = pi.dtype if isinstance(pi, np.ndarray) else type(pi).__name__
@@ -72,6 +74,7 @@ def check_pi(pi, q: int, n: int) -> None:
         raise ValueError(f"pi shape {pi.shape} != ({q}, {n})")
     if not np.isfinite(pi).all():
         raise ValueError("pi has non-finite entries")
+    return pi.astype(np.float64, copy=False)
 
 
 def hard_decision(pi: np.ndarray) -> tuple[int, ...]:

@@ -17,12 +17,15 @@ starts with f.  B is monotone along the sibling order and from parent to
 child, which is what makes best-first traversal with a priority queue exact.
 
 AtomChain holds the weight table and sorts it the first time the tree search
-(or a trace) reads a rank.  The Kaneko floor kaneko_B0 needs only the first
-atom of each coordinate in chain order, so it reads a per-coordinate floor
-instead: coordinates ordered by (lightest weight, coordinate).  That is the
-order in which the chain scan meets them, so the floor sums the same floats
-in the same order, and frames that stop at a Kaneko certificate, or never
-search the tree (lcc), never pay for the sort.
+(or a trace) reads a rank: one stable argsort of the coordinate-major weights,
+whose index order is (coordinate, delta), so ties need no second key.  A
+pattern is its ranks and weight; coordinates are read off the chain.  Both
+bounds are one greedy scan: greedy_g_min walks the chain past the pattern,
+and the Kaneko floor kaneko_B0 walks a per-coordinate floor instead,
+coordinates ordered by (lightest weight, coordinate).  That is the order in
+which the chain scan meets them, so the floor sums the same floats in the
+same order, and frames that stop at a Kaneko certificate, or never search the
+tree (lcc), never pay for the sort.
 """
 
 from __future__ import annotations
@@ -40,15 +43,11 @@ from .channel import SoftWeights
 class AtomChain:
     """All n*(q-1) atoms of lam[d-1][j], sorted ascending on first read.
 
-    coords, deltas and weights are parallel tuples indexed by 0-based rank;
-    the lexsort behind them runs the first time one of them is read.
+    coords and weights are parallel tuples indexed by 0-based rank; the sort
+    behind them runs the first time one of them is read.
     """
 
     lam: np.ndarray  # shape (q-1, n)
-
-    @property
-    def n(self) -> int:
-        return self.lam.shape[1]
 
     @property
     def size(self) -> int:
@@ -56,27 +55,25 @@ class AtomChain:
 
     @cached_property
     def _order(self) -> np.ndarray:
-        """Flat lam indices (d-1)*n + j sorted by (weight, coord, delta)."""
-        qm1, n = self.lam.shape
-        flat = np.arange(qm1 * n)
-        return np.lexsort((flat // n, flat % n, self.lam.ravel()))
+        """Atom indices j*(q-1) + d-1 sorted by (weight, coord, delta).
+
+        The sort is stable, so atoms of equal weight keep index order, which
+        is (coord, delta).
+        """
+        return np.argsort(self.lam.T.ravel(), kind="stable")
 
     @cached_property
     def coords(self) -> tuple[int, ...]:
-        return tuple((self._order % self.n).tolist())
-
-    @cached_property
-    def deltas(self) -> tuple[int, ...]:
-        return tuple((self._order // self.n + 1).tolist())
+        return tuple((self._order // self.lam.shape[0]).tolist())
 
     @cached_property
     def weights(self) -> tuple[float, ...]:
-        return tuple(self.lam.ravel()[self._order].tolist())
+        return tuple(self.lam.T.ravel()[self._order].tolist())
 
     @cached_property
     def rank_of(self) -> dict[tuple[int, int], int]:
         """0-based rank of each atom (coord, delta); built on first use."""
-        return {a: r for r, a in enumerate(zip(self.coords, self.deltas))}
+        return {self.atom(r): r for r in range(self.size)}
 
     @cached_property
     def floor(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -90,7 +87,9 @@ class AtomChain:
         return tuple(order.tolist()), tuple(mins[order].tolist())
 
     def atom(self, rank: int) -> tuple[int, int]:
-        return (self.coords[rank], self.deltas[rank])
+        """(coordinate, delta) of the atom at rank."""
+        j, d = divmod(int(self._order[rank]), self.lam.shape[0])
+        return (j, d + 1)
 
 
 def build_atom_chain(sw: SoftWeights) -> AtomChain:
@@ -104,7 +103,6 @@ class FlippingPattern:
     """Strictly rank-increasing atom ranks with pairwise distinct coordinates."""
 
     ranks: tuple[int, ...]
-    coords: frozenset[int]
     weight: float  # the atom weights summed left to right in rank order
 
     @property
@@ -113,17 +111,15 @@ class FlippingPattern:
         return self.ranks[-1] if self.ranks else -1
 
 
-ROOT = FlippingPattern((), frozenset(), 0.0)
+ROOT = FlippingPattern((), 0.0)
 
 
 def pattern_from_ranks(chain: AtomChain, ranks) -> FlippingPattern:
     ranks = tuple(sorted(ranks))
-    coords = [chain.coords[r] for r in ranks]
-    if len(set(coords)) != len(coords):
+    if len({chain.coords[r] for r in ranks}) != len(ranks):
         raise ValueError("pattern atoms must sit on distinct coordinates")
     # weight summed in rank order so equal patterns always get bit-equal weights
-    return FlippingPattern(ranks, frozenset(coords),
-                           sum(chain.weights[r] for r in ranks))
+    return FlippingPattern(ranks, sum(chain.weights[r] for r in ranks))
 
 
 def pattern_atoms(chain: AtomChain, f: FlippingPattern) -> list[tuple[int, int]]:
@@ -136,47 +132,56 @@ def render_pattern(chain: AtomChain, f: FlippingPattern) -> str:
     return "+".join(f"({c},{d})" for c, d in pattern_atoms(chain, f))
 
 
-def greedy_g_min(chain: AtomChain, f: FlippingPattern, t_min: int) -> float:
-    """Exact min weight over G(f): t_min atoms past R_u(f) on fresh coordinates.
+def _greedy_sum(coords, weights, start: int, taken: set[int], need: int) -> float:
+    """Weights summed at the first need fresh coordinates from index start on.
 
-    Returns +inf when fewer than t_min such atoms remain.
+    A coordinate is fresh the first time the scan meets it outside taken,
+    which the scan extends as it goes.  Returns +inf when fewer than need
+    fresh coordinates remain, and 0 when need <= 0.
     """
-    if t_min == 0:
+    if need <= 0:
         return 0.0
-    taken = set(f.coords)
     total = 0.0
-    got = 0
-    coords, weights = chain.coords, chain.weights
-    for r in range(f.upper_rank + 1, len(coords)):
+    for r in range(start, len(coords)):
         c = coords[r]
         if c in taken:
             continue
         taken.add(c)
         total += weights[r]
-        got += 1
-        if got == t_min:
+        need -= 1
+        if need == 0:
             return total
     return math.inf
+
+
+def greedy_g_min(chain: AtomChain, f: FlippingPattern, t_min: int) -> float:
+    """Exact min weight over G(f): t_min atoms past R_u(f) on fresh coordinates.
+
+    Returns +inf when fewer than t_min such atoms remain.
+    """
+    coords = chain.coords
+    return _greedy_sum(coords, chain.weights, f.upper_rank + 1,
+                       {coords[r] for r in f.ranks}, t_min)
 
 
 def bound_B(chain: AtomChain, f: FlippingPattern, t_min: int) -> float:
     return f.weight + greedy_g_min(chain, f, t_min)
 
 
-def _extend(chain: AtomChain, ranks: tuple[int, ...], taken: frozenset[int], weight: float,
+def _extend(chain: AtomChain, head: tuple[int, ...], weight: float,
             start: int) -> FlippingPattern | None:
-    """ranks plus the first atom at rank >= start on a coordinate not in taken, or None."""
+    """head plus the first atom at rank >= start on a coordinate head does not use, or None."""
     coords = chain.coords
+    taken = {coords[r] for r in head}
     for r in range(start, len(coords)):
-        c = coords[r]
-        if c not in taken:
-            return FlippingPattern(ranks + (r,), taken | {c}, weight + chain.weights[r])
+        if coords[r] not in taken:
+            return FlippingPattern(head + (r,), weight + chain.weights[r])
     return None
 
 
 def leftmost_child(chain: AtomChain, f: FlippingPattern) -> FlippingPattern | None:
     """Lowest-rank extension of f on an unused coordinate, or None."""
-    return _extend(chain, f.ranks, f.coords, f.weight, f.upper_rank + 1)
+    return _extend(chain, f.ranks, f.weight, f.upper_rank + 1)
 
 
 def next_sibling(chain: AtomChain, f: FlippingPattern) -> FlippingPattern | None:
@@ -184,8 +189,7 @@ def next_sibling(chain: AtomChain, f: FlippingPattern) -> FlippingPattern | None
     if not f.ranks:
         raise ValueError("the empty pattern has no siblings")
     head = f.ranks[:-1]
-    return _extend(chain, head, frozenset(chain.coords[r] for r in head),
-                   sum(chain.weights[r] for r in head), f.ranks[-1] + 1)
+    return _extend(chain, head, sum(chain.weights[r] for r in head), f.ranks[-1] + 1)
 
 
 def kaneko_B0(chain: AtomChain, e, d_min: int) -> float:
@@ -196,19 +200,8 @@ def kaneko_B0(chain: AtomChain, e, d_min: int) -> float:
     hypothesis whose weight does not exceed its own floor is maximum-likelihood.
     """
     support = {j for j, v in enumerate(e) if v}
-    need = d_min - len(support)
-    if need <= 0:
-        return 0.0
-    total = 0.0
     coords, weights = chain.floor
-    for c, w in zip(coords, weights):
-        if c in support:
-            continue
-        total += w
-        need -= 1
-        if need == 0:
-            return total
-    return math.inf
+    return _greedy_sum(coords, weights, 0, support, d_min - len(support))
 
 
 def minimal_decompose(chain: AtomChain, e, t_min: int) -> tuple[FlippingPattern, FlippingPattern]:

@@ -113,7 +113,7 @@ class _Search:
     def __init__(self, code: CodeParams, pi: np.ndarray,
                  genie_codeword: tuple[int, ...] | None, trace: list[str] | None):
         field = code.field
-        check_pi(pi, field.q, code.n)
+        self.pi = pi = check_pi(pi, field.q, code.n)
         self.code, self.sub, self.d_min, self.trace = code, field.sub, code.d_min, trace
         self.z = z = hard_decision(pi)
         self.sw = sw = soft_weights(field, pi, z)
@@ -135,7 +135,7 @@ class _Search:
     def first_trial(self) -> tuple[GroebnerBasis, str | None]:
         """Interpolate z (the first k points in closed form) and attempt it."""
         code, z, k = self.code, self.z, self.code.k
-        basis = interpolate_prefix(code.field, k, zip(code.eval_points[:k], z))
+        basis = interpolate_prefix(code.field, zip(code.eval_points[:k], z))
         for j in range(k, code.n):
             basis = forward_add(basis, code.eval_points[j], z[j])
         self.forward_ops = code.n - k
@@ -206,7 +206,7 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
     coordinate) into the most plausible message found within the budget."""
     cfg = cfg or DecoderConfig()
     s = _Search(code, pi, genie_codeword, trace)
-    chain, z, sub = s.chain, s.z, s.sub
+    chain, z, sub, pi = s.chain, s.z, s.sub, s.pi  # pi as float64
     t_min, L = code.t_min, cfg.max_trials
 
     # threshold setup: T_z in soft-weight units, from the Euclidean sphere test

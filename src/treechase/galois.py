@@ -97,9 +97,6 @@ class Field:
     def sub(self, a: int, b: int) -> int:
         raise NotImplementedError
 
-    def neg(self, a: int) -> int:
-        raise NotImplementedError
-
     def mul(self, a: int, b: int) -> int:
         raise NotImplementedError
 
@@ -107,9 +104,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return self._exp[self._order - self._log[a]]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def exp_order(self) -> list[int]:
         """Nonzero elements as powers of the table generator: 1, g, g^2, ..."""
@@ -163,9 +157,6 @@ class PrimeField(Field):
 
     def sub(self, a, b):
         return (a - b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p
@@ -244,9 +235,6 @@ class BinaryField(Field):
 
     def sub(self, a, b):
         return a ^ b
-
-    def neg(self, a):
-        return a
 
     def mul(self, a, b):
         return self._exp[self._log[a] + self._log[b]]

@@ -168,8 +168,9 @@ def interpolate_points(field: Field, k: int, points) -> GroebnerBasis:
     return basis
 
 
-def interpolate_prefix(field: Field, k: int, points) -> GroebnerBasis:
-    """interpolate_points over exactly k points with distinct x, in closed form.
+def interpolate_prefix(field: Field, points) -> GroebnerBasis:
+    """interpolate_points over its k = len(points) >= 1 points with distinct x,
+    in closed form.
 
     For j < k the y-free element has the lower order, so Koetter's update
     always multiplies it by (x - x_j) and corrects the y-bearing one.  The
@@ -178,12 +179,11 @@ def interpolate_prefix(field: Field, k: int, points) -> GroebnerBasis:
     0).  O(k^2) per call over the code's cached newton_tables.
     """
     points = tuple((x, y) for x, y in points)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if len(points) != k:
-        raise ValueError(f"prefix needs exactly k = {k} points, got {len(points)}")
+    if not points:
+        raise ValueError("the prefix needs at least one point")
     xs, ys = zip(*points)
     R, c = newton_fit(field, xs, ys)
     N = newton_tables(field, xs)[2]
     q0 = field.poly_scale(field.poly_sub([], R), c)
-    return GroebnerBasis(field, k, (BivarPoly(N, ()), BivarPoly(tuple(q0), (c,))), points)
+    return GroebnerBasis(field, len(points), (BivarPoly(N, ()), BivarPoly(tuple(q0), (c,))),
+                         points)

@@ -171,7 +171,7 @@ def test_acceptance_greedy_equals_exhaustive(report):
                     break
         f = pattern_from_ranks(chain, ranks)
         eligible = [r for r in range(f.upper_rank + 1, chain.size)
-                    if chain.coords[r] not in f.coords]
+                    if chain.coords[r] not in coords]
         best = math.inf
         for combo in itertools.combinations(eligible, t_min):
             cs = {chain.coords[r] for r in combo}
@@ -218,7 +218,7 @@ def test_acceptance_minimal_decomposition(report, code54):
     for _ in range(100):
         chain = build_atom_chain(SoftWeights(lam=random_lam(4, 5, rng)))
         for _, cw in codebook(code54):
-            e = tuple(code54.field.neg(c) for c in cw)  # z = 0
+            e = tuple(code54.field.sub(0, c) for c in cw)  # z = 0
             wt = sum(1 for v in e if v)
             if wt < t_min:
                 continue

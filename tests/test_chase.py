@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from treechase.channel import SoftWeights, soft_weights
 from treechase.chase import (
@@ -41,12 +43,45 @@ def ranks_of(chain, atoms):
     return [chain.rank_of[a] for a in atoms]
 
 
+def coords_of(chain, f):
+    return {chain.coords[r] for r in f.ranks}
+
+
 def test_chain_matches_printed_order(ex_chain):
     printed = [(3, 2), (1, 3), (3, 3), (2, 2), (1, 2), (0, 2), (3, 1), (1, 4),
                (2, 3), (3, 4), (1, 1), (0, 3), (0, 1), (2, 4), (0, 4), (2, 1)]
     got = [ex_chain.atom(r) for r in range(ex_chain.size)]
     assert got == printed
     assert list(ex_chain.weights) == sorted(ex_chain.weights)
+
+
+def lexsort_atoms(lam: np.ndarray) -> list[tuple[int, int, float]]:
+    """Reference chain: (coord, delta, weight) sorted by the three keys weight, coord, delta."""
+    qm1, n = lam.shape
+    flat = np.arange(qm1 * n)
+    order = np.lexsort((flat // n, flat % n, lam.ravel()))
+    return [(int(i % n), int(i // n) + 1, float(lam.ravel()[i])) for i in order]
+
+
+@st.composite
+def weight_tables(draw):
+    """(q-1, n) tables of real weights, or of a few integer levels so that atoms tie."""
+    shape = (draw(st.integers(1, 15)), draw(st.integers(1, 20)))
+    levels = draw(st.sampled_from([st.floats(0.0, 3.0),
+                                   st.integers(0, 3).map(float),
+                                   st.integers(0, 1).map(float)]))
+    return draw(hnp.arrays(np.float64, shape, elements=levels))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weight_tables())
+def test_atom_order_equals_three_key_lexsort(lam):
+    chain = chain_from_lam(lam)
+    ref = lexsort_atoms(lam)
+    assert list(chain.coords) == [c for c, _, _ in ref]
+    assert list(chain.weights) == [w for _, _, w in ref]
+    assert [chain.atom(r) for r in range(chain.size)] == [(c, d) for c, d, _ in ref]
+    assert all(chain.rank_of[(c, d)] == r for r, (c, d, _) in enumerate(ref))
 
 
 def test_chain_rejects_negative_weights():
@@ -155,7 +190,7 @@ def test_kaneko_floor_equals_chain_scan(quantized):
                 e[j] = int(rng.integers(1, q))
             for d_min in range(1, n + 2):
                 assert kaneko_B0(chain, e, d_min) == b0_by_chain_scan(ref, e, d_min)
-        assert not {"_order", "coords", "deltas", "weights"} & set(vars(chain))
+        assert not {"_order", "coords", "weights"} & set(vars(chain))
 
 
 def test_kaneko_examples(ex_chain):
@@ -167,7 +202,7 @@ def test_kaneko_examples(ex_chain):
 
 def test_minimal_decompose_identity_and_boundary(ex_chain):
     f, g = minimal_decompose(ex_chain, (0, 2, 2, 3), 1)
-    assert len(g.ranks) == 1 and not (f.coords & g.coords)
+    assert len(g.ranks) == 1 and not (coords_of(ex_chain, f) & coords_of(ex_chain, g))
     assert f.upper_rank < g.ranks[0]
     recombined = sorted(pattern_atoms(ex_chain, f) + pattern_atoms(ex_chain, g))
     assert recombined == [(1, 2), (2, 2), (3, 3)]
@@ -180,7 +215,7 @@ def test_minimal_decompose_identity_and_boundary(ex_chain):
 def enumerate_completions(chain, f, t_min):
     """All weight-t_min completions of f further down the chain (brute force)."""
     eligible = [r for r in range(f.upper_rank + 1, chain.size)
-                if chain.coords[r] not in f.coords]
+                if chain.coords[r] not in coords_of(chain, f)]
     best = math.inf
     for combo in itertools.combinations(eligible, t_min):
         cs = [chain.coords[r] for r in combo]

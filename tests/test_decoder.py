@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from treechase import decoder
-from treechase.baselines import LccConfig, lcc_decode
+from treechase.baselines import LccConfig, classify_ml, lcc_decode
 from treechase.channel import likelihoods, modulate, sigma_from_snr_db, transmit
 from treechase.chase import bound_B, pattern_key
 from treechase.decoder import (
@@ -245,6 +245,42 @@ def test_decoders_reject_non_finite_or_non_real_pi(code54, example1_pi, decode, 
         decode(code54, _spoil(example1_pi, how))
     with pytest.raises(ValueError):
         decode(code54, example1_pi.tolist())
+
+
+def _narrow(raw: np.ndarray, dtype) -> np.ndarray:
+    """raw (entries 0..255) mapped into dtype's range, then cast to dtype."""
+    if dtype == np.int8:
+        return (raw - 128).astype(dtype)
+    if dtype == np.int16:
+        return (raw * 97 - 12000).astype(dtype)
+    if dtype == np.uint8:
+        return raw.astype(dtype)
+    return (raw / 7.0).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8, np.float16, np.float32])
+def test_narrow_dtypes_decode_as_float64(dtype):
+    """Every decode of a narrow pi equals the decode of the same values in float64.
+
+    The first matrix certified the wrong codeword when uint8 weights wrapped,
+    and raised "negative soft weight" when its int8 weights did.
+    """
+    rng = np.random.default_rng(41)
+    example = np.array([[228, 28, 128], [28, 228, 128], [128, 128, 228], [78, 78, 28]])
+    cases = [(make_code(2, 2, 3, 1), example)]
+    for code in (make_code(2, 2, 3, 1), make_code(2, 3, 7, 3)):
+        cases += [(code, rng.integers(0, 256, size=(code.field.q, code.n))) for _ in range(25)]
+    thr, lcc = DecoderConfig(threshold_eps=0.3, sigma2=2.0), LccConfig(eta=3)
+    for code, raw in cases:
+        pi = _narrow(raw, dtype)
+        ref = pi.astype(np.float64)
+        for decode in (tcgs_decode, lambda c, p: tcgs_decode(c, p, thr),
+                       lambda c, p: lcc_decode(c, p, lcc)):
+            got, want = decode(code, pi), decode(code, ref)
+            assert got == want
+            if got.codeword is not None:
+                tx = tuple(encode(code, [1]))
+                assert classify_ml(code, pi, got, tx) == classify_ml(code, ref, want, tx)
 
 
 def test_pops_follow_pattern_key_under_ties(code54, code76, monkeypatch):

@@ -195,7 +195,7 @@ PREFIX_FIELDS = [make_field(p) for p in (2, 3, 5, 7, 257)] + [make_field(2, m) f
 
 def assert_prefix_equals_fold(field, points):
     k = len(points)
-    got = interpolate_prefix(field, k, points)
+    got = interpolate_prefix(field, points)
     ref = interpolate_points(field, k, points)
     assert got.polys == ref.polys
     assert got.points == ref.points
@@ -227,10 +227,8 @@ def test_interpolate_prefix_edge_cases(field):
 
 def test_interpolate_prefix_rejects_bad_points():
     with pytest.raises(ValueError):
-        interpolate_prefix(GF7, 3, [(0, 1), (1, 2)])
+        interpolate_prefix(GF7, [])
     with pytest.raises(ValueError):
-        interpolate_prefix(GF7, 1, [(0, 1), (1, 2)])
+        interpolate_prefix(GF7, [(0, 1), (4, 2), (0, 3)])
     with pytest.raises(ValueError):
-        interpolate_prefix(GF7, 3, [(0, 1), (4, 2), (0, 3)])
-    with pytest.raises(ValueError):
-        interpolate_prefix(GF16, 2, [(5, 1), (5, 1)])
+        interpolate_prefix(GF16, [(5, 1), (5, 1)])
