@@ -277,14 +277,12 @@ def _codebook_scores_setup(code: CodeParams):
 
 
 def mld_oracle(code: CodeParams, pi: np.ndarray) -> tuple[list[int], tuple[int, ...]]:
-    """Exhaustive maximum-likelihood decode; ties favour the lexicographically
-    smallest message coefficient vector.  Only for small codes (q^k <= 1e6)."""
+    """Exhaustive maximum-likelihood decode, scored in float64 as the decoders
+    score; ties favour the lexicographically smallest message coefficient
+    vector, the first in codebook order.  Only for small codes (q^k <= 1e6)."""
+    pi = check_pi(pi, code.field.q, code.n)
     msgs, cws = _codebook_scores_setup(code)
-    cols = np.arange(code.n)
-    scores = pi[cws, cols[None, :]].sum(axis=1)
-    best = scores.max()
-    tied = np.flatnonzero(scores == best)
-    pick = min(tied, key=lambda i: tuple(msgs[i] + [0] * (code.k - len(msgs[i]))))
+    pick = int(np.argmax(pi[cws, np.arange(code.n)].sum(axis=1)))
     return list(msgs[pick]), tuple(int(v) for v in cws[pick])
 
 

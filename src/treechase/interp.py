@@ -13,6 +13,10 @@ Three point operations keep the basis updated in O(n) per call:
   backward_remove delete one interpolation point (division update)
   factorize       read a degree-< k message off the minimal basis element
 
+Both point updates are one elimination step (_eliminate) over the elements'
+discrepancies at x_j: forward_add multiplies the lower-order element by
+(x - x_j), backward_remove divides the eliminated one by it.
+
 A decode starts from interpolate_prefix, which builds the basis for its first
 k points in closed form: for those points Koetter's update always multiplies
 the y-free element by (x - x_j), so the basis is {N_k, c*(y - R)} with N_k the
@@ -73,16 +77,21 @@ def basis_init(field: Field, k: int) -> GroebnerBasis:
                          points=())
 
 
-def _combine(field: Field, a: int, P: BivarPoly, b: int, R: BivarPoly) -> BivarPoly:
-    """a*P - b*R, componentwise."""
+def _eliminate(basis: GroebnerBasis, d: tuple[int, int]) -> tuple[int, BivarPoly]:
+    """One Koetter elimination step over the discrepancies d = (d0, d1).
+
+    mu is the lower-order element among those with d[mu] != 0 (element 0 on
+    ties); R = d[mu]*P[nu] - d[nu]*P[mu] is the other element with its
+    discrepancy cancelled (P[nu] itself, unscaled, when d[nu] is already 0).
+    """
+    field, k, P = basis.field, basis.k, basis.polys
+    mu = 0 if d[0] and (not d[1] or wdeg_key(k, P[0]) <= wdeg_key(k, P[1])) else 1
+    nu = 1 - mu
+    if not d[nu]:
+        return mu, P[nu]
     scale, sub = field.poly_scale, field.poly_sub
-    return BivarPoly(tuple(sub(scale(P.q0, a), scale(R.q0, b))),
-                     tuple(sub(scale(P.q1, a), scale(R.q1, b))))
-
-
-def _pick(k: int, P: tuple[BivarPoly, BivarPoly], d: tuple[int, int]) -> int:
-    """Index of the lower-order element among those with d != 0 (0 on ties)."""
-    return 0 if d[0] and (not d[1] or wdeg_key(k, P[0]) <= wdeg_key(k, P[1])) else 1
+    return mu, BivarPoly(tuple(sub(scale(P[nu].q0, d[mu]), scale(P[mu].q0, d[nu]))),
+                         tuple(sub(scale(P[nu].q1, d[mu]), scale(P[mu].q1, d[nu]))))
 
 
 def forward_add(basis: GroebnerBasis, x: int, y: int) -> GroebnerBasis:
@@ -97,15 +106,10 @@ def forward_add(basis: GroebnerBasis, x: int, y: int) -> GroebnerBasis:
         if px == x:
             raise ValueError(f"x = {x} already interpolated")
     P = basis.polys
-    d = (bivar_eval(field, P[0], x, y), bivar_eval(field, P[1], x, y))
-    mu = _pick(k, P, d)
-    nu = 1 - mu
-    new = list(P)
-    if d[nu] != 0:
-        new[nu] = _combine(field, d[mu], P[nu], d[nu], P[mu])
-    new[mu] = BivarPoly(tuple(field.poly_mul_linear(P[mu].q0, x)),
-                        tuple(field.poly_mul_linear(P[mu].q1, x)))
-    return GroebnerBasis(field, k, (new[0], new[1]), basis.points + ((x, y),))
+    mu, R = _eliminate(basis, (bivar_eval(field, P[0], x, y), bivar_eval(field, P[1], x, y)))
+    M = BivarPoly(tuple(field.poly_mul_linear(P[mu].q0, x)),
+                  tuple(field.poly_mul_linear(P[mu].q1, x)))
+    return GroebnerBasis(field, k, (M, R) if mu == 0 else (R, M), basis.points + ((x, y),))
 
 
 def backward_remove(basis: GroebnerBasis, x: int, y: int) -> GroebnerBasis:
@@ -123,14 +127,10 @@ def backward_remove(basis: GroebnerBasis, x: int, y: int) -> GroebnerBasis:
     e = (field.poly_eval(P[0].q1, x), field.poly_eval(P[1].q1, x))
     if e == (0, 0):
         raise RuntimeError("degenerate basis: no y-part is nonzero at the removed x")
-    mu = _pick(k, P, e)
-    nu = 1 - mu
-    new = list(P)
-    R = _combine(field, e[mu], P[nu], e[nu], P[mu]) if e[nu] != 0 else P[nu]
-    new[nu] = BivarPoly(tuple(field.poly_div_linear(R.q0, x)),
-                        tuple(field.poly_div_linear(R.q1, x)))
+    mu, R = _eliminate(basis, e)
+    R = BivarPoly(tuple(field.poly_div_linear(R.q0, x)), tuple(field.poly_div_linear(R.q1, x)))
     pts = tuple(pt for pt in basis.points if pt != (x, y))
-    return GroebnerBasis(field, k, (new[0], new[1]), pts)
+    return GroebnerBasis(field, k, (P[mu], R) if mu == 0 else (R, P[mu]), pts)
 
 
 def minimal_poly(basis: GroebnerBasis) -> BivarPoly:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
-from .galois import Field, make_field, newton_fit, poly_deg
+from .galois import Field, make_field, newton_fit, poly_deg, poly_trim
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,18 +96,13 @@ def message_of(code: CodeParams, v: tuple[int, ...] | list[int]) -> list[int]:
 
 @lru_cache(maxsize=8)
 def codebook(code: CodeParams) -> list[tuple[list[int], tuple[int, ...]]]:
-    """All (message, codeword) pairs; intended for small codes (q^k <= 1e6)."""
+    """All (message, codeword) pairs; intended for small codes (q^k <= 1e6).
+
+    Messages come in lexicographic order of their coefficient vectors
+    (u_0, ..., u_{k-1}), u_0 most significant, so the first of several tied
+    messages is the lexicographically smallest.
+    """
     if code.field.q**code.k > 1_000_000:
         raise ValueError("codebook too large to enumerate")
-    q, k = code.field.q, code.k
-    out = []
-    for idx in range(q**k):
-        msg = []
-        t = idx
-        for _ in range(k):
-            msg.append(t % q)
-            t //= q
-        while msg and msg[-1] == 0:
-            msg.pop()
-        out.append((msg, encode(code, msg)))
-    return out
+    msgs = (poly_trim(list(u)) for u in product(range(code.field.q), repeat=code.k))
+    return [(u, encode(code, u)) for u in msgs]

@@ -106,6 +106,42 @@ def test_classify_ml_none_output_counts_upper_only(code54, example1_pi):
     assert classify_ml(code54, example1_pi, res, (1, 3, 0, 2)) == (1, 0)
 
 
+def test_classify_ml_score_tie_counts_upper_only(code54):
+    """A wrong output exactly as heavy as the transmitted word is no proven ML
+    error: the (1, 1) rule is a strict <.  Rows 0 and 1 tie at every coordinate
+    and row 2 is best at the first, so the codewords 0000 and 1111 (messages []
+    and [1]) both weigh 1.0 and every other codeword weighs at least 3."""
+    pi = np.full((5, 4), -4.0)
+    pi[0], pi[1], pi[2, 0] = -1.0, -1.0, 0.0
+    res = tcgs_decode(code54, pi, DecoderConfig(max_trials=16))
+    assert res.best_weight == 1.0
+    tx = encode(code54, [1]) if res.codeword == (0, 0, 0, 0) else encode(code54, [])
+    assert res.codeword != tx
+    assert classify_ml(code54, pi, res, tx) == (1, 0)
+
+
+def test_classify_ml_weight_equals_soft_weight_table(code54, code76):
+    """classify_ml reads the transmitted word's weight straight off pi; the
+    verdict equals the one from the full soft-weight table, bit for bit."""
+    rng = np.random.default_rng(5)
+    wrong = 0
+    for code in (code54, code76):
+        field = code.field
+        for _ in range(100):
+            pi, tx = pam_pi(code, rng)
+            pi = np.maximum(np.round(2.0 * pi), -8.0) / 2.0
+            res = tcgs_decode(code, pi, DecoderConfig(max_trials=2))
+            if res.codeword is None or res.codeword == tx:
+                continue  # decided without a weight
+            wrong += 1
+            z = hard_decision(pi)
+            e_tx = tuple(field.sub(zj, cj) for zj, cj in zip(z, tx))
+            w_tx = soft_weights(field, pi, z).pattern_weight(e_tx)
+            want = (1, 1) if res.best_weight < w_tx else (1, 0)
+            assert classify_ml(code, pi, res, tx) == want
+    assert wrong > 20
+
+
 def test_bound_tally_invariants():
     t = SweepRow("tcgs", 5.0)
     t.add(False, 0, 0, 1)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,43 @@ def test_mld_oracle_rejects_large_code():
     big = make_code(2, 8, 255, 128)
     with pytest.raises(ValueError):
         mld_oracle(big, np.zeros((256, 255)))
+
+
+def test_mld_oracle_decodes_in_float64():
+    """Low-precision input is scored in float64, as the decoders read it: a
+    float16 sum can round two codeword scores together or apart."""
+    rng = np.random.default_rng(0)
+    for code in (make_code(2, 2, 3, 1), make_code(2, 3, 7, 3)):
+        for _ in range(300):
+            pi = (rng.integers(0, 256, size=(code.field.q, code.n)) / 7).astype(np.float16)
+            assert mld_oracle(code, pi) == mld_oracle(code, pi.astype(np.float64))
+
+
+def _lex_first_ml(code, pi):
+    """Brute force: the smallest padded message among the best-scoring codewords,
+    and how many codewords share that score."""
+    scored = []
+    for u in itertools.product(range(code.field.q), repeat=code.k):
+        cw = encode(code, list(u))
+        scored.append((-sum(float(pi[c, j]) for j, c in enumerate(cw)), u, cw))
+    best, u, cw = min(scored)
+    return u, cw, sum(s == best for s, _, _ in scored)
+
+
+def test_mld_oracle_tie_break_is_lexicographic():
+    """Likelihoods quantized to the integers -4..0 make exact score ties common;
+    the oracle must return the lexicographically smallest tied message."""
+    rng = np.random.default_rng(23)
+    tied = 0
+    for code in (make_code(5, 1, 4, 2), make_code(7, 1, 6, 2), make_code(2, 3, 7, 3)):
+        for _ in range(100):
+            pi = np.maximum(np.round(pam_pi(code, rng)[0]), -4.0)
+            u, cw, n_best = _lex_first_ml(code, pi)
+            msg, got_cw = mld_oracle(code, pi)
+            assert tuple(msg) + (0,) * (code.k - len(msg)) == u
+            assert got_cw == cw
+            tied += n_best > 1
+    assert tied > 20
 
 
 def test_certified_exits_agree_with_oracle_quick(code54):

@@ -57,6 +57,17 @@ def test_codebook_enumerates_all_messages(code54, code76):
     assert all(is_codeword(code76, cw) for _, cw in cb76)
 
 
+def test_codebook_lists_messages_in_lexicographic_order(code54, code76):
+    """u_0 is the most significant coefficient, so the first of several tied
+    messages is the lexicographically smallest (mld_oracle's tie-break)."""
+    for code in (code54, code76, make_code(2, 3, 7, 3)):
+        msgs = [u for u, _ in codebook(code)]
+        assert all(not u or u[-1] != 0 for u in msgs)  # trimmed
+        padded = [tuple(u) + (0,) * (code.k - len(u)) for u in msgs]
+        assert len(padded) == code.field.q ** code.k
+        assert all(a < b for a, b in zip(padded, padded[1:]))
+
+
 def test_minimum_distance_exhaustive(code54):
     cws = [cw for _, cw in codebook(code54)]
     dists = [sum(a != b for a, b in zip(u, v))
