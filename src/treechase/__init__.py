@@ -16,10 +16,10 @@ from .decoder import (CERTIFIED_EXITS, DecodeResult, DecoderConfig,
                       EXIT_THRESHOLD, compare_traces, decode_with_trace,
                       mld_oracle, tcgs_decode)
 from .galois import BinaryField, Field, PrimeField, make_field
-from .interp import (GroebnerBasis, backward_remove, basis_init, factorize,
+from .interp import (GroebnerBasis, backward_remove, factorize,
                      forward_add, interpolate_points, interpolate_prefix, minimal_poly,
                      wdeg_key)
-from .rscode import CodeParams, encode, is_codeword, make_code, message_of
+from .rscode import CodeParams, encode, make_code
 from .sim import SweepConfig, SweepRow, parse_snr_spec, rows_to_csv, run_point, run_sweep
 from .stats import chi2_sf, chi2_threshold, wilson_interval
 
@@ -30,12 +30,12 @@ __all__ = [
     "DecodeResult", "DecoderConfig", "EXIT_BUDGET", "EXIT_CERTIFIED_TREE",
     "EXIT_CERTIFIED_KANEKO", "EXIT_GENIE", "EXIT_THRESHOLD", "Field", "FlippingPattern",
     "GroebnerBasis", "LccConfig", "PrimeField", "ROOT", "SoftWeights",
-    "SweepConfig", "SweepRow", "backward_remove", "basis_init", "bound_B",
+    "SweepConfig", "SweepRow", "backward_remove", "bound_B",
     "build_atom_chain", "chi2_sf", "chi2_threshold", "classify_ml",
     "compare_traces", "decode_with_trace", "encode", "factorize", "forward_add",
     "frame_rng", "greedy_g_min", "hard_decision", "interpolate_points",
-    "interpolate_prefix", "is_codeword", "kaneko_B0", "lcc_decode", "leftmost_child",
-    "likelihoods", "load_pi", "make_code", "make_field", "message_of", "minimal_decompose",
+    "interpolate_prefix", "kaneko_B0", "lcc_decode", "leftmost_child",
+    "likelihoods", "load_pi", "make_code", "make_field", "minimal_decompose",
     "minimal_poly", "mld_oracle", "modulate", "next_sibling", "parse_snr_spec",
     "pattern_from_ranks", "render_pattern", "rows_to_csv", "run_point",
     "run_sweep", "save_pi", "sigma_from_snr_db", "soft_weights", "tcgs_decode",

@@ -20,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import hard_decision
 from .decoder import EXIT_BUDGET, DecodeResult, _Search
 from .rscode import CodeParams
 
 # Unused here: the benchmark tracer (perfbench/tracing.py) wraps these names in this module.
-from .channel import soft_weights  # noqa: F401
+from .channel import hard_decision, soft_weights  # noqa: F401
 from .chase import build_atom_chain, kaneko_B0  # noqa: F401
 from .interp import backward_remove, factorize, forward_add  # noqa: F401
 from .rscode import encode  # noqa: F401
@@ -86,7 +85,7 @@ def classify_ml(code: CodeParams, pi: np.ndarray, result: DecodeResult,
     if result.codeword is None:
         return (1, 0)
     pi = np.asarray(pi, dtype=np.float64)  # as the decoder reads it
-    z = hard_decision(pi)
+    z = map(code.field.add, result.codeword, result.best_error)  # the decoder's e* is z - c*
     # the soft weight of e_tx = z - tx, summed in coordinate order as pattern_weight sums it
     w_tx = float(sum(pi[zj, j] - pi[tj, j] for j, (zj, tj) in enumerate(zip(z, tx)) if zj != tj))
     return (1, 1) if result.best_weight < w_tx else (1, 0)

@@ -18,11 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .galois import Field, BinaryField
+from .galois import Field
 
 
 def sigma_from_snr_db(snr_db: float, rate: float) -> float:
-    return math.sqrt(1.0 / (2.0 * rate * 10.0 ** (snr_db / 10.0)))
+    """Noise sigma at Eb/N0 = snr_db dB; ValueError unless sigma^2 is finite and > 0."""
+    try:
+        sigma2 = 1.0 / (2.0 * rate * 10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):  # 10^(snr_db/10) overflowed, or underflowed to 0
+        sigma2 = 0.0
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError(f"SNR {snr_db} dB gives no finite positive noise variance")
+    return math.sqrt(sigma2)
 
 
 def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
@@ -82,13 +89,6 @@ def hard_decision(pi: np.ndarray) -> tuple[int, ...]:
     return tuple(np.argmax(pi, axis=0).tolist())
 
 
-def _sub_table(field: Field, z: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    # index [d-1][j] = z_j - d in the field
-    if isinstance(field, BinaryField):
-        return z[None, :] ^ deltas[:, None]
-    return (z[None, :] - deltas[:, None]) % field.p
-
-
 @dataclass
 class SoftWeights:
     """Weights lam[d-1][j] = pi[z_j][j] - pi[z_j - d][j] >= 0 for d in 1..q-1."""
@@ -100,16 +100,15 @@ class SoftWeights:
         return float(sum(self.lam[ej - 1, j] for j, ej in enumerate(e) if ej))
 
 
-def soft_weights(field: Field, pi: np.ndarray, z: tuple[int, ...] | None = None) -> SoftWeights:
-    if z is None:
-        z = hard_decision(pi)
+def soft_weights(field: Field, pi: np.ndarray, z: tuple[int, ...]) -> SoftWeights:
+    """The weights of pi about its hard decision z."""
     q, n = pi.shape
     zv = np.asarray(z, dtype=np.int64)
     deltas = np.arange(1, q, dtype=np.int64)
-    idx = _sub_table(field, zv, deltas)
+    # idx[d-1][j] = z_j - d in the field: XOR in characteristic 2, integers mod p otherwise
+    idx = zv ^ deltas[:, None] if field.p == 2 else (zv - deltas[:, None]) % field.p
     cols = np.arange(n)
-    lam = pi[zv, cols][None, :] - pi[idx, cols[None, :]]
-    return SoftWeights(lam=lam)
+    return SoftWeights(lam=pi[zv, cols] - pi[idx, cols])
 
 
 # ---------------------------------------------------------------------------

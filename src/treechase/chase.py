@@ -122,14 +122,10 @@ def pattern_from_ranks(chain: AtomChain, ranks) -> FlippingPattern:
     return FlippingPattern(ranks, sum(chain.weights[r] for r in ranks))
 
 
-def pattern_atoms(chain: AtomChain, f: FlippingPattern) -> list[tuple[int, int]]:
-    return [chain.atom(r) for r in f.ranks]
-
-
 def render_pattern(chain: AtomChain, f: FlippingPattern) -> str:
     if not f.ranks:
         return "0"
-    return "+".join(f"({c},{d})" for c, d in pattern_atoms(chain, f))
+    return "+".join(f"({c},{d})" for c, d in map(chain.atom, f.ranks))
 
 
 def _greedy_sum(coords, weights, start: int, taken: set[int], need: int) -> float:

@@ -34,8 +34,7 @@ and is shared; the others add, so each field kind has its own: XOR in
 GF(2^m), integer arithmetic mod p in GF(p).
 
 newton_tables caches the Newton basis of a node tuple per field, and
-newton_fit is the one Newton fit over it, read by rscode (message recovery)
-and interp.interpolate_prefix.
+newton_fit is the one Newton fit over it, read by interp.interpolate_prefix.
 """
 
 from __future__ import annotations

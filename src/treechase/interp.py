@@ -45,10 +45,6 @@ class BivarPoly:
     q1: tuple[int, ...]
 
 
-def bivar(q0, q1) -> BivarPoly:
-    return BivarPoly(tuple(q0), tuple(q1))
-
-
 def bivar_eval(field: Field, P: BivarPoly, x: int, y: int) -> int:
     return field.add(field.poly_eval(P.q0, x), field.mul(y, field.poly_eval(P.q1, x)))
 
@@ -66,15 +62,6 @@ class GroebnerBasis:
     k: int
     polys: tuple[BivarPoly, BivarPoly]
     points: tuple[tuple[int, int], ...]
-
-
-def basis_init(field: Field, k: int) -> GroebnerBasis:
-    """The module of all q0 + q1*y: basis {1, y}, no points."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return GroebnerBasis(field=field, k=k,
-                         polys=(bivar([1], []), bivar([], [1])),
-                         points=())
 
 
 def _eliminate(basis: GroebnerBasis, d: tuple[int, int]) -> tuple[int, BivarPoly]:
@@ -161,8 +148,11 @@ def factorize(basis: GroebnerBasis) -> list[int] | None:
 
 
 def interpolate_points(field: Field, k: int, points) -> GroebnerBasis:
-    """Fold forward_add over a point sequence, starting from {1, y}."""
-    basis = basis_init(field, k)
+    """Fold forward_add over a point sequence, starting from {1, y}, the basis
+    of all q0 + q1*y (no points)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    basis = GroebnerBasis(field, k, (BivarPoly((1,), ()), BivarPoly((), (1,))), ())
     for x, y in points:
         basis = forward_add(basis, x, y)
     return basis

@@ -109,6 +109,8 @@ def validate_config(cfg: SweepConfig) -> CodeParams:
             raise ValueError(f"unknown algorithm {alg!r} (choose from {ALGORITHMS})")
     if not cfg.snr_db:
         raise ValueError("no SNR points")
+    for snr_db in cfg.snr_db:
+        sigma_from_snr_db(snr_db, cfg.k / cfg.n)
     if cfg.L < 1:
         raise ValueError("L must be >= 1")
     if "lcc" in cfg.algorithms and not 0 <= cfg.eta <= cfg.n:

@@ -37,7 +37,7 @@ def test_lcc_exhaustive_matches_brute_force(code54, example1_pi):
     res = lcc_decode(code54, example1_pi, LccConfig(eta=4))
     f = code54.field
     z = hard_decision(example1_pi)
-    sw = soft_weights(f, example1_pi)
+    sw = soft_weights(f, example1_pi, z)
     second = [f.sub(z[j], int(sw.lam.argmin(axis=0)[j]) + 1) for j in range(4)]
     best_w, best_u = None, None
     for mask in itertools.product((0, 1), repeat=4):

@@ -77,7 +77,7 @@ def test_hard_decision_tie_breaks_to_smallest():
 
 def test_soft_weights_reproduce_worked_matrix(example1_pi):
     f5 = PrimeField(5)
-    sw = soft_weights(f5, example1_pi)
+    sw = soft_weights(f5, example1_pi, hard_decision(example1_pi))
     assert hard_decision(example1_pi) == (1, 0, 2, 0)
     expected = [
         [1.24, 0.94, 2.02, 0.32],
@@ -94,13 +94,13 @@ def test_soft_weights_nonnegative_at_hard_decision(code16):
     rng = np.random.default_rng(11)
     sig = transmit(modulate(GF16, (0,) * 15), 1.0, rng)
     pi = likelihoods(GF16, 15, sig, 1.0)
-    sw = soft_weights(GF16, pi)
+    sw = soft_weights(GF16, pi, hard_decision(pi))
     assert float(sw.lam.min()) >= 0.0
 
 
 def test_pattern_weight_sums_entries(example1_pi):
     f5 = PrimeField(5)
-    sw = soft_weights(f5, example1_pi)
+    sw = soft_weights(f5, example1_pi, hard_decision(example1_pi))
     # e = (0,2,2,3): 0.22 + 0.15 + 0.11
     assert sw.pattern_weight((0, 2, 2, 3)) == pytest.approx(0.48, abs=5e-3)
     assert sw.pattern_weight((0, 0, 0, 0)) == 0.0
@@ -110,8 +110,8 @@ def test_char2_weights_use_xor_indexing():
     rng = np.random.default_rng(3)
     sig = transmit(modulate(GF16, (5,) * 15), 0.8, rng)
     pi = likelihoods(GF16, 15, sig, 0.64)
-    sw = soft_weights(GF16, pi)
     z = hard_decision(pi)
+    sw = soft_weights(GF16, pi, z)
     for j in (0, 7, 14):
         for d in (1, 9, 15):
             assert float(sw.lam[d - 1, j]) == pytest.approx(float(pi[z[j], j] - pi[z[j] ^ d, j]))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from treechase.channel import SoftWeights, soft_weights
+from treechase.channel import SoftWeights, hard_decision, soft_weights
 from treechase.chase import (
     ROOT,
     bound_B,
@@ -16,7 +16,6 @@ from treechase.chase import (
     leftmost_child,
     minimal_decompose,
     next_sibling,
-    pattern_atoms,
     pattern_from_ranks,
     pattern_key,
     render_pattern,
@@ -36,7 +35,7 @@ def chain_from_lam(lam: np.ndarray):
 
 @pytest.fixture(scope="module")
 def ex_chain(example1_pi):
-    return build_atom_chain(soft_weights(GF5, example1_pi))
+    return build_atom_chain(soft_weights(GF5, example1_pi, hard_decision(example1_pi)))
 
 
 def ranks_of(chain, atoms):
@@ -124,16 +123,16 @@ def test_greedy_runs_out_returns_inf(ex_chain):
 
 def test_leftmost_child_and_sibling_examples(ex_chain):
     c0 = leftmost_child(ex_chain, ROOT)
-    assert pattern_atoms(ex_chain, c0) == [(3, 2)]
+    assert [ex_chain.atom(r) for r in c0.ranks] == [(3, 2)]
     c1 = leftmost_child(ex_chain, c0)
-    assert pattern_atoms(ex_chain, c1) == [(3, 2), (1, 3)]
+    assert [ex_chain.atom(r) for r in c1.ranks] == [(3, 2), (1, 3)]
     s1 = next_sibling(ex_chain, c0)
-    assert pattern_atoms(ex_chain, s1) == [(1, 3)]
+    assert [ex_chain.atom(r) for r in s1.ranks] == [(1, 3)]
     s2 = next_sibling(ex_chain, s1)
-    assert pattern_atoms(ex_chain, s2) == [(3, 3)]
+    assert [ex_chain.atom(r) for r in s2.ranks] == [(3, 3)]
     deep = pattern_from_ranks(ex_chain, ranks_of(ex_chain, [(3, 3), (2, 2)]))
     s3 = next_sibling(ex_chain, deep)
-    assert pattern_atoms(ex_chain, s3) == [(3, 3), (1, 2)]
+    assert [ex_chain.atom(r) for r in s3.ranks] == [(3, 3), (1, 2)]
 
 
 def test_sibling_of_root_raises(ex_chain):
@@ -204,7 +203,7 @@ def test_minimal_decompose_identity_and_boundary(ex_chain):
     f, g = minimal_decompose(ex_chain, (0, 2, 2, 3), 1)
     assert len(g.ranks) == 1 and not (coords_of(ex_chain, f) & coords_of(ex_chain, g))
     assert f.upper_rank < g.ranks[0]
-    recombined = sorted(pattern_atoms(ex_chain, f) + pattern_atoms(ex_chain, g))
+    recombined = sorted(ex_chain.atom(r) for r in f.ranks + g.ranks)
     assert recombined == [(1, 2), (2, 2), (3, 3)]
     f0, g0 = minimal_decompose(ex_chain, (0, 0, 0, 2), 1)
     assert f0 == ROOT and len(g0.ranks) == 1

@@ -86,6 +86,16 @@ def test_sweep_rejects_prime_field(capsys):
     assert "binary field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("snr", ["nan", "inf", "-inf", "1e308", "-1e308"])
+def test_sweep_rejects_snr_without_finite_noise_variance(snr, capsys):
+    assert main(["sweep", "--code", "2,4,15,11", f"--snr={snr}", "--alg", "tcgs",
+                 "--frames", "20", "--min-errors", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    want = f"error: SNR {float(snr)} dB gives no finite positive noise variance"
+    assert err.splitlines() == [want]
+
+
 def test_replay_gf16_matrix_roundtrip(tmp_path, capsys, code16):
     """A 16x15 matrix replays under make_code's extension-field convention; the
     trace differs from the packaged golden so the exit code is 2, but the

@@ -4,9 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from treechase.galois import BinaryField, PrimeField, make_field, poly_trim
 from treechase.interp import (
+    BivarPoly,
     backward_remove,
-    basis_init,
-    bivar,
     bivar_eval,
     factorize,
     forward_add,
@@ -34,19 +33,19 @@ def leading_terms_split(basis) -> bool:
 
 def test_wdeg_key_orders_by_weighted_degree():
     k = 2
-    assert wdeg_key(k, bivar([1], [])) == (0, 0)          # 1
-    assert wdeg_key(k, bivar([], [1])) == (1, 1)          # y, weight k-1
-    assert wdeg_key(k, bivar([0, 0, 1], [])) == (2, 0)    # x^2
+    assert wdeg_key(k, BivarPoly((1,), ())) == (0, 0)          # 1
+    assert wdeg_key(k, BivarPoly((), (1,))) == (1, 1)          # y, weight k-1
+    assert wdeg_key(k, BivarPoly((0, 0, 1), ())) == (2, 0)     # x^2
     # tie deg q0 = deg q1 + k - 1 resolves to the y-bearing monomial
-    assert wdeg_key(k, bivar([0, 1], [1])) == (1, 1)
+    assert wdeg_key(k, BivarPoly((0, 1), (1,))) == (1, 1)
 
 
-def test_basis_init_is_unit_module():
-    b = basis_init(GF5, 2)
+def test_empty_interpolation_is_unit_module():
+    b = interpolate_points(GF5, 2, ())
     assert b.polys[0].q0 == (1,) and not b.polys[0].q1
     assert not b.polys[1].q0 and b.polys[1].q1 == (1,)
     with pytest.raises(ValueError):
-        basis_init(GF5, 0)
+        interpolate_points(GF5, 0, ())
 
 
 def test_forward_add_maintains_invariants_gf7():
@@ -54,7 +53,7 @@ def test_forward_add_maintains_invariants_gf7():
     for _ in range(50):
         n = int(rng.integers(2, 8))
         xs = rng.permutation(7)[:n]
-        basis = basis_init(GF7, 3)
+        basis = interpolate_points(GF7, 3, ())
         for x in xs:
             basis = forward_add(basis, int(x), int(rng.integers(0, 7)))
             assert vanishes_everywhere(basis)
@@ -131,7 +130,7 @@ def test_degree_k_quotient_rejected():
 def test_interpolate_points_equals_fold():
     pts = [(0, 1), (1, 0), (2, 2), (3, 1)]
     a = interpolate_points(GF5, 2, pts)
-    b = basis_init(GF5, 2)
+    b = interpolate_points(GF5, 2, ())
     for x, y in pts:
         b = forward_add(b, x, y)
     assert a.polys == b.polys and a.points == b.points
@@ -169,13 +168,13 @@ def test_forward_then_backward_restores_point_set(field, data):
 @settings(max_examples=120)
 @given(st.sampled_from([GF5, GF7, GF16, BinaryField(8)]), st.integers(1, 5), st.data())
 def test_random_walk_keeps_update_preconditions(field, k, data):
-    """Random forward_add / backward_remove walks from basis_init over up to 12
+    """Random forward_add / backward_remove walks from the empty basis over up to 12
     distinct x.  At a new x the discrepancies are never both zero (the y-free
     product of (x - x_j) lies in the module), which is why forward_add has no
     all-vanishing branch; at an interpolated x the y-parts are never both zero
     (y - R_S lies in the module and has q1 = 1), so backward_remove never raises."""
     pool = data.draw(st.lists(st.integers(0, field.q - 1), min_size=1, max_size=12, unique=True))
-    basis = basis_init(field, k)
+    basis = interpolate_points(field, k, ())
     for _ in range(data.draw(st.integers(1, 30))):
         used = [x for x, _ in basis.points]
         fresh = [x for x in pool if x not in used]

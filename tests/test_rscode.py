@@ -1,7 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from treechase.rscode import codebook, encode, is_codeword, make_code, message_of
+from treechase.galois import PRIMITIVE_POLY, make_field, newton_fit
+from treechase.rscode import CodeParams, codebook, encode, make_code
+
+
+def first_k_fit(code, cw):
+    """The degree-< k message through the first k coordinates, zero-padded to k."""
+    u = newton_fit(code.field, code.eval_points[:code.k], cw[:code.k])[0]
+    return u + [0] * (code.k - len(u))
 
 
 def test_code_parameters(code54, code16):
@@ -27,25 +34,13 @@ def test_encode_rejects_overlong_message(code54):
 @given(st.lists(st.integers(0, 4), min_size=2, max_size=2))
 def test_message_roundtrip_gf5(msg):
     code = make_code(5, 1, 4, 2)
-    cw = encode(code, msg)
-    assert is_codeword(code, cw)
-    got = message_of(code, cw)
-    assert got + [0] * (2 - len(got)) == msg
+    assert first_k_fit(code, encode(code, msg)) == msg
 
 
 @given(st.lists(st.integers(0, 15), min_size=11, max_size=11))
 def test_message_roundtrip_gf16(msg):
     code = make_code(2, 4, 15, 11)
-    cw = encode(code, msg)
-    assert is_codeword(code, cw)
-    got = message_of(code, cw)
-    assert got + [0] * (11 - len(got)) == msg
-
-
-def test_non_codeword_detected(code54):
-    cw = list(encode(code54, [2, 3]))
-    cw[0] = (cw[0] + 1) % 5
-    assert not is_codeword(code54, cw)
+    assert first_k_fit(code, encode(code, msg)) == msg
 
 
 def test_codebook_enumerates_all_messages(code54, code76):
@@ -54,7 +49,7 @@ def test_codebook_enumerates_all_messages(code54, code76):
     assert len({cw for _, cw in cb54}) == 25
     cb76 = codebook(code76)
     assert len(cb76) == 49
-    assert all(is_codeword(code76, cw) for _, cw in cb76)
+    assert all(cw == encode(code76, u) for u, cw in cb76)
 
 
 def test_codebook_lists_messages_in_lexicographic_order(code54, code76):
@@ -84,3 +79,19 @@ def test_make_code_validation():
         make_code(5, 1, 4, 5)    # k > n
     with pytest.raises(ValueError):
         make_code(5, 1, 4, 0)
+
+
+@pytest.mark.parametrize("m", sorted(PRIMITIVE_POLY))
+def test_binary_codes_evaluate_at_exp_order(m):
+    field = make_field(2, m)
+    assert CodeParams(field, field.q - 1, 1).eval_points == tuple(field.exp_order())
+    with pytest.raises(ValueError, match="n <= q - 1"):
+        CodeParams(field, field.q, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_prime_codes_evaluate_at_0_to_n_minus_1(p):
+    field = make_field(p)
+    assert CodeParams(field, p, 1).eval_points == tuple(range(p))
+    with pytest.raises(ValueError, match="n <= q,"):
+        CodeParams(field, p + 1, 1)

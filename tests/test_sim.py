@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from scipy.stats import spearmanr
 
@@ -53,6 +55,16 @@ def test_validate_config_rejections():
         validate_config(small_cfg(threshold_eps=2.0))
     with pytest.raises(ValueError):
         validate_config(small_cfg(max_frames=0))
+
+
+@pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), float("-inf"), 1e308, -1e308])
+def test_validate_config_rejects_snr_without_finite_noise_variance(snr_db):
+    """An SNR whose noise variance is not a finite positive float is rejected
+    before any frame is drawn, naming the SNR, at any position in the list."""
+    with pytest.raises(ValueError, match=re.escape(f"SNR {snr_db} dB")):
+        validate_config(small_cfg(snr_db=(5.0, snr_db)))
+    with pytest.raises(ValueError, match="SNR"):
+        run_sweep(small_cfg(snr_db=(snr_db,), max_frames=20))
 
 
 def test_validate_config_requires_a_binary_field():
