@@ -9,19 +9,17 @@ from .baselines import LccConfig, classify_ml, lcc_decode
 from .channel import (SoftWeights, frame_rng, hard_decision, likelihoods, load_pi,
                       modulate, save_pi, sigma_from_snr_db, soft_weights, transmit)
 from .chase import (AtomChain, FlippingPattern, ROOT, bound_B, build_atom_chain,
-                    greedy_g_min, kaneko_B0, leftmost_child, minimal_decompose,
-                    next_sibling, pattern_from_ranks, render_pattern)
+                    greedy_g_min, kaneko_B0, leftmost_child, next_sibling, render_pattern)
 from .decoder import (CERTIFIED_EXITS, DecodeResult, DecoderConfig,
                       EXIT_BUDGET, EXIT_CERTIFIED_KANEKO, EXIT_CERTIFIED_TREE, EXIT_GENIE,
                       EXIT_THRESHOLD, compare_traces, decode_with_trace,
                       mld_oracle, tcgs_decode)
 from .galois import BinaryField, Field, PrimeField, make_field
-from .interp import (GroebnerBasis, backward_remove, factorize,
-                     forward_add, interpolate_points, interpolate_prefix, minimal_poly,
-                     wdeg_key)
+from .interp import (GroebnerBasis, backward_remove, factorize, forward_add,
+                     interpolate_prefix, minimal_poly, wdeg_key)
 from .rscode import CodeParams, encode, make_code
 from .sim import SweepConfig, SweepRow, parse_snr_spec, rows_to_csv, run_point, run_sweep
-from .stats import chi2_sf, chi2_threshold, wilson_interval
+from .stats import chi2_threshold, wilson_interval
 
 __version__ = "0.1.0"
 
@@ -31,13 +29,13 @@ __all__ = [
     "EXIT_CERTIFIED_KANEKO", "EXIT_GENIE", "EXIT_THRESHOLD", "Field", "FlippingPattern",
     "GroebnerBasis", "LccConfig", "PrimeField", "ROOT", "SoftWeights",
     "SweepConfig", "SweepRow", "backward_remove", "bound_B",
-    "build_atom_chain", "chi2_sf", "chi2_threshold", "classify_ml",
+    "build_atom_chain", "chi2_threshold", "classify_ml",
     "compare_traces", "decode_with_trace", "encode", "factorize", "forward_add",
-    "frame_rng", "greedy_g_min", "hard_decision", "interpolate_points",
+    "frame_rng", "greedy_g_min", "hard_decision",
     "interpolate_prefix", "kaneko_B0", "lcc_decode", "leftmost_child",
-    "likelihoods", "load_pi", "make_code", "make_field", "minimal_decompose",
+    "likelihoods", "load_pi", "make_code", "make_field",
     "minimal_poly", "mld_oracle", "modulate", "next_sibling", "parse_snr_spec",
-    "pattern_from_ranks", "render_pattern", "rows_to_csv", "run_point",
+    "render_pattern", "rows_to_csv", "run_point",
     "run_sweep", "save_pi", "sigma_from_snr_db", "soft_weights", "tcgs_decode",
     "transmit", "wdeg_key", "wilson_interval",
 ]

@@ -71,11 +71,6 @@ class AtomChain:
         return tuple(self.lam.T.ravel()[self._order].tolist())
 
     @cached_property
-    def rank_of(self) -> dict[tuple[int, int], int]:
-        """0-based rank of each atom (coord, delta); built on first use."""
-        return {self.atom(r): r for r in range(self.size)}
-
-    @cached_property
     def floor(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
         """Coordinates ordered by (lightest atom weight, coordinate), with that weight.
 
@@ -112,14 +107,6 @@ class FlippingPattern:
 
 
 ROOT = FlippingPattern((), 0.0)
-
-
-def pattern_from_ranks(chain: AtomChain, ranks) -> FlippingPattern:
-    ranks = tuple(sorted(ranks))
-    if len({chain.coords[r] for r in ranks}) != len(ranks):
-        raise ValueError("pattern atoms must sit on distinct coordinates")
-    # weight summed in rank order so equal patterns always get bit-equal weights
-    return FlippingPattern(ranks, sum(chain.weights[r] for r in ranks))
 
 
 def render_pattern(chain: AtomChain, f: FlippingPattern) -> str:
@@ -198,21 +185,6 @@ def kaneko_B0(chain: AtomChain, e, d_min: int) -> float:
     support = {j for j, v in enumerate(e) if v}
     coords, weights = chain.floor
     return _greedy_sum(coords, weights, 0, support, d_min - len(support))
-
-
-def minimal_decompose(chain: AtomChain, e, t_min: int) -> tuple[FlippingPattern, FlippingPattern]:
-    """Split e's atoms (rank-sorted) into the minimal pattern f and tail g.
-
-    f keeps all but the t_min highest-ranked atoms of e; g keeps those t_min.
-    This is the unique split with |supp(g)| = t_min, disjoint supports and
-    R_u(f) < R_l(g).
-    """
-    ranks = sorted(chain.rank_of[(j, v)] for j, v in enumerate(e) if v)
-    if len(ranks) < t_min:
-        raise ValueError("wt(e) < t_min: the minimal pattern degenerates to the empty one")
-    cut = len(ranks) - t_min
-    return (pattern_from_ranks(chain, ranks[:cut]),
-            pattern_from_ranks(chain, ranks[cut:]))
 
 
 def pattern_key(bound: float, f: FlippingPattern) -> tuple[float, int, tuple[int, ...]]:

@@ -327,29 +327,6 @@ def poly_deg(c: list[int]) -> int:
     return len(c) - 1
 
 
-def poly_add(field: Field, a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    add = field.add
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] = add(out[i], v)
-    return poly_trim(out)
-
-
-def poly_mul(field: Field, a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    add, mul = field.add, field.mul
-    out = [0] * (len(a) + len(b) - 1)
-    for i, av in enumerate(a):
-        if av == 0:
-            continue
-        for j, bv in enumerate(b):
-            out[i + j] = add(out[i + j], mul(av, bv))
-    return poly_trim(out)
-
-
 def poly_str(c: list[int]) -> str:
     """Human form, low degree first: [] -> "0", [1, 3] -> "1+3x", [0, 1, 2] -> "x+2x^2"."""
     terms = []

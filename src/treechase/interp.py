@@ -21,8 +21,8 @@ A decode starts from interpolate_prefix, which builds the basis for its first
 k points in closed form: for those points Koetter's update always multiplies
 the y-free element by (x - x_j), so the basis is {N_k, c*(y - R)} with N_k the
 product of the (x - x_j) and R the Newton interpolant.  It returns exactly
-the GroebnerBasis (same polys, same points) that interpolate_points, the fold
-of forward_add from {1, y}, returns for the same points.
+the GroebnerBasis (same polys, same points) that folding forward_add over
+the same points from {1, y}, the basis of all q0 + q1*y, returns.
 
 All operations are pure: they return new objects and never mutate their
 inputs, so bases branched across search-tree nodes may share structure.
@@ -147,20 +147,9 @@ def factorize(basis: GroebnerBasis) -> list[int] | None:
     return u
 
 
-def interpolate_points(field: Field, k: int, points) -> GroebnerBasis:
-    """Fold forward_add over a point sequence, starting from {1, y}, the basis
-    of all q0 + q1*y (no points)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    basis = GroebnerBasis(field, k, (BivarPoly((1,), ()), BivarPoly((), (1,))), ())
-    for x, y in points:
-        basis = forward_add(basis, x, y)
-    return basis
-
-
 def interpolate_prefix(field: Field, points) -> GroebnerBasis:
-    """interpolate_points over its k = len(points) >= 1 points with distinct x,
-    in closed form.
+    """The fold of forward_add from {1, y} over its k = len(points) >= 1
+    points with distinct x, in closed form.
 
     For j < k the y-free element has the lower order, so Koetter's update
     always multiplies it by (x - x_j) and corrects the y-bearing one.  The

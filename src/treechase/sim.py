@@ -19,7 +19,6 @@ import math
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -27,9 +26,11 @@ from .baselines import LccConfig, classify_ml, lcc_decode
 from .channel import frame_rng, likelihoods, modulate, sigma_from_snr_db, transmit
 from .decoder import DecoderConfig, tcgs_decode
 from .rscode import CodeParams, encode, make_code
+from .stats import chi2_threshold
 
 ALGORITHMS = ("tcgs", "lcc", "hdd")
 CHUNK = 1000
+MAX_SNR_STEPS = 10_000  # an a:b:step range holds at most this many steps
 CSV_HEADER = "algorithm,snr_db,frames,frame_errors,fer,avg_trials,e_upper_rate,e_lower_rate,wall_seconds"
 
 
@@ -121,8 +122,8 @@ def validate_config(cfg: SweepConfig) -> CodeParams:
         raise ValueError("min_errors must be >= 0")
     if cfg.workers < 1:
         raise ValueError("workers must be >= 1")
-    if cfg.threshold_eps is not None and not 0.0 < cfg.threshold_eps < 1.0:
-        raise ValueError("threshold-eps must be in (0, 1)")
+    if cfg.threshold_eps is not None:  # checks eps, and loads scipy before any worker forks
+        chi2_threshold(cfg.threshold_eps, code.n * code.field.m)
     return code
 
 
@@ -195,6 +196,8 @@ def run_point(cfg: SweepConfig, alg: str, snr_db: float) -> SweepRow:
     row = SweepRow(alg, snr_db)
     with ExitStack() as stack:
         if cfg.workers > 1:
+            from multiprocessing import get_context
+
             span_map = stack.enter_context(get_context("fork").Pool(
                 cfg.workers, initializer=_worker_init, initargs=(cfg, alg, snr_db))).map
         else:
@@ -227,16 +230,20 @@ def rows_to_csv(rows: list[SweepRow], timing: bool = False) -> str:
 
 
 def parse_snr_spec(spec: str) -> tuple[float, ...]:
-    """Either 'a:b:step' (inclusive endpoints, positive step) or 'v1,v2,...'."""
+    """Either 'a:b:step' (finite inclusive endpoints, finite positive step, at
+    most MAX_SNR_STEPS steps) or 'v1,v2,...'."""
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"bad SNR range {spec!r}, expected a:b:step")
         a, b, step = (float(t) for t in parts)
-        if step <= 0:
-            raise ValueError("SNR step must be > 0")
-        count = int(round((b - a) / step))
+        if not (math.isfinite(a) and math.isfinite(b) and 0.0 < step < math.inf):
+            raise ValueError(f"bad SNR range {spec!r}: a, b and step must be finite, step > 0")
+        steps = (b - a) / step  # finite a, b and step can still overflow this to +-inf
+        if steps > MAX_SNR_STEPS:
+            raise ValueError(f"SNR range {spec!r} spans more than {MAX_SNR_STEPS} steps")
+        count = round(max(steps, -1.0))
         vals = [a + i * step for i in range(count + 1) if a + i * step <= b + 1e-9]
         if not vals:
             raise ValueError(f"empty SNR range {spec!r}")

@@ -1,15 +1,12 @@
-"""Small statistical helpers shared by the decoder and the simulation driver."""
+"""Small statistical helpers shared by the decoder and the simulation driver.
+
+scipy is imported inside chi2_threshold, the one caller of it, so importing
+the package does not load scipy: only threshold mode and `treechase chi2` do.
+"""
 
 from __future__ import annotations
 
 import math
-
-from scipy.special import chdtri, gammaincc
-
-
-def chi2_sf(x: float, dof: int) -> float:
-    """Pr{X >= x} for X chi-square with dof degrees of freedom."""
-    return float(gammaincc(dof / 2.0, x / 2.0))
 
 
 def chi2_threshold(epsilon: float, dof: int) -> float:
@@ -18,6 +15,8 @@ def chi2_threshold(epsilon: float, dof: int) -> float:
         raise ValueError("epsilon must be in (0, 1)")
     if dof < 1:
         raise ValueError("dof must be >= 1")
+    from scipy.special import chdtri
+
     return float(chdtri(dof, epsilon / 2.0))
 
 

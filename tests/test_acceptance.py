@@ -15,12 +15,7 @@ import numpy as np
 import pytest
 
 from treechase.channel import SoftWeights, modulate, transmit
-from treechase.chase import (
-    build_atom_chain,
-    greedy_g_min,
-    minimal_decompose,
-    pattern_from_ranks,
-)
+from treechase.chase import build_atom_chain, greedy_g_min
 from treechase.decoder import DecoderConfig, mld_oracle, tcgs_decode
 from treechase.galois import BinaryField, PrimeField
 from treechase.interp import (
@@ -28,13 +23,13 @@ from treechase.interp import (
     bivar_eval,
     factorize,
     forward_add,
-    interpolate_points,
 )
 from treechase.rscode import codebook, encode
 from treechase.sim import SweepConfig, run_point, run_sweep, rows_to_csv
 from treechase.stats import chi2_threshold, wilson_interval
 
 from conftest import pam_pi, random_lam
+from reference import interpolate_points, minimal_decompose, pattern_from_ranks, rank_of
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +212,7 @@ def test_acceptance_minimal_decomposition(report, code54):
     t_min = code54.t_min
     for _ in range(100):
         chain = build_atom_chain(SoftWeights(lam=random_lam(4, 5, rng)))
+        rank = rank_of(chain)
         for _, cw in codebook(code54):
             e = tuple(code54.field.sub(0, c) for c in cw)  # z = 0
             wt = sum(1 for v in e if v)
@@ -229,7 +225,7 @@ def test_acceptance_minimal_decomposition(report, code54):
             members = []
             for keep in range(max(0, wt - t_min), wt + 1):
                 for kept in itertools.combinations(support, keep):
-                    ranks = [chain.rank_of[(j, e[j])] for j in kept]
+                    ranks = [rank[(j, e[j])] for j in kept]
                     members.append(pattern_from_ranks(chain, ranks))
             min_w = min(h.weight for h in members)
             min_ru = min(h.upper_rank for h in members)

@@ -7,11 +7,12 @@ from treechase.baselines import LccConfig, classify_ml, lcc_decode
 from treechase.channel import hard_decision, soft_weights
 from treechase.decoder import DecoderConfig, tcgs_decode
 from treechase.galois import PrimeField
-from treechase.interp import factorize, interpolate_points
+from treechase.interp import factorize
 from treechase.rscode import encode
 from treechase.sim import SweepRow
 
 from conftest import pam_pi
+from reference import interpolate_points
 
 GF5 = PrimeField(5)
 

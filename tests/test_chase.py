@@ -14,9 +14,7 @@ from treechase.chase import (
     greedy_g_min,
     kaneko_B0,
     leftmost_child,
-    minimal_decompose,
     next_sibling,
-    pattern_from_ranks,
     pattern_key,
     render_pattern,
 )
@@ -24,6 +22,7 @@ from treechase.galois import PrimeField
 from treechase.rscode import codebook
 
 from conftest import random_lam
+from reference import minimal_decompose, pattern_from_ranks, rank_of
 
 GF5 = PrimeField(5)
 
@@ -39,7 +38,7 @@ def ex_chain(example1_pi):
 
 
 def ranks_of(chain, atoms):
-    return [chain.rank_of[a] for a in atoms]
+    return [rank_of(chain)[a] for a in atoms]
 
 
 def coords_of(chain, f):
@@ -80,7 +79,7 @@ def test_atom_order_equals_three_key_lexsort(lam):
     assert list(chain.coords) == [c for c, _, _ in ref]
     assert list(chain.weights) == [w for _, _, w in ref]
     assert [chain.atom(r) for r in range(chain.size)] == [(c, d) for c, d, _ in ref]
-    assert all(chain.rank_of[(c, d)] == r for r, (c, d, _) in enumerate(ref))
+    assert all(rank_of(chain)[(c, d)] == r for r, (c, d, _) in enumerate(ref))
 
 
 def test_chain_rejects_negative_weights():
@@ -148,8 +147,8 @@ def test_child_none_when_all_coordinates_used():
 
 
 def test_pattern_from_ranks_rejects_coordinate_clash(ex_chain):
-    r1 = ex_chain.rank_of[(3, 2)]
-    r2 = ex_chain.rank_of[(3, 3)]
+    r1 = rank_of(ex_chain)[(3, 2)]
+    r2 = rank_of(ex_chain)[(3, 3)]
     with pytest.raises(ValueError):
         pattern_from_ranks(ex_chain, (r1, r2))
 

@@ -96,6 +96,18 @@ def test_sweep_rejects_snr_without_finite_noise_variance(snr, capsys):
     assert err.splitlines() == [want]
 
 
+@pytest.mark.parametrize("snr", ["0:inf:1", "nan:1:1", "0:1:nan", "-1e308:1e308:1", "0:100:1e-9"])
+def test_sweep_rejects_bad_snr_range(snr, capsys):
+    """A range with a non-finite part, or with more steps than MAX_SNR_STEPS,
+    gives one error line before anything is allocated or drawn."""
+    assert main(["sweep", f"--snr={snr}", "--frames", "20", "--min-errors", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: bad SNR range {snr!r}") or \
+        err.startswith(f"error: SNR range {snr!r} spans more than")
+
+
 def test_replay_gf16_matrix_roundtrip(tmp_path, capsys, code16):
     """A 16x15 matrix replays under make_code's extension-field convention; the
     trace differs from the packaged golden so the exit code is 2, but the
@@ -132,3 +144,23 @@ def test_main_module_entrypoint():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert float(proc.stdout.strip()) > 0
+
+
+def test_cold_start_loads_neither_scipy_nor_multiprocessing():
+    """Importing the package or its CLI loads no scipy.* and no multiprocessing.*
+    module; the chi-square quantile loads scipy on first use.  Checked in a
+    fresh interpreter, since this test process may have imported both already."""
+    import os, subprocess, sys
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import treechase, treechase.cli\n"
+        "heavy = ('scipy', 'multiprocessing')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in heavy))\n"
+        "treechase.chi2_threshold(0.01, 60)\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]

