@@ -16,7 +16,7 @@ from .decoder import (CERTIFIED_EXITS, DecodeResult, DecoderConfig,
                       mld_oracle, tcgs_decode)
 from .galois import BinaryField, Field, PrimeField, make_field
 from .interp import (GroebnerBasis, backward_remove, factorize, forward_add,
-                     interpolate_prefix, minimal_poly, wdeg_key)
+                     interpolate, minimal_poly, wdeg_key)
 from .rscode import CodeParams, encode, make_code
 from .sim import SweepConfig, SweepRow, parse_snr_spec, rows_to_csv, run_point, run_sweep
 from .stats import chi2_threshold, wilson_interval
@@ -32,7 +32,7 @@ __all__ = [
     "build_atom_chain", "chi2_threshold", "classify_ml",
     "compare_traces", "decode_with_trace", "encode", "factorize", "forward_add",
     "frame_rng", "greedy_g_min", "hard_decision",
-    "interpolate_prefix", "kaneko_B0", "lcc_decode", "leftmost_child",
+    "interpolate", "kaneko_B0", "lcc_decode", "leftmost_child",
     "likelihoods", "load_pi", "make_code", "make_field",
     "minimal_poly", "mld_oracle", "modulate", "next_sibling", "parse_snr_spec",
     "render_pattern", "rows_to_csv", "run_point",

@@ -172,7 +172,10 @@ def next_sibling(chain: AtomChain, f: FlippingPattern) -> FlippingPattern | None
     if not f.ranks:
         raise ValueError("the empty pattern has no siblings")
     head = f.ranks[:-1]
-    return _extend(chain, head, sum(chain.weights[r] for r in head), f.ranks[-1] + 1)
+    weight = 0.0
+    for r in head:  # left to right, as leftmost_child sums; sum() compensates from Python 3.12
+        weight += chain.weights[r]
+    return _extend(chain, head, weight, f.ranks[-1] + 1)
 
 
 def kaneko_B0(chain: AtomChain, e, d_min: int) -> float:

@@ -21,7 +21,8 @@ polynomial:
     12  x^12 + x^6 + x^4 + x + 1  0x1053
 
 GF(p) builds the same exp/log tables from its smallest primitive root.  A
-field's tables are built when make_field constructs it.  log[0] is a sentinel
+field's tables are built when make_field constructs it, and their numpy
+copies at its first poly_combine.  log[0] is a sentinel
 that indexes a zero tail of the exp table, so exp[log[a] + log[b]] == a * b
 for zero operands too.
 
@@ -33,13 +34,17 @@ lookups, so no coefficient costs a method call.  poly_scale only multiplies
 and is shared; the others add, so each field kind has its own: XOR in
 GF(2^m), integer arithmetic mod p in GF(p).
 
-newton_tables caches the Newton basis of a node tuple per field, and
-newton_fit is the one Newton fit over it, read by interp.interpolate_prefix.
+lagrange_table caches, per field and node tuple, the Lagrange basis of the
+nodes in the log domain, and poly_combine applies it: the interpolant of
+values ys is one numpy gather exp[log y_j + log L_j[i]] and one reduction over
+j, XOR in GF(2^m) and a sum mod p in GF(p).  interp.interpolate reads both.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 PRIMITIVE_POLY = {
     2: 0x7,
@@ -134,6 +139,21 @@ class Field:
         """Quotient and remainder with deg rem < deg den."""
         raise NotImplementedError
 
+    @cached_property
+    def _np_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """exp and log as int64 arrays, built on first use."""
+        return np.array(self._exp, dtype=np.int64), np.array(self._log, dtype=np.int64)
+
+    def poly_combine(self, log_rows: np.ndarray, ys) -> list[int]:
+        """sum_j ys[j] * row_j(x), with row j given by the logs of its
+        coefficients (log[0] for a zero one), as lagrange_table stores them."""
+        exp, log = self._np_tables
+        return poly_trim(self._sum_rows(exp[log[np.array(ys)][:, None] + log_rows]).tolist())
+
+    def _sum_rows(self, terms: np.ndarray) -> np.ndarray:
+        """Column sums of a 2-D array of field elements."""
+        raise NotImplementedError
+
     def __repr__(self) -> str:
         return f"GF({self.q})"
 
@@ -210,6 +230,9 @@ class PrimeField(Field):
                 for j, v in enumerate(den):
                     rem[i + j] = (rem[i + j] - c * v) % p
         return poly_trim(quo), poly_trim(rem)
+
+    def _sum_rows(self, terms):
+        return terms.sum(axis=0) % self.p
 
 
 class BinaryField(Field):
@@ -295,6 +318,9 @@ class BinaryField(Field):
                     rem[i + j] ^= exp[lc + lv]
         return poly_trim(quo), poly_trim(rem)
 
+    def _sum_rows(self, terms):
+        return np.bitwise_xor.reduce(terms, axis=0)
+
 
 def make_field(p: int, m: int = 1) -> Field:
     """Construct GF(p^m).  Prime p <= 257 for m = 1; p = 2, 2 <= m <= 12 otherwise."""
@@ -343,42 +369,21 @@ def poly_str(c: list[int]) -> str:
 
 
 @lru_cache(maxsize=16)
-def newton_tables(field: Field, xs: tuple[int, ...]):
-    """N_j / N_j(x_j) and N_j(x_j) for each node x_j, and N_len(xs), where
-    N_j = (x - x_0)...(x - x_{j-1}); a code's first k points build them once."""
-    unit, at_node = [], []
+def lagrange_table(field: Field, xs: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The Lagrange basis of distinct nodes xs, and N = prod_j (x - x_j).
+
+    Row j holds the logs of the coefficients of L_j = N_j / N_j(x_j), N_j =
+    N / (x - x_j), the polynomial of degree len(xs) - 1 that is 1 at x_j and 0
+    at the other nodes; Field.poly_combine of the rows with values ys is the
+    interpolant of degree < len(xs).  A code builds its table once, at its
+    first decode.  O(len(xs)^2).
+    """
     N = [1]
     for x in xs:
-        s = field.poly_eval(N, x)
-        unit.append(field.poly_scale(N, field.inv(s)))
-        at_node.append(s)
         N = field.poly_mul_linear(N, x)
-    return tuple(unit), tuple(at_node), tuple(N)
-
-
-def newton_fit(field: Field, xs, ys) -> tuple[list[int], int]:
-    """Newton fit through the points (xs[j], ys[j]): (R, c).
-
-    R is the unique polynomial of degree < len(xs) through the points, and c
-    is the product of N_j(x_j) over the steps whose residual y_j - R_j(x_j)
-    is nonzero (R_j: the fit through the first j points), the scale that
-    Koetter's update puts on the y-bearing basis element.  Each such step adds
-    its residual times N_j / N_j(x_j) from the cached newton_tables.
-    O(len(xs)^2).
-    """
-    xs = tuple(xs)
-    if len(xs) != len(ys):
-        raise ValueError("point count mismatch")
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate x coordinates")
-    unit, at_node, _ = newton_tables(field, xs)
-    add, mul = field.add, field.mul
-    poly_eval, poly_scale, poly_sub = field.poly_eval, field.poly_scale, field.poly_sub
-    S: list[int] = []  # -R through the points so far
-    c = 1
-    for x, y, U, s in zip(xs, ys, unit, at_node):
-        b = add(y, poly_eval(S, x))  # y - R(x): the Newton coefficient times N_j(x_j)
-        if b:
-            S = poly_sub(S, poly_scale(U, b))
-            c = mul(c, s)
-    return poly_sub([], S), c
+    log = field._log
+    rows = []
+    for x in xs:
+        Nj = field.poly_div_linear(N, x)
+        rows.append([log[v] for v in field.poly_scale(Nj, field.inv(field.poly_eval(Nj, x)))])
+    return np.array(rows, dtype=np.int64), tuple(N)

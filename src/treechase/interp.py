@@ -17,12 +17,16 @@ Both point updates are one elimination step (_eliminate) over the elements'
 discrepancies at x_j: forward_add multiplies the lower-order element by
 (x - x_j), backward_remove divides the eliminated one by it.
 
-A decode starts from interpolate_prefix, which builds the basis for its first
-k points in closed form: for those points Koetter's update always multiplies
-the y-free element by (x - x_j), so the basis is {N_k, c*(y - R)} with N_k the
-product of the (x - x_j) and R the Newton interpolant.  It returns exactly
-the GroebnerBasis (same polys, same points) that folding forward_add over
-the same points from {1, y}, the basis of all q0 + q1*y, returns.
+A decode starts from interpolate, which builds the basis for all n points of
+the hard decision in closed form.  The module is spanned by N = prod (x - x_j)
+and y - R, R the interpolant of degree < n (galois.lagrange_table); cancelling
+the leading terms of these two against each other until they sit in
+different positions (one y-free, one y-bearing) leaves a Groebner basis of
+the module, the reduction of Gao (2003) and Alekhnovich (2005).  Its minimal
+element equals that of the fold of forward_add from {1, y} up to a nonzero
+scalar, so factorize reads the same message off it, and off every basis the
+point updates derive from it.  read_codeword then reads the codeword off the
+same element instead of re-encoding the message.
 
 All operations are pure: they return new objects and never mutate their
 inputs, so bases branched across search-tree nodes may share structure.
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .galois import Field, newton_fit, newton_tables, poly_deg
+from .galois import Field, lagrange_table, poly_deg
 
 _NEG = -(10**9)  # stand-in for the weighted degree of a zero part
 
@@ -147,22 +151,46 @@ def factorize(basis: GroebnerBasis) -> list[int] | None:
     return u
 
 
-def interpolate_prefix(field: Field, points) -> GroebnerBasis:
-    """The fold of forward_add from {1, y} over its k = len(points) >= 1
-    points with distinct x, in closed form.
+def interpolate(field: Field, k: int, points) -> GroebnerBasis:
+    """The Groebner basis of the q0 + q1*y that vanish on points (distinct x,
+    at least one): {N, y - R} reduced under the (1, k-1) order, y-free leader
+    first.
 
-    For j < k the y-free element has the lower order, so Koetter's update
-    always multiplies it by (x - x_j) and corrects the y-bearing one.  The
-    result is P0 = N_k and P1 = c*(y - R), with (R, c) the galois.newton_fit
-    of the k points (forward_add leaves P1 unscaled when its discrepancy is
-    0).  O(k^2) per call over the code's cached newton_tables.
+    While both elements lead y-free, the higher one's leading terms are
+    cancelled against the lower one's by one division of their q0 parts (a
+    step of Euclid's algorithm), and the two swap roles.  Each pass is
+    unimodular, so the pair stays a basis of the module; once the lower
+    element leads with y, the leading terms sit in different positions, which
+    makes the pair a Groebner basis.
     """
     points = tuple((x, y) for x, y in points)
     if not points:
-        raise ValueError("the prefix needs at least one point")
+        raise ValueError("interpolation needs at least one point")
     xs, ys = zip(*points)
-    R, c = newton_fit(field, xs, ys)
-    N = newton_tables(field, xs)[2]
-    q0 = field.poly_scale(field.poly_sub([], R), c)
-    return GroebnerBasis(field, len(points), (BivarPoly(N, ()), BivarPoly(tuple(q0), (c,))),
-                         points)
+    if len(set(xs)) != len(xs):
+        raise ValueError("duplicate x coordinates")
+    log_rows, N = lagrange_table(field, xs)
+    scale, sub = field.poly_scale, field.poly_sub
+    r0, s0, r1, s1 = list(N), [], sub([], field.poly_combine(log_rows, ys)), [1]
+    while len(r1) > len(s1) + k - 1:  # deg r1 > deg s1 + k - 1: r1 + s1*y leads y-free
+        quo, rem = field.poly_divrem(r0, r1)
+        for i, c in enumerate(quo):  # s0 -= quo * s1, one term at a time
+            if c:
+                s0 = sub(s0, [0] * i + scale(s1, c))
+        r0, s0, r1, s1 = r1, s1, rem, s0
+    return GroebnerBasis(field, k, (BivarPoly(tuple(r0), tuple(s0)),
+                                    BivarPoly(tuple(r1), tuple(s1))), points)
+
+
+def read_codeword(basis: GroebnerBasis, u: list[int], xs) -> tuple[int, ...]:
+    """u's values at the interpolated xs, for u = factorize(basis), read off
+    the minimal element q0 + q1*y that u came from.
+
+    q0 = -u*q1 and the element vanishes at every point (x_j, y_j), so
+    q1(x_j) * (y_j - u(x_j)) = 0: the value is y_j wherever q1(x_j) != 0, and
+    u is evaluated only at the roots of q1, which are at most deg q1.
+    """
+    ev = basis.field.poly_eval
+    q1 = minimal_poly(basis).q1
+    ys = dict(basis.points)
+    return tuple([ys[x] if ev(q1, x) else ev(u, x) for x in xs])

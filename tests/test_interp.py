@@ -9,12 +9,12 @@ from treechase.interp import (
     bivar_eval,
     factorize,
     forward_add,
-    interpolate_prefix,
+    interpolate,
     minimal_poly,
     wdeg_key,
 )
 
-from reference import interpolate_points
+from reference import interpolate_points, interpolate_prefix
 
 GF5 = PrimeField(5)
 GF7 = PrimeField(7)
@@ -232,3 +232,84 @@ def test_interpolate_prefix_rejects_bad_points():
         interpolate_prefix(GF7, [(0, 1), (4, 2), (0, 3)])
     with pytest.raises(ValueError):
         interpolate_prefix(GF16, [(5, 1), (5, 1)])
+
+
+# --- interpolate: the closed form of the fold, {N, y - R} reduced ---
+
+CLOSED_FORM_FIELDS = [GF5, GF7, GF16, BinaryField(8)]
+
+
+def proportional(field, P, Q) -> bool:
+    """P = c*Q for some nonzero c."""
+    c = field.mul((P.q1 or P.q0)[-1], field.inv((Q.q1 or Q.q0)[-1]))
+    scaled = (tuple(field.poly_scale(list(Q.q0), c)), tuple(field.poly_scale(list(Q.q1), c)))
+    return c != 0 and scaled == (P.q0, P.q1)
+
+
+def assert_same_module(got, ref):
+    """Two Groebner bases of one module: vanishing, equal leading terms, the
+    minimal element unique up to a nonzero scalar, and so one factorization."""
+    k = got.k
+    assert vanishes_everywhere(got) and vanishes_everywhere(ref)
+    assert sorted(wdeg_key(k, P) for P in got.polys) == sorted(wdeg_key(k, P) for P in ref.polys)
+    assert proportional(got.field, minimal_poly(got), minimal_poly(ref))
+    assert factorize(got) == factorize(ref)
+
+
+@st.composite
+def interpolation_problems(draw):
+    """(field, k, points): random values, or a degree-< k curve with a few errors,
+    so that factorize finds a message on some draws."""
+    field = draw(st.sampled_from(CLOSED_FORM_FIELDS))
+    xs = draw(st.lists(st.integers(0, field.q - 1), min_size=1, max_size=min(field.q, 20),
+                       unique=True))
+    k = draw(st.integers(1, len(xs)))
+    value = st.integers(0, field.q - 1)
+    if draw(st.booleans()):
+        ys = draw(st.lists(value, min_size=len(xs), max_size=len(xs)))
+    else:
+        u = draw(st.lists(value, min_size=k, max_size=k))
+        errors = draw(st.lists(value, min_size=len(xs), max_size=len(xs)))
+        keep = draw(st.lists(st.booleans(), min_size=len(xs), max_size=len(xs)))
+        ys = [field.add(field.poly_eval(u, x), 0 if kept else e)
+              for x, e, kept in zip(xs, errors, keep)]
+    return field, k, list(zip(xs, ys))
+
+
+@settings(max_examples=200)
+@given(interpolation_problems(), st.data())
+def test_interpolate_matches_fold(problem, data):
+    """interpolate and the fold of forward_add from {1, y} give bases of one
+    module, and keep doing so along a random walk of one-point swaps."""
+    field, k, points = problem
+    got, ref = interpolate(field, k, points), interpolate_points(field, k, points)
+    assert (got.field, got.k, got.points) == (ref.field, ref.k, ref.points)
+    assert [wdeg_key(k, P)[1] for P in got.polys] == [0, 1]  # y-free leader first
+    assert_same_module(got, ref)
+    for _ in range(data.draw(st.integers(0, 8))):
+        x, y_old = data.draw(st.sampled_from(got.points))
+        y_new = data.draw(st.integers(0, field.q - 1))
+        got = forward_add(backward_remove(got, x, y_old), x, y_new)
+        ref = forward_add(backward_remove(ref, x, y_old), x, y_new)
+        assert_same_module(got, ref)
+
+
+@pytest.mark.parametrize("field", PREFIX_FIELDS, ids=repr)
+def test_interpolate_edge_cases(field):
+    n = min(field.q, 6)
+    cases = [[(0, 0)], [(1, field.q - 1)],      # one point
+             [(x, 0) for x in range(n)],        # all-zero values: R = 0
+             [(x, 1) for x in range(n)],        # constant values
+             [(x, x) for x in range(n - 1, -1, -1)]]
+    for points in cases:
+        for k in range(1, len(points) + 1):
+            assert_same_module(interpolate(field, k, points), interpolate_points(field, k, points))
+
+
+def test_interpolate_rejects_bad_points():
+    with pytest.raises(ValueError):
+        interpolate(GF7, 2, [])
+    with pytest.raises(ValueError):
+        interpolate(GF7, 2, [(0, 1), (4, 2), (0, 3)])
+    with pytest.raises(ValueError):
+        interpolate(GF16, 1, [(5, 1), (5, 1)])

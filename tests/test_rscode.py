@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from treechase.galois import PRIMITIVE_POLY, make_field, newton_fit
+from treechase.galois import PRIMITIVE_POLY, make_field
 from treechase.rscode import CodeParams, codebook, encode, make_code
+
+from reference import newton_fit
 
 
 def first_k_fit(code, cw):

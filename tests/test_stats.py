@@ -64,3 +64,12 @@ def test_wilson_interval_basic():
     for s, n in ((3, 17), (100, 20000), (1, 2)):
         lo3, hi3 = wilson_interval(s, n)
         assert lo3 <= s / n <= hi3
+
+
+def test_chi2_threshold_is_cached_per_eps_and_dof():
+    chi2_threshold.cache_clear()
+    first = chi2_threshold(0.02, 30)
+    assert chi2_threshold(0.02, 30) == first
+    assert chi2_threshold(0.02, 31) != first
+    info = chi2_threshold.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
