@@ -1,12 +1,12 @@
 """Gray-coded low-complexity Chase baseline and ML-performance bookkeeping.
 
 The baseline is the second pattern order over the decoder's trial engine
-(decoder._Search), which supplies the front end, the running hypothesis, the
-point swap, the Kaneko and genie exits and the result.  The order itself
-ranks coordinates by the gap between the two best column log-likelihoods,
-takes the eta least reliable positions, and walks all 2^eta hard-decision
-test vectors built from {best, second-best} symbols in Gray-code order, so
-consecutive vectors differ in a single coordinate and each costs one swap.
+(decoder._Search), which runs the first trial, every point swap, the Kaneko
+and genie exits and the result.  The order itself ranks coordinates by the
+gap between the two best column log-likelihoods, takes the eta least
+reliable positions, and walks all 2^eta hard-decision test vectors built
+from {best, second-best} symbols in Gray-code order, so consecutive vectors
+differ in a single coordinate and each costs one trial.
 
 classify_ml sandwiches the simulated ML frame-error rate: every frame
 contributes indicator bounds e_lower <= E_ML <= e_upper based on whether the
@@ -53,21 +53,19 @@ def lcc_decode(code: CodeParams, pi: np.ndarray, cfg: LccConfig | None = None,
     lrps = s.chain.floor[0][:cfg.eta]
     second = {j: sub(z[j], int(s.sw.lam[:, j].argmin()) + 1) for j in lrps}
 
-    basis, exit_reason = s.first_trial()
-    state = list(z)
-    if exit_reason is None:
+    def gray_walk(basis):
+        state = list(z)
         for i in range(1, 1 << cfg.eta):
             j = lrps[(i & -i).bit_length() - 1]  # Gray code i flips bit ctz(i)
             y_new = second[j] if state[j] == z[j] else z[j]
-            basis = s.swap(basis, j, state[j], y_new)
-            state[j] = y_new
             s.steps += 1
-            exit_reason = s.attempt(basis)
+            basis, exit_reason = s.trial(basis, j, state[j], y_new)
+            state[j] = y_new
             if exit_reason is not None:
-                break
-        else:
-            exit_reason = EXIT_BUDGET
-    return s.result(exit_reason)
+                return exit_reason
+        return EXIT_BUDGET
+
+    return s.run(gray_walk)
 
 
 def classify_ml(code: CodeParams, pi: np.ndarray, result: DecodeResult,

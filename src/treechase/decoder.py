@@ -3,13 +3,14 @@
 A trial is one hard-decision decode: the inherited interpolation basis with
 one point swapped (one backward removal, one forward insertion), then one
 factorization attempt.  _Search is the engine every decoder shares.  It owns
-the front end (hard decision z, soft weights, atom chain), the running
+the front end (hard decision z, soft weights, atom chain) and the running
 hypothesis (the lightest error pattern e* whose subtraction from z gives a
-codeword), the initial interpolation, the point swap, the attempt, and the
-assembly of the DecodeResult.  A decoder is a pattern order over it:
-tcgs_decode pops flipping patterns best-first by their bound B, and
-baselines.lcc_decode Gray-walks the test vectors of its least reliable
-positions.  Certificates:
+codeword), and it runs every trial: run makes the first (z interpolated in
+closed form), hands that basis to a pattern order, and assembles the
+DecodeResult from the exit reason the order returns; trial makes each later
+one.  A decoder is only its pattern order: tcgs_decode pops flipping
+patterns best-first by their bound B, and baselines.lcc_decode Gray-walks
+the test vectors of its least reliable positions.  Certificates:
 
   certified_tree    at a pop, weight(e*) <= B(front pattern): nothing lighter
                     can be generated by any unexplored pattern.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -92,8 +94,16 @@ class DecodeResult:
     trials: int
     steps: int
     exit_reason: str
-    backward_ops: int
-    forward_ops: int
+
+    @property
+    def forward_ops(self) -> int:
+        """Koetter updates: trial 1 interpolates in closed form, and every later
+        trial makes one forward and one backward update."""
+        return self.trials - 1
+
+    @property
+    def backward_ops(self) -> int:
+        return self.trials - 1
 
     @property
     def certified(self) -> bool:
@@ -110,7 +120,7 @@ class _Search:
     """The state of one decode, shared by every pattern order.
 
     The order picks which basis to try next; the engine interpolates, swaps
-    points, attempts each basis, counts the work, and assembles the result.
+    points, attempts each basis, counts the trials, and assembles the result.
     """
 
     def __init__(self, code: CodeParams, pi: np.ndarray,
@@ -126,7 +136,7 @@ class _Search:
         self.e_star, self.w_star = z, sw.pattern_weight(z)
         self.u_star: list[int] | None = None
         self.c_star: tuple[int, ...] | None = None
-        self.trials = self.steps = self.backward_ops = self.forward_ops = 0
+        self.trials = self.steps = 0
         if trace is not None:
             trace.append(f"CODE q={field.q} n={code.n} k={code.k}")
             trace.append("Z z=" + ",".join(str(v) for v in z))
@@ -135,23 +145,35 @@ class _Search:
                 trace.append(f"ATOM rank={r + 1} coord={c} delta={d} weight={chain.weights[r]:.4f}")
             trace.append(f"INIT weight={self.w_star:.4f}")
 
-    def first_trial(self) -> tuple[GroebnerBasis, str | None]:
-        """Interpolate z in closed form and attempt it."""
+    def run(self, order: Callable[[GroebnerBasis], str]) -> DecodeResult:
+        """Interpolate z in closed form and attempt it; unless that exits, order
+        runs the later trials from its basis and returns the exit reason."""
         code = self.code
         basis = interpolate(code.field, code.k, zip(code.eval_points, self.z))
         self.trials = 1
-        return basis, self.attempt(basis, "0")
+        exit_reason = self.attempt(basis, "0") or order(basis)
+        if exit_reason in CERTIFIED_EXITS and self.u_star is None:
+            # e* is still z itself, so the certified output is the zero codeword
+            self.u_star = []
+            self.c_star = tuple([0] * code.n)
+        if self.trace is not None:
+            msg = poly_str(self.u_star) if self.u_star is not None else "none"
+            self.trace.append(f"EXIT reason={exit_reason} trials={self.trials} msg={msg} "
+                              f"weight={self.w_star:.4f}")
+        return DecodeResult(message=self.u_star, codeword=self.c_star, best_error=self.e_star,
+                            best_weight=self.w_star, trials=self.trials, steps=self.steps,
+                            exit_reason=exit_reason)
 
-    def swap(self, basis: GroebnerBasis, j: int, y_old: int, y_new: int) -> GroebnerBasis:
-        """The point swap of one trial: y_new replaces y_old at coordinate j."""
+    def trial(self, basis: GroebnerBasis, j: int, y_old: int, y_new: int,
+              pattern: str = "") -> tuple[GroebnerBasis, str | None]:
+        """One later trial: y_new replaces y_old at coordinate j (one backward
+        and one forward update), then the attempt."""
         x = self.code.eval_points[j]
         basis = forward_add(backward_remove(basis, x, y_old), x, y_new)
-        self.backward_ops += 1
-        self.forward_ops += 1
         self.trials += 1
-        return basis
+        return basis, self.attempt(basis, pattern)
 
-    def attempt(self, basis: GroebnerBasis, pattern: str = "") -> str | None:
+    def attempt(self, basis: GroebnerBasis, pattern: str) -> str | None:
         """Factorize, update the running best, fire Kaneko / genie exits.
 
         pattern labels the trial in the trace.
@@ -183,20 +205,6 @@ class _Search:
             return EXIT_GENIE
         return None
 
-    def result(self, exit_reason: str) -> DecodeResult:
-        if exit_reason in CERTIFIED_EXITS and self.u_star is None:
-            # e* is still z itself, so the certified output is the zero codeword
-            self.u_star = []
-            self.c_star = tuple([0] * self.code.n)
-        if self.trace is not None:
-            msg = poly_str(self.u_star) if self.u_star is not None else "none"
-            self.trace.append(f"EXIT reason={exit_reason} trials={self.trials} msg={msg} "
-                              f"weight={self.w_star:.4f}")
-        return DecodeResult(message=self.u_star, codeword=self.c_star, best_error=self.e_star,
-                            best_weight=self.w_star, trials=self.trials, steps=self.steps,
-                            exit_reason=exit_reason, backward_ops=self.backward_ops,
-                            forward_ops=self.forward_ops)
-
 
 def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = None,
                 genie_codeword: tuple[int, ...] | None = None,
@@ -221,8 +229,7 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
         resid_z = -2.0 * s2 * (float(sum(pi[zj, j] for j, zj in enumerate(z))) + code.n * log_norm)
         T_z = (T - resid_z) / (2.0 * s2)
 
-    basis, exit_reason = s.first_trial()
-    if exit_reason is None:
+    def tree_order(basis):
         # A heap of pattern_key(bound, f) + (f, parent basis).  The keys are unique:
         # ranks name the pattern and the tree holds each pattern once, so a
         # comparison never reaches f (a tie would raise TypeError, not misorder).
@@ -236,8 +243,7 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
         while s.trials < L:
             if not frontier:
                 # frontier exhaustion is always exact: every pattern of the tree was tried
-                exit_reason = EXIT_CERTIFIED_TREE
-                break
+                return EXIT_CERTIFIED_TREE
             bound, _, _, f, f_basis = heapq.heappop(frontier)
             s.steps += 1
             pat_str = ""  # only trace lines read the rendered pattern
@@ -246,27 +252,24 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
                 trace.append(f"POP step={s.steps} pattern={pat_str} bound={bound:.4f}")
             if T_z is not None:
                 if bound >= T_z:
-                    exit_reason = EXIT_THRESHOLD
-                    break
+                    return EXIT_THRESHOLD
             elif s.w_star <= bound:
-                exit_reason = EXIT_CERTIFIED_TREE
-                break
+                return EXIT_CERTIFIED_TREE
             # the last atom of f replaces z at its coordinate
             j, delta = chain.atom(f.ranks[-1])
-            nb = s.swap(f_basis, j, z[j], sub(z[j], delta))
-            exit_reason = s.attempt(nb, pat_str)
+            nb, exit_reason = s.trial(f_basis, j, z[j], sub(z[j], delta), pat_str)
             if exit_reason is not None:
-                break
+                return exit_reason
             if s.trials == L:
-                continue  # no pop follows, so no child or sibling would be read
+                break  # no pop follows, so no child or sibling would be read
             # the child extends the swapped basis; the sibling swaps from the parent's
             for g, g_basis in ((leftmost_child(chain, f), nb), (next_sibling(chain, f), f_basis)):
                 if g is not None:
                     key = pattern_key(bound_B(chain, g, t_min), g)
                     heapq.heappush(frontier, key + (g, g_basis))
-        else:
-            exit_reason = EXIT_BUDGET
-    return s.result(exit_reason)
+        return EXIT_BUDGET
+
+    return s.run(tree_order)
 
 
 @lru_cache(maxsize=8)

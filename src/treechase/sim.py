@@ -5,7 +5,10 @@ index), so frame i is the same message and noise realization no matter how
 many workers run the sweep or which algorithm consumes it; reruns are
 byte-reproducible.  Stopping is evaluated at fixed-size chunk boundaries
 (again worker-independent): a sweep point ends at max_frames or once
-min_errors frame errors have accumulated, whichever comes first.
+min_errors frame errors have accumulated, whichever comes first.  A point
+builds its context once, in the parent, and maps _run_frame over each
+chunk's frame indices, in process or over a fork pool whose workers inherit
+that context; the parent counts the outcomes in frame order.
 
 The CSV report deliberately writes 0.000 in the wall_seconds column unless
 timing is explicitly requested, because measured wall time is the one field
@@ -54,10 +57,8 @@ class SweepConfig:
 
 @dataclass
 class SweepRow:
-    """One (algorithm, SNR) sweep point: frame, ML-bound and trial counts.
-
-    add counts one frame; + merges the counts of two frame spans of the point.
-    """
+    """One (algorithm, SNR) sweep point: frame, ML-bound and trial counts;
+    add counts one frame."""
 
     algorithm: str
     snr_db: float
@@ -76,11 +77,6 @@ class SweepRow:
         self.e_upper += eu
         self.e_lower += el
         self.trials += trials
-
-    def __add__(self, other: "SweepRow") -> "SweepRow":
-        return SweepRow(self.algorithm, self.snr_db, self.frames + other.frames,
-                        self.frame_errors + other.frame_errors, self.e_upper + other.e_upper,
-                        self.e_lower + other.e_lower, self.trials + other.trials, self.wall_seconds)
 
     @property
     def fer(self) -> float:
@@ -137,11 +133,10 @@ def draw_frame(code: CodeParams, sigma: float, seed: int, idx: int) -> tuple[tup
 
 
 class _PointCtx:
-    """Per-process state for one (algorithm, SNR) sweep point."""
+    """The state of one (algorithm, SNR) sweep point: code, noise and decoder config."""
 
     def __init__(self, cfg: SweepConfig, alg: str, snr_db: float):
-        self.cfg = cfg
-        self.alg, self.snr_db = alg, snr_db
+        self.cfg, self.alg = cfg, alg
         self.code = make_code(cfg.p, cfg.m, cfg.n, cfg.k)
         self.sigma = sigma_from_snr_db(snr_db, cfg.k / cfg.n)
         self.sigma2 = self.sigma * self.sigma
@@ -167,48 +162,31 @@ class _PointCtx:
         return err, eu, el, res.trials
 
 
-_WORKER_CTX: _PointCtx | None = None
+_CTX: _PointCtx | None = None  # the running point's, inherited by forked workers
 
 
-def _worker_init(cfg: SweepConfig, alg: str, snr_db: float) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = _PointCtx(cfg, alg, snr_db)
-
-
-def _worker_span(span: tuple[int, int]) -> SweepRow:
-    row = SweepRow(_WORKER_CTX.alg, _WORKER_CTX.snr_db)
-    for idx in range(span[0], span[1]):
-        row.add(*_WORKER_CTX.run_frame(idx))
-    return row
-
-
-def _spans(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
-    step = max(1, math.ceil((hi - lo) / parts))
-    return [(a, min(a + step, hi)) for a in range(lo, hi, step)]
-
-
-def _stop(cfg: SweepConfig, row: SweepRow) -> bool:
-    return cfg.min_errors > 0 and row.frame_errors >= cfg.min_errors
+def _run_frame(idx: int) -> tuple[bool, int, int, int]:
+    return _CTX.run_frame(idx)
 
 
 def run_point(cfg: SweepConfig, alg: str, snr_db: float) -> SweepRow:
+    global _CTX
     start = time.perf_counter()
     row = SweepRow(alg, snr_db)
+    _CTX = _PointCtx(cfg, alg, snr_db)
     with ExitStack() as stack:
+        pool = None
         if cfg.workers > 1:
             from multiprocessing import get_context
 
-            span_map = stack.enter_context(get_context("fork").Pool(
-                cfg.workers, initializer=_worker_init, initargs=(cfg, alg, snr_db))).map
-        else:
-            _worker_init(cfg, alg, snr_db)
-            span_map = map
-        done = 0
-        while done < cfg.max_frames and not _stop(cfg, row):
-            hi = min(done + CHUNK, cfg.max_frames)
-            for part in span_map(_worker_span, _spans(done, hi, cfg.workers)):
-                row = row + part
-            done = hi
+            pool = stack.enter_context(get_context("fork").Pool(cfg.workers))
+        for lo in range(0, cfg.max_frames, CHUNK):
+            if 0 < cfg.min_errors <= row.frame_errors:
+                break
+            frames = range(lo, min(lo + CHUNK, cfg.max_frames))
+            share = math.ceil(len(frames) / cfg.workers)  # each worker maps one even share
+            for outcome in pool.map(_run_frame, frames, share) if pool else map(_run_frame, frames):
+                row.add(*outcome)
     row.wall_seconds = time.perf_counter() - start
     return row
 

@@ -11,13 +11,9 @@ because no decode, sweep or CLI path calls it:
                         completeness argument
   interpolate_points    the fold of forward_add from {1, y}, which
                         interp.interpolate reduces to in closed form
-  newton_tables, newton_fit, interpolate_prefix
-                        the Newton closed form of the fold's first k points
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from scipy.special import gammaincc
 
@@ -92,63 +88,3 @@ def interpolate_points(field: Field, k: int, points) -> GroebnerBasis:
     for x, y in points:
         basis = forward_add(basis, x, y)
     return basis
-
-
-@lru_cache(maxsize=16)
-def newton_tables(field: Field, xs: tuple[int, ...]):
-    """N_j / N_j(x_j) and N_j(x_j) for each node x_j, and N_len(xs), where
-    N_j = (x - x_0)...(x - x_{j-1})."""
-    unit, at_node = [], []
-    N = [1]
-    for x in xs:
-        s = field.poly_eval(N, x)
-        unit.append(field.poly_scale(N, field.inv(s)))
-        at_node.append(s)
-        N = field.poly_mul_linear(N, x)
-    return tuple(unit), tuple(at_node), tuple(N)
-
-
-def newton_fit(field: Field, xs, ys) -> tuple[list[int], int]:
-    """Newton fit through the points (xs[j], ys[j]): (R, c).
-
-    R is the unique polynomial of degree < len(xs) through the points, and c
-    is the product of N_j(x_j) over the steps whose residual y_j - R_j(x_j)
-    is nonzero (R_j: the fit through the first j points), the scale that
-    Koetter's update puts on the y-bearing basis element.
-    """
-    xs = tuple(xs)
-    if len(xs) != len(ys):
-        raise ValueError("point count mismatch")
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate x coordinates")
-    unit, at_node, _ = newton_tables(field, xs)
-    add, mul = field.add, field.mul
-    poly_eval, poly_scale, poly_sub = field.poly_eval, field.poly_scale, field.poly_sub
-    S: list[int] = []  # -R through the points so far
-    c = 1
-    for x, y, U, s in zip(xs, ys, unit, at_node):
-        b = add(y, poly_eval(S, x))  # y - R(x): the Newton coefficient times N_j(x_j)
-        if b:
-            S = poly_sub(S, poly_scale(U, b))
-            c = mul(c, s)
-    return poly_sub([], S), c
-
-
-def interpolate_prefix(field: Field, points) -> GroebnerBasis:
-    """The fold of forward_add from {1, y} over its k = len(points) >= 1
-    points with distinct x, in closed form.
-
-    For j < k the y-free element has the lower order, so Koetter's update
-    always multiplies it by (x - x_j) and corrects the y-bearing one.  The
-    result is P0 = N_k and P1 = c*(y - R), with (R, c) the newton_fit of the
-    k points (forward_add leaves P1 unscaled when its discrepancy is 0).
-    """
-    points = tuple((x, y) for x, y in points)
-    if not points:
-        raise ValueError("the prefix needs at least one point")
-    xs, ys = zip(*points)
-    R, c = newton_fit(field, xs, ys)
-    N = newton_tables(field, xs)[2]
-    q0 = field.poly_scale(field.poly_sub([], R), c)
-    return GroebnerBasis(field, len(points), (BivarPoly(N, ()), BivarPoly(tuple(q0), (c,))),
-                         points)

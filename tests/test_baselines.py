@@ -102,8 +102,7 @@ def test_classify_ml_four_cases(code54, example1_pi):
 def test_classify_ml_none_output_counts_upper_only(code54, example1_pi):
     from treechase.decoder import DecodeResult, EXIT_BUDGET
     res = DecodeResult(message=None, codeword=None, best_error=(1, 0, 2, 0),
-                       best_weight=1.39, trials=1, steps=0,
-                       exit_reason=EXIT_BUDGET, backward_ops=0, forward_ops=4)
+                       best_weight=1.39, trials=1, steps=0, exit_reason=EXIT_BUDGET)
     assert classify_ml(code54, example1_pi, res, (1, 3, 0, 2)) == (1, 0)
 
 
@@ -155,13 +154,6 @@ def test_bound_tally_invariants():
         t.add(True, 0, 0, 1)   # error outside [el, eu]
     with pytest.raises(ValueError):
         t.add(False, 0, 1, 1)  # el > error
-
-
-def test_bound_tally_merge():
-    a = SweepRow("tcgs", 5.0, frames=2, frame_errors=1, e_upper=1, e_lower=0, trials=5)
-    b = SweepRow("tcgs", 5.0, frames=3, frame_errors=0, e_upper=1, e_lower=0, trials=3)
-    c = a + b
-    assert (c.frames, c.frame_errors, c.e_upper, c.e_lower, c.trials) == (5, 1, 2, 0, 8)
 
 
 def test_sandwich_holds_over_random_frames(code54):

@@ -14,7 +14,7 @@ from treechase.interp import (
     wdeg_key,
 )
 
-from reference import interpolate_points, interpolate_prefix
+from reference import interpolate_points
 
 GF5 = PrimeField(5)
 GF7 = PrimeField(7)
@@ -190,50 +190,6 @@ def test_random_walk_keeps_update_preconditions(field, k, data):
             assert tuple(field.poly_eval(P.q1, x) for P in basis.polys) != (0, 0)
 
 
-PREFIX_FIELDS = [make_field(p) for p in (2, 3, 5, 7, 257)] + [make_field(2, m) for m in (2, 4, 8)]
-
-
-def assert_prefix_equals_fold(field, points):
-    k = len(points)
-    got = interpolate_prefix(field, points)
-    ref = interpolate_points(field, k, points)
-    assert got.polys == ref.polys
-    assert got.points == ref.points
-    assert (got.field, got.k) == (ref.field, ref.k)
-
-
-@settings(max_examples=200)
-@given(st.sampled_from(PREFIX_FIELDS), st.data())
-def test_interpolate_prefix_equals_fold(field, data):
-    xs = data.draw(st.lists(st.integers(0, field.q - 1), min_size=1,
-                            max_size=min(field.q, 24), unique=True))
-    ys = data.draw(st.one_of(
-        st.just([0] * len(xs)),
-        st.lists(st.sampled_from([0, 1, field.q - 1]), min_size=len(xs), max_size=len(xs)),
-        st.lists(st.integers(0, field.q - 1), min_size=len(xs), max_size=len(xs))))
-    assert_prefix_equals_fold(field, list(zip(xs, ys)))
-
-
-@pytest.mark.parametrize("field", PREFIX_FIELDS, ids=repr)
-def test_interpolate_prefix_edge_cases(field):
-    assert_prefix_equals_fold(field, [(0, 0)])                  # k = 1, x = 0, y = 0
-    assert_prefix_equals_fold(field, [(1, field.q - 1)])        # k = 1
-    k = min(field.q, 6)
-    assert_prefix_equals_fold(field, [(x, 0) for x in range(k)])  # all-zero values
-    assert_prefix_equals_fold(field, [(x, 1) for x in range(k)])  # constant values
-    # x = 0 last, where the running Newton basis is evaluated at zero
-    assert_prefix_equals_fold(field, [(x, x) for x in range(k - 1, -1, -1)])
-
-
-def test_interpolate_prefix_rejects_bad_points():
-    with pytest.raises(ValueError):
-        interpolate_prefix(GF7, [])
-    with pytest.raises(ValueError):
-        interpolate_prefix(GF7, [(0, 1), (4, 2), (0, 3)])
-    with pytest.raises(ValueError):
-        interpolate_prefix(GF16, [(5, 1), (5, 1)])
-
-
 # --- interpolate: the closed form of the fold, {N, y - R} reduced ---
 
 CLOSED_FORM_FIELDS = [GF5, GF7, GF16, BinaryField(8)]
@@ -294,7 +250,11 @@ def test_interpolate_matches_fold(problem, data):
         assert_same_module(got, ref)
 
 
-@pytest.mark.parametrize("field", PREFIX_FIELDS, ids=repr)
+EDGE_CASE_FIELDS = ([make_field(p) for p in (2, 3, 5, 7, 257)]
+                    + [make_field(2, m) for m in (2, 4, 8)])
+
+
+@pytest.mark.parametrize("field", EDGE_CASE_FIELDS, ids=repr)
 def test_interpolate_edge_cases(field):
     n = min(field.q, 6)
     cases = [[(0, 0)], [(1, field.q - 1)],      # one point

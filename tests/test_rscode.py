@@ -1,15 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from treechase.galois import PRIMITIVE_POLY, make_field
+from treechase.galois import PRIMITIVE_POLY, lagrange_table, make_field
 from treechase.rscode import CodeParams, codebook, encode, make_code
-
-from reference import newton_fit
 
 
 def first_k_fit(code, cw):
     """The degree-< k message through the first k coordinates, zero-padded to k."""
-    u = newton_fit(code.field, code.eval_points[:code.k], cw[:code.k])[0]
+    field, xs = code.field, code.eval_points[:code.k]
+    u = field.poly_combine(lagrange_table(field, xs)[0], cw[:code.k])
     return u + [0] * (code.k - len(u))
 
 

@@ -1,9 +1,11 @@
 import re
+from dataclasses import replace
 
 import pytest
 from scipy.stats import spearmanr
 
 from treechase.sim import (
+    ALGORITHMS,
     CHUNK,
     CSV_HEADER,
     MAX_SNR_STEPS,
@@ -159,9 +161,14 @@ def test_threshold_sweep_csv_is_pinned(workers):
 
 
 def test_worker_count_invariance_small():
-    cfg1 = small_cfg(max_frames=250, workers=1)
-    cfg2 = small_cfg(max_frames=250, workers=3)
-    assert rows_to_csv(run_sweep(cfg1)) == rows_to_csv(run_sweep(cfg2))
+    """Forked workers inherit each point's context: every mode (tcgs, lcc and
+    hdd, with and without the genie, and threshold tcgs) gives one CSV at 1
+    and 3 workers."""
+    for mode in (dict(algorithms=ALGORITHMS), dict(algorithms=ALGORITHMS, genie=True),
+                 dict(threshold_eps=0.01)):
+        cfg = small_cfg(max_frames=250, **mode)
+        csv = rows_to_csv(run_sweep(cfg))
+        assert rows_to_csv(run_sweep(replace(cfg, workers=3))) == csv, mode
 
 
 def test_min_errors_stops_on_chunk_boundary():
