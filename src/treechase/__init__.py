@@ -8,12 +8,11 @@ Gray-ordered test patterns, and a seeded Monte-Carlo sweep harness.
 from .baselines import LccConfig, classify_ml, lcc_decode
 from .channel import (SoftWeights, frame_rng, hard_decision, likelihoods, load_pi,
                       modulate, save_pi, sigma_from_snr_db, soft_weights, transmit)
-from .chase import (AtomChain, FlippingPattern, ROOT, bound_B, build_atom_chain,
-                    greedy_g_min, kaneko_B0, leftmost_child, next_sibling, render_pattern)
+from .chase import (AtomChain, bound_B, build_atom_chain, kaneko_B0, leftmost_child,
+                    next_sibling, render_pattern)
 from .decoder import (CERTIFIED_EXITS, DecodeResult, DecoderConfig,
                       EXIT_BUDGET, EXIT_CERTIFIED_KANEKO, EXIT_CERTIFIED_TREE, EXIT_GENIE,
-                      EXIT_THRESHOLD, compare_traces, decode_with_trace,
-                      mld_oracle, tcgs_decode)
+                      EXIT_THRESHOLD, compare_traces, decode_with_trace, tcgs_decode)
 from .galois import BinaryField, Field, PrimeField, make_field
 from .interp import (GroebnerBasis, backward_remove, factorize, forward_add,
                      interpolate, minimal_poly, wdeg_key)
@@ -26,15 +25,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomChain", "BinaryField", "CERTIFIED_EXITS", "CodeParams",
     "DecodeResult", "DecoderConfig", "EXIT_BUDGET", "EXIT_CERTIFIED_TREE",
-    "EXIT_CERTIFIED_KANEKO", "EXIT_GENIE", "EXIT_THRESHOLD", "Field", "FlippingPattern",
-    "GroebnerBasis", "LccConfig", "PrimeField", "ROOT", "SoftWeights",
+    "EXIT_CERTIFIED_KANEKO", "EXIT_GENIE", "EXIT_THRESHOLD", "Field",
+    "GroebnerBasis", "LccConfig", "PrimeField", "SoftWeights",
     "SweepConfig", "SweepRow", "backward_remove", "bound_B",
     "build_atom_chain", "chi2_threshold", "classify_ml",
     "compare_traces", "decode_with_trace", "encode", "factorize", "forward_add",
-    "frame_rng", "greedy_g_min", "hard_decision",
+    "frame_rng", "hard_decision",
     "interpolate", "kaneko_B0", "lcc_decode", "leftmost_child",
     "likelihoods", "load_pi", "make_code", "make_field",
-    "minimal_poly", "mld_oracle", "modulate", "next_sibling", "parse_snr_spec",
+    "minimal_poly", "modulate", "next_sibling", "parse_snr_spec",
     "render_pattern", "rows_to_csv", "run_point",
     "run_sweep", "save_pi", "sigma_from_snr_db", "soft_weights", "tcgs_decode",
     "transmit", "wdeg_key", "wilson_interval",

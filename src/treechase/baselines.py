@@ -16,6 +16,7 @@ sim.SweepRow counts them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,6 @@ def classify_ml(code: CodeParams, pi: np.ndarray, result: DecodeResult,
         return (1, 0)
     pi = np.asarray(pi, dtype=np.float64)  # as the decoder reads it
     z = map(code.field.add, result.codeword, result.best_error)  # the decoder's e* is z - c*
-    # the soft weight of e_tx = z - tx, summed in coordinate order as pattern_weight sums it
-    w_tx = float(sum(pi[zj, j] - pi[tj, j] for j, (zj, tj) in enumerate(zip(z, tx)) if zj != tj))
+    # the soft weight of e_tx = z - tx, one correctly rounded sum as pattern_weight takes it
+    w_tx = math.fsum([pi[zj, j] - pi[tj, j] for j, (zj, tj) in enumerate(zip(z, tx)) if zj != tj])
     return (1, 1) if result.best_weight < w_tx else (1, 0)

@@ -96,8 +96,9 @@ class SoftWeights:
     lam: np.ndarray  # shape (q-1, n)
 
     def pattern_weight(self, e) -> float:
-        """Total weight of an error vector (0 entries contribute nothing)."""
-        return float(sum(self.lam[ej - 1, j] for j, ej in enumerate(e) if ej))
+        """Total weight of an error vector (0 entries contribute nothing),
+        correctly rounded (math.fsum) as every weight a certificate compares."""
+        return math.fsum([self.lam[ej - 1, j] for j, ej in enumerate(e) if ej])
 
 
 def soft_weights(field: Field, pi: np.ndarray, z: tuple[int, ...]) -> SoftWeights:

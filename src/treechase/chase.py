@@ -5,6 +5,7 @@ the hard decision at coordinate j.  Atoms carry the nonnegative soft weight
 lam_j(delta) and are totally ordered by (weight, coordinate, delta); the
 sorted sequence is the atom chain, and every error hypothesis is a
 rank-increasing sub-chain with distinct coordinates (a flipping pattern).
+A pattern is the plain tuple of its strictly increasing ranks; the root is ().
 
 For a code with half-distance radius t_min, a pattern f opens the candidate
 set G(f) of t_min-coordinate completions further down the chain; the greedy
@@ -16,16 +17,21 @@ lower-bounds the weight of every error hypothesis whose minimal decomposition
 starts with f.  B is monotone along the sibling order and from parent to
 child, which is what makes best-first traversal with a priority queue exact.
 
+Every weight a certificate or the frontier compares (B, the Kaneko floor B0,
+and SoftWeights.pattern_weight) is math.fsum of its atom weights: the
+correctly rounded exact sum, whatever the order of its terms.  Rounding is
+monotone, so each inequality the bounds satisfy in exact arithmetic holds
+between the rounded values too, and a certificate w(e*) <= B means that no
+codeword has a smaller rounded weight.
+
 AtomChain holds the weight table and sorts it the first time the tree search
 (or a trace) reads a rank: one stable argsort of the coordinate-major weights,
-whose index order is (coordinate, delta), so ties need no second key.  A
-pattern is its ranks and weight; coordinates are read off the chain.  Both
-bounds are one greedy scan: greedy_g_min walks the chain past the pattern,
-and the Kaneko floor kaneko_B0 walks a per-coordinate floor instead,
-coordinates ordered by (lightest weight, coordinate).  That is the order in
-which the chain scan meets them, so the floor sums the same floats in the
-same order, and frames that stop at a Kaneko certificate, or never search the
-tree (lcc), never pay for the sort.
+whose index order is (coordinate, delta), so ties need no second key.
+Coordinates are read off the chain.  Both bounds and both tree moves are one
+greedy scan: bound_B walks the chain past the pattern, and the Kaneko floor
+kaneko_B0 walks a per-coordinate floor of lightest weights instead, so frames
+that stop at a Kaneko certificate, or never search the tree (lcc), never pay
+for the sort.
 """
 
 from __future__ import annotations
@@ -75,7 +81,7 @@ class AtomChain:
         """Coordinates ordered by (lightest atom weight, coordinate), with that weight.
 
         This is the order in which a scan of the sorted chain first meets
-        each coordinate, so sums over it equal the chain scan bit for bit.
+        each coordinate.
         """
         mins = self.lam.min(axis=0)
         order = np.argsort(mins, kind="stable")
@@ -93,103 +99,70 @@ def build_atom_chain(sw: SoftWeights) -> AtomChain:
     return AtomChain(sw.lam)
 
 
-@dataclass(frozen=True)
-class FlippingPattern:
-    """Strictly rank-increasing atom ranks with pairwise distinct coordinates."""
-
-    ranks: tuple[int, ...]
-    weight: float  # the atom weights summed left to right in rank order
-
-    @property
-    def upper_rank(self) -> int:
-        """Rank of the last atom; -1 for the empty pattern (scan sentinel)."""
-        return self.ranks[-1] if self.ranks else -1
-
-
-ROOT = FlippingPattern((), 0.0)
-
-
-def render_pattern(chain: AtomChain, f: FlippingPattern) -> str:
-    if not f.ranks:
+def render_pattern(chain: AtomChain, f: tuple[int, ...]) -> str:
+    if not f:
         return "0"
-    return "+".join(f"({c},{d})" for c, d in map(chain.atom, f.ranks))
+    return "+".join(f"({c},{d})" for c, d in map(chain.atom, f))
 
 
-def _greedy_sum(coords, weights, start: int, taken: set[int], need: int) -> float:
-    """Weights summed at the first need fresh coordinates from index start on.
+def _greedy_scan(coords, start: int, taken: set[int], need: int) -> list[int] | None:
+    """Indices of the first need fresh coordinates from index start on.
 
     A coordinate is fresh the first time the scan meets it outside taken,
-    which the scan extends as it goes.  Returns +inf when fewer than need
-    fresh coordinates remain, and 0 when need <= 0.
+    which the scan extends as it goes.  Returns None when fewer than need
+    fresh coordinates remain, and [] when need <= 0.
     """
+    picks: list[int] = []
     if need <= 0:
-        return 0.0
-    total = 0.0
+        return picks
     for r in range(start, len(coords)):
         c = coords[r]
-        if c in taken:
-            continue
-        taken.add(c)
-        total += weights[r]
-        need -= 1
-        if need == 0:
-            return total
-    return math.inf
-
-
-def greedy_g_min(chain: AtomChain, f: FlippingPattern, t_min: int) -> float:
-    """Exact min weight over G(f): t_min atoms past R_u(f) on fresh coordinates.
-
-    Returns +inf when fewer than t_min such atoms remain.
-    """
-    coords = chain.coords
-    return _greedy_sum(coords, chain.weights, f.upper_rank + 1,
-                       {coords[r] for r in f.ranks}, t_min)
-
-
-def bound_B(chain: AtomChain, f: FlippingPattern, t_min: int) -> float:
-    return f.weight + greedy_g_min(chain, f, t_min)
-
-
-def _extend(chain: AtomChain, head: tuple[int, ...], weight: float,
-            start: int) -> FlippingPattern | None:
-    """head plus the first atom at rank >= start on a coordinate head does not use, or None."""
-    coords = chain.coords
-    taken = {coords[r] for r in head}
-    for r in range(start, len(coords)):
-        if coords[r] not in taken:
-            return FlippingPattern(head + (r,), weight + chain.weights[r])
+        if c not in taken:
+            taken.add(c)
+            picks.append(r)
+            if len(picks) == need:
+                return picks
     return None
 
 
-def leftmost_child(chain: AtomChain, f: FlippingPattern) -> FlippingPattern | None:
+def bound_B(chain: AtomChain, f: tuple[int, ...], t_min: int) -> float:
+    """B(f): the weight of f plus the exact min over G(f), the t_min atoms past
+    f's last rank on fresh coordinates; +inf when fewer than t_min remain."""
+    coords = chain.coords
+    picks = _greedy_scan(coords, f[-1] + 1 if f else 0, {coords[r] for r in f}, t_min)
+    if picks is None:
+        return math.inf
+    weights = chain.weights
+    return math.fsum([weights[r] for r in f + tuple(picks)])
+
+
+def _extend(chain: AtomChain, head: tuple[int, ...], start: int) -> tuple[int, ...] | None:
+    """head plus the first atom at rank >= start on a coordinate head does not use, or None."""
+    coords = chain.coords
+    pick = _greedy_scan(coords, start, {coords[r] for r in head}, 1)
+    return None if pick is None else head + (pick[0],)
+
+
+def leftmost_child(chain: AtomChain, f: tuple[int, ...]) -> tuple[int, ...] | None:
     """Lowest-rank extension of f on an unused coordinate, or None."""
-    return _extend(chain, f.ranks, f.weight, f.upper_rank + 1)
+    return _extend(chain, f, f[-1] + 1 if f else 0)
 
 
-def next_sibling(chain: AtomChain, f: FlippingPattern) -> FlippingPattern | None:
+def next_sibling(chain: AtomChain, f: tuple[int, ...]) -> tuple[int, ...] | None:
     """Replace f's last atom by the next valid one at a higher rank, or None."""
-    if not f.ranks:
+    if not f:
         raise ValueError("the empty pattern has no siblings")
-    head = f.ranks[:-1]
-    weight = 0.0
-    for r in head:  # left to right, as leftmost_child sums; sum() compensates from Python 3.12
-        weight += chain.weights[r]
-    return _extend(chain, head, weight, f.ranks[-1] + 1)
+    return _extend(chain, f[:-1], f[-1] + 1)
 
 
 def kaneko_B0(chain: AtomChain, e, d_min: int) -> float:
     """Early-termination floor: every rival hypothesis weighs at least this much.
 
-    Greedy sum of the (d_min - wt(e)) lightest atoms on coordinates outside
-    the support of e; 0 once e already touches d_min coordinates.  A decoded
+    The (d_min - wt(e)) lightest atoms on coordinates outside the support of
+    e, summed; 0 once e already touches d_min coordinates.  A decoded
     hypothesis whose weight does not exceed its own floor is maximum-likelihood.
     """
     support = {j for j, v in enumerate(e) if v}
     coords, weights = chain.floor
-    return _greedy_sum(coords, weights, 0, support, d_min - len(support))
-
-
-def pattern_key(bound: float, f: FlippingPattern) -> tuple[float, int, tuple[int, ...]]:
-    """Total search order: bound, then Hamming weight, then leftmost position."""
-    return (bound, len(f.ranks), f.ranks)
+    picks = _greedy_scan(coords, 0, support, d_min - len(support))
+    return math.inf if picks is None else math.fsum([weights[i] for i in picks])

@@ -29,25 +29,22 @@ import heapq
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .channel import check_pi, hard_decision, soft_weights
 from .chase import (
-    ROOT,
     bound_B,
     build_atom_chain,
     kaneko_B0,
     leftmost_child,
     next_sibling,
-    pattern_key,
     render_pattern,
 )
 from .galois import poly_str
 from .interp import (GroebnerBasis, backward_remove, factorize, forward_add, interpolate,
                      read_codeword)
-from .rscode import CodeParams, codebook
+from .rscode import CodeParams
 from .stats import chi2_threshold
 
 # Unused here: the benchmark tracer (perfbench/tracing.py) wraps this name in this module.
@@ -107,11 +104,13 @@ class DecodeResult:
 
     @property
     def certified(self) -> bool:
-        """True when a certificate fired: no codeword scores higher than the output.
+        """True when a certificate fired: no codeword has a smaller weight than
+        the output, each weight the correctly rounded sum (math.fsum) of its
+        soft weights.
 
-        Certified means score-optimal.  Which of several codewords tied for the
-        best score is returned is unspecified, and may differ from mld_oracle's
-        lexicographic tie-break.
+        Which of several codewords tied for the smallest weight is returned is
+        unspecified, and may differ from the lexicographic tie-break of the
+        tests' exhaustive oracle (tests/reference.py, mld_oracle).
         """
         return self.exit_reason in CERTIFIED_EXITS
 
@@ -230,21 +229,22 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
         T_z = (T - resid_z) / (2.0 * s2)
 
     def tree_order(basis):
-        # A heap of pattern_key(bound, f) + (f, parent basis).  The keys are unique:
-        # ranks name the pattern and the tree holds each pattern once, so a
-        # comparison never reaches f (a tie would raise TypeError, not misorder).
+        # A heap of (bound, len(f), f, parent basis): bound, then Hamming weight,
+        # then leftmost ranks.  The keys are unique: f's ranks name the pattern and
+        # the tree holds each pattern once, so a comparison never reaches the basis
+        # (a tie would raise TypeError, not misorder).
         # No cap at the b trials left: each pop spends a trial or exits, so a node
         # with b better nodes ahead of it is never popped and a cap changes nothing.
         frontier: list[tuple] = []
         if s.trials < L:  # grow the tree only while a pop can follow
-            # ROOT's leftmost child is the chain's first atom, which always exists
-            first = leftmost_child(chain, ROOT)
-            frontier.append(pattern_key(bound_B(chain, first, t_min), first) + (first, basis))
+            # the root's leftmost child is the chain's first atom, which always exists
+            first = leftmost_child(chain, ())
+            frontier.append((bound_B(chain, first, t_min), 1, first, basis))
         while s.trials < L:
             if not frontier:
                 # frontier exhaustion is always exact: every pattern of the tree was tried
                 return EXIT_CERTIFIED_TREE
-            bound, _, _, f, f_basis = heapq.heappop(frontier)
+            bound, _, f, f_basis = heapq.heappop(frontier)
             s.steps += 1
             pat_str = ""  # only trace lines read the rendered pattern
             if trace is not None:
@@ -256,7 +256,7 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
             elif s.w_star <= bound:
                 return EXIT_CERTIFIED_TREE
             # the last atom of f replaces z at its coordinate
-            j, delta = chain.atom(f.ranks[-1])
+            j, delta = chain.atom(f[-1])
             nb, exit_reason = s.trial(f_basis, j, z[j], sub(z[j], delta), pat_str)
             if exit_reason is not None:
                 return exit_reason
@@ -265,27 +265,10 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
             # the child extends the swapped basis; the sibling swaps from the parent's
             for g, g_basis in ((leftmost_child(chain, f), nb), (next_sibling(chain, f), f_basis)):
                 if g is not None:
-                    key = pattern_key(bound_B(chain, g, t_min), g)
-                    heapq.heappush(frontier, key + (g, g_basis))
+                    heapq.heappush(frontier, (bound_B(chain, g, t_min), len(g), g, g_basis))
         return EXIT_BUDGET
 
     return s.run(tree_order)
-
-
-@lru_cache(maxsize=8)
-def _codebook_scores_setup(code: CodeParams):
-    msgs, cws = zip(*codebook(code))
-    return list(msgs), np.array(cws, dtype=np.int64)
-
-
-def mld_oracle(code: CodeParams, pi: np.ndarray) -> tuple[list[int], tuple[int, ...]]:
-    """Exhaustive maximum-likelihood decode, scored in float64 as the decoders
-    score; ties favour the lexicographically smallest message coefficient
-    vector, the first in codebook order.  Only for small codes (q^k <= 1e6)."""
-    pi = check_pi(pi, code.field.q, code.n)
-    msgs, cws = _codebook_scores_setup(code)
-    pick = int(np.argmax(pi[cws, np.arange(code.n)].sum(axis=1)))
-    return list(msgs[pick]), tuple(int(v) for v in cws[pick])
 
 
 def decode_with_trace(code: CodeParams, pi: np.ndarray,

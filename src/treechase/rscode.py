@@ -8,18 +8,17 @@ and classical half-distance decoding radius floor((n - k) / 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import product
+from functools import cached_property
 
-from .galois import Field, make_field, poly_deg, poly_trim
+from .galois import Field, make_field, poly_deg
 
 
 @dataclass(frozen=True, eq=False)
 class CodeParams:
     """An [n, k] evaluation code over the given field.
 
-    Codes compare by identity, as fields do, so the codebook caches hit for
-    the same code object.
+    Codes compare by identity, as fields do, so a cache keyed on a code (the
+    tests' codebook) hits for the same code object.
     """
 
     field: Field
@@ -64,17 +63,3 @@ def encode(code: CodeParams, message: list[int]) -> tuple[int, ...]:
         raise ValueError(f"message degree {poly_deg(message)} >= k = {code.k}")
     fld = code.field
     return tuple(fld.poly_eval(message, x) for x in code.eval_points)
-
-
-@lru_cache(maxsize=8)
-def codebook(code: CodeParams) -> list[tuple[list[int], tuple[int, ...]]]:
-    """All (message, codeword) pairs; intended for small codes (q^k <= 1e6).
-
-    Messages come in lexicographic order of their coefficient vectors
-    (u_0, ..., u_{k-1}), u_0 most significant, so the first of several tied
-    messages is the lexicographically smallest.
-    """
-    if code.field.q**code.k > 1_000_000:
-        raise ValueError("codebook too large to enumerate")
-    msgs = (poly_trim(list(u)) for u in product(range(code.field.q), repeat=code.k))
-    return [(u, encode(code, u)) for u in msgs]

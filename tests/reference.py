@@ -6,20 +6,28 @@ because no decode, sweep or CLI path calls it:
   poly_add, poly_mul    dense polynomial sum and product through Field.add/mul
   chi2_sf               the chi-square tail, inverse of stats.chi2_threshold
   rank_of               atom (coord, delta) -> 0-based rank in an AtomChain
-  pattern_from_ranks    the FlippingPattern of a rank set
+  pattern_from_ranks    the flipping pattern (sorted rank tuple) of a rank set
   minimal_decompose     the split of an error pattern behind the tree's
                         completeness argument
   interpolate_points    the fold of forward_add from {1, y}, which
                         interp.interpolate reduces to in closed form
+  codebook              every (message, codeword) pair of a small code
+  mld_oracle            exhaustive maximum-likelihood decode of a small code
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import product
+
+import numpy as np
 from scipy.special import gammaincc
 
-from treechase.chase import AtomChain, FlippingPattern
+from treechase.channel import check_pi
+from treechase.chase import AtomChain
 from treechase.galois import Field, poly_trim
 from treechase.interp import BivarPoly, GroebnerBasis, forward_add
+from treechase.rscode import CodeParams, encode
 
 
 def poly_add(field: Field, a: list[int], b: list[int]) -> list[int]:
@@ -55,15 +63,14 @@ def rank_of(chain: AtomChain) -> dict[tuple[int, int], int]:
     return {chain.atom(r): r for r in range(chain.size)}
 
 
-def pattern_from_ranks(chain: AtomChain, ranks) -> FlippingPattern:
+def pattern_from_ranks(chain: AtomChain, ranks) -> tuple[int, ...]:
     ranks = tuple(sorted(ranks))
     if len({chain.coords[r] for r in ranks}) != len(ranks):
         raise ValueError("pattern atoms must sit on distinct coordinates")
-    # weight summed in rank order so equal patterns always get bit-equal weights
-    return FlippingPattern(ranks, sum(chain.weights[r] for r in ranks))
+    return ranks
 
 
-def minimal_decompose(chain: AtomChain, e, t_min: int) -> tuple[FlippingPattern, FlippingPattern]:
+def minimal_decompose(chain: AtomChain, e, t_min: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split e's atoms (rank-sorted) into the minimal pattern f and tail g.
 
     f keeps all but the t_min highest-ranked atoms of e; g keeps those t_min.
@@ -88,3 +95,33 @@ def interpolate_points(field: Field, k: int, points) -> GroebnerBasis:
     for x, y in points:
         basis = forward_add(basis, x, y)
     return basis
+
+
+@lru_cache(maxsize=8)
+def codebook(code: CodeParams) -> list[tuple[list[int], tuple[int, ...]]]:
+    """All (message, codeword) pairs; intended for small codes (q^k <= 1e6).
+
+    Messages come in lexicographic order of their coefficient vectors
+    (u_0, ..., u_{k-1}), u_0 most significant, so the first of several tied
+    messages is the lexicographically smallest.
+    """
+    if code.field.q**code.k > 1_000_000:
+        raise ValueError("codebook too large to enumerate")
+    msgs = (poly_trim(list(u)) for u in product(range(code.field.q), repeat=code.k))
+    return [(u, encode(code, u)) for u in msgs]
+
+
+@lru_cache(maxsize=8)
+def _codebook_scores_setup(code: CodeParams):
+    msgs, cws = zip(*codebook(code))
+    return list(msgs), np.array(cws, dtype=np.int64)
+
+
+def mld_oracle(code: CodeParams, pi: np.ndarray) -> tuple[list[int], tuple[int, ...]]:
+    """Exhaustive maximum-likelihood decode, scored in float64 as the decoders
+    score; ties favour the lexicographically smallest message coefficient
+    vector, the first in codebook order.  Only for small codes (q^k <= 1e6)."""
+    pi = check_pi(pi, code.field.q, code.n)
+    msgs, cws = _codebook_scores_setup(code)
+    pick = int(np.argmax(pi[cws, np.arange(code.n)].sum(axis=1)))
+    return list(msgs[pick]), tuple(int(v) for v in cws[pick])

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from treechase.channel import SoftWeights, modulate, transmit
-from treechase.chase import build_atom_chain, greedy_g_min
-from treechase.decoder import DecoderConfig, mld_oracle, tcgs_decode
+from treechase.chase import bound_B, build_atom_chain
+from treechase.decoder import DecoderConfig, tcgs_decode
 from treechase.galois import BinaryField, PrimeField
 from treechase.interp import (
     backward_remove,
@@ -26,12 +26,13 @@ from treechase.interp import (
     factorize,
     forward_add,
 )
-from treechase.rscode import codebook, encode
+from treechase.rscode import encode
 from treechase.sim import SweepConfig, run_point, run_sweep, rows_to_csv
 from treechase.stats import chi2_threshold, wilson_interval
 
 from conftest import pam_pi, random_lam
-from reference import interpolate_points, minimal_decompose, pattern_from_ranks, rank_of
+from reference import (codebook, interpolate_points, minimal_decompose, mld_oracle,
+                       pattern_from_ranks, rank_of)
 
 
 @pytest.fixture(scope="module")
@@ -167,14 +168,14 @@ def test_acceptance_greedy_equals_exhaustive(report):
                 if len(ranks) == 2:
                     break
         f = pattern_from_ranks(chain, ranks)
-        eligible = [r for r in range(f.upper_rank + 1, chain.size)
+        eligible = [r for r in range((f[-1] + 1) if f else 0, chain.size)
                     if chain.coords[r] not in coords]
         best = math.inf
         for combo in itertools.combinations(eligible, t_min):
             cs = {chain.coords[r] for r in combo}
             if len(cs) == t_min:
-                best = min(best, sum(chain.weights[r] for r in combo))
-        got = greedy_g_min(chain, f, t_min)
+                best = min(best, math.fsum(chain.weights[r] for r in f + combo))
+        got = bound_B(chain, f, t_min)
         if not (got == best or abs(got - best) < 1e-12):
             mismatches += 1
     check(report, mismatches == 0, "greedy-equals-exhaustive",
@@ -208,6 +209,9 @@ def test_acceptance_interpolation_roundtrip(report):
 
 
 def test_acceptance_minimal_decomposition(report, code54):
+    def upper_rank(h):
+        return h[-1] if h else -1
+
     rng = np.random.default_rng(606)
     violations = 0
     checked = 0
@@ -229,9 +233,10 @@ def test_acceptance_minimal_decomposition(report, code54):
                 for kept in itertools.combinations(support, keep):
                     ranks = [rank[(j, e[j])] for j in kept]
                     members.append(pattern_from_ranks(chain, ranks))
-            min_w = min(h.weight for h in members)
-            min_ru = min(h.upper_rank for h in members)
-            if f.weight > min_w + 1e-12 or f.upper_rank > min_ru:
+            weight = {h: math.fsum(chain.weights[r] for r in h) for h in members + [f]}
+            min_w = min(weight[h] for h in members)
+            min_ru = min(map(upper_rank, members))
+            if weight[f] > min_w or upper_rank(f) > min_ru:
                 violations += 1
     check(report, violations == 0, "minimal-decomposition",
           f"violations={violations} over {checked} patterns x 100 weighings")

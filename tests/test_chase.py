@@ -8,21 +8,17 @@ from hypothesis.extra import numpy as hnp
 
 from treechase.channel import SoftWeights, hard_decision, soft_weights
 from treechase.chase import (
-    ROOT,
     bound_B,
     build_atom_chain,
-    greedy_g_min,
     kaneko_B0,
     leftmost_child,
     next_sibling,
-    pattern_key,
     render_pattern,
 )
 from treechase.galois import PrimeField
-from treechase.rscode import codebook
 
 from conftest import random_lam
-from reference import minimal_decompose, pattern_from_ranks, rank_of
+from reference import codebook, minimal_decompose, pattern_from_ranks, rank_of
 
 GF5 = PrimeField(5)
 
@@ -42,7 +38,12 @@ def ranks_of(chain, atoms):
 
 
 def coords_of(chain, f):
-    return {chain.coords[r] for r in f.ranks}
+    return {chain.coords[r] for r in f}
+
+
+def weight_of(chain, f):
+    """A pattern's weight, one correctly rounded sum as bound_B takes it."""
+    return math.fsum(chain.weights[r] for r in f)
 
 
 def test_chain_matches_printed_order(ex_chain):
@@ -95,11 +96,14 @@ def test_chain_tie_break_is_coordinate_then_delta():
 
 
 def test_greedy_examples_from_worked_trace(ex_chain):
+    """The greedy completion is B(f) at t_min = 1 less B(f) at t_min = 0, the
+    weight of f."""
     f1 = pattern_from_ranks(ex_chain, ranks_of(ex_chain, [(3, 2)]))
-    assert greedy_g_min(ex_chain, f1, 1) == pytest.approx(0.09, abs=5e-3)
+    assert bound_B(ex_chain, f1, 0) == weight_of(ex_chain, f1)
+    assert bound_B(ex_chain, f1, 1) - bound_B(ex_chain, f1, 0) == pytest.approx(0.09, abs=5e-3)
     f3 = pattern_from_ranks(ex_chain, ranks_of(ex_chain, [(3, 3)]))
-    assert greedy_g_min(ex_chain, f3, 1) == pytest.approx(0.15, abs=5e-3)
-    assert greedy_g_min(ex_chain, ROOT, 0) == 0.0
+    assert bound_B(ex_chain, f3, 1) - bound_B(ex_chain, f3, 0) == pytest.approx(0.15, abs=5e-3)
+    assert bound_B(ex_chain, (), 0) == 0.0
 
 
 def test_bound_examples_from_worked_trace(ex_chain):
@@ -117,43 +121,47 @@ def test_bound_examples_from_worked_trace(ex_chain):
 
 def test_greedy_runs_out_returns_inf(ex_chain):
     last = pattern_from_ranks(ex_chain, (15,))
-    assert greedy_g_min(ex_chain, last, 1) == math.inf
+    assert bound_B(ex_chain, last, 1) == math.inf
 
 
 def test_leftmost_child_and_sibling_examples(ex_chain):
-    c0 = leftmost_child(ex_chain, ROOT)
-    assert [ex_chain.atom(r) for r in c0.ranks] == [(3, 2)]
+    c0 = leftmost_child(ex_chain, ())
+    assert [ex_chain.atom(r) for r in c0] == [(3, 2)]
     c1 = leftmost_child(ex_chain, c0)
-    assert [ex_chain.atom(r) for r in c1.ranks] == [(3, 2), (1, 3)]
+    assert [ex_chain.atom(r) for r in c1] == [(3, 2), (1, 3)]
     s1 = next_sibling(ex_chain, c0)
-    assert [ex_chain.atom(r) for r in s1.ranks] == [(1, 3)]
+    assert [ex_chain.atom(r) for r in s1] == [(1, 3)]
     s2 = next_sibling(ex_chain, s1)
-    assert [ex_chain.atom(r) for r in s2.ranks] == [(3, 3)]
+    assert [ex_chain.atom(r) for r in s2] == [(3, 3)]
     deep = pattern_from_ranks(ex_chain, ranks_of(ex_chain, [(3, 3), (2, 2)]))
     s3 = next_sibling(ex_chain, deep)
-    assert [ex_chain.atom(r) for r in s3.ranks] == [(3, 3), (1, 2)]
+    assert [ex_chain.atom(r) for r in s3] == [(3, 3), (1, 2)]
 
 
 def test_sibling_of_root_raises(ex_chain):
     with pytest.raises(ValueError):
-        next_sibling(ex_chain, ROOT)
+        next_sibling(ex_chain, ())
 
 
-def test_next_sibling_sums_its_head_left_to_right():
-    """A sibling's weight is its atom weights summed left to right in rank order,
-    as leftmost_child builds it.  These weights tell that order apart from a
-    compensated sum: ((0.1 + 0.2) + 0.3) + 0.7 is 1.3, fsum(0.1, 0.2, 0.3) + 0.7
-    is 1.2999999999999998, and sum() compensates from Python 3.12 on."""
-    chain = chain_from_lam(np.array([[0.1, 0.2, 0.3, 0.4, 0.7]]))
-    f = ROOT
+def test_next_sibling_bound_is_one_correctly_rounded_sum():
+    """A bound is math.fsum of its atom weights, whatever order a scan meets them
+    in.  These weights tell that apart from a left-to-right sum: the sibling
+    (0.1, 0.2, 0.3, 0.6) sums to 1.2000000000000002 left to right, but its exact
+    sum rounds to 1.2.  The full pattern of [0.2, 0.3, 0.1] sums to 0.6 in
+    coordinate order and to 0.6000000000000001 in rank order; its bound is the
+    pattern weight the decoder compares it with."""
+    chain = chain_from_lam(np.array([[0.1, 0.2, 0.3, 0.4, 0.6]]))
+    f = ()
     for _ in range(4):
         f = leftmost_child(chain, f)
-    assert f.ranks == (0, 1, 2, 3)
+    assert f == (0, 1, 2, 3)
     sib = next_sibling(chain, f)
-    assert sib.ranks == (0, 1, 2, 4)
-    head = [chain.weights[r] for r in sib.ranks[:-1]]
-    assert math.fsum(head) + 0.7 != ((0.1 + 0.2) + 0.3) + 0.7  # the two orders differ here
-    assert sib.weight == ((0.1 + 0.2) + 0.3) + 0.7 == 1.3
+    assert sib == (0, 1, 2, 4)
+    assert ((0.1 + 0.2) + 0.3) + 0.6 != 1.2  # the two sums differ here
+    assert bound_B(chain, sib, 0) == math.fsum([0.1, 0.2, 0.3, 0.6]) == 1.2
+    lam = np.array([[0.2, 0.3, 0.1]])
+    assert (0.1 + 0.2) + 0.3 != (0.2 + 0.3) + 0.1
+    assert bound_B(chain_from_lam(lam), (0, 1, 2), 0) == SoftWeights(lam).pattern_weight((1, 1, 1))
 
 
 def test_child_none_when_all_coordinates_used():
@@ -176,15 +184,14 @@ def b0_by_chain_scan(chain, e, d_min):
     need = d_min - len(taken)
     if need <= 0:
         return 0.0
-    total = 0.0
+    picked = []
     for c, w in zip(chain.coords, chain.weights):
         if c in taken:
             continue
         taken.add(c)
-        total += w
-        need -= 1
-        if need == 0:
-            return total
+        picked.append(w)
+        if len(picked) == need:
+            return math.fsum(picked)
     return math.inf
 
 
@@ -217,26 +224,27 @@ def test_kaneko_examples(ex_chain):
 
 def test_minimal_decompose_identity_and_boundary(ex_chain):
     f, g = minimal_decompose(ex_chain, (0, 2, 2, 3), 1)
-    assert len(g.ranks) == 1 and not (coords_of(ex_chain, f) & coords_of(ex_chain, g))
-    assert f.upper_rank < g.ranks[0]
-    recombined = sorted(ex_chain.atom(r) for r in f.ranks + g.ranks)
+    assert len(g) == 1 and not (coords_of(ex_chain, f) & coords_of(ex_chain, g))
+    assert f[-1] < g[0]
+    recombined = sorted(ex_chain.atom(r) for r in f + g)
     assert recombined == [(1, 2), (2, 2), (3, 3)]
     f0, g0 = minimal_decompose(ex_chain, (0, 0, 0, 2), 1)
-    assert f0 == ROOT and len(g0.ranks) == 1
+    assert f0 == () and len(g0) == 1
     with pytest.raises(ValueError):
         minimal_decompose(ex_chain, (0, 0, 0, 0), 1)
 
 
 def enumerate_completions(chain, f, t_min):
-    """All weight-t_min completions of f further down the chain (brute force)."""
-    eligible = [r for r in range(f.upper_rank + 1, chain.size)
+    """The least weight of f plus a weight-t_min completion further down the
+    chain (brute force over every completion)."""
+    eligible = [r for r in range((f[-1] + 1) if f else 0, chain.size)
                 if chain.coords[r] not in coords_of(chain, f)]
     best = math.inf
     for combo in itertools.combinations(eligible, t_min):
         cs = [chain.coords[r] for r in combo]
         if len(set(cs)) != t_min:
             continue
-        best = min(best, sum(chain.weights[r] for r in combo))
+        best = min(best, weight_of(chain, f + combo))
     return best
 
 
@@ -259,8 +267,7 @@ def test_greedy_equals_exhaustive_small_instances():
                 if len(ranks) >= 2:
                     break
         f = pattern_from_ranks(chain, ranks)
-        assert greedy_g_min(chain, f, t_min) == pytest.approx(
-            enumerate_completions(chain, f, t_min))
+        assert bound_B(chain, f, t_min) == enumerate_completions(chain, f, t_min)
         checked += 1
 
 
@@ -276,10 +283,10 @@ def test_bound_monotone_under_tree_moves():
         b = bound_B(chain, f, t_min)
         child = leftmost_child(chain, f)
         if child is not None:
-            assert b <= bound_B(chain, child, t_min) + 1e-12
+            assert b <= bound_B(chain, child, t_min)
         sib = next_sibling(chain, f)
         if sib is not None:
-            assert b <= bound_B(chain, sib, t_min) + 1e-12
+            assert b <= bound_B(chain, sib, t_min)
 
 
 def test_bound_soundness_exhaustive_gf5(code54):
@@ -292,24 +299,28 @@ def test_bound_soundness_exhaustive_gf5(code54):
         if sum(1 for v in e if v) < t_min:
             continue
         f, _ = minimal_decompose(chain, e, t_min)
-        assert sw.pattern_weight(e) >= bound_B(chain, f, t_min) - 1e-12
+        assert sw.pattern_weight(e) >= bound_B(chain, f, t_min)
 
 
 def test_pattern_order_keys(ex_chain):
+    """The frontier orders patterns by (bound, len, ranks)."""
+    def key(bound, f):
+        return (bound, len(f), f)
+
     a = pattern_from_ranks(ex_chain, (0,))
     b = pattern_from_ranks(ex_chain, (1,))
-    ka, kb = (pattern_key(bound_B(ex_chain, f, 1), f) for f in (a, b))
+    ka, kb = (key(bound_B(ex_chain, f, 1), f) for f in (a, b))
     assert ka < kb      # 0.12 < 0.20
     assert not ka < ka  # irreflexive
     # same bound: shorter pattern first, then leftmost ranks
-    k1 = pattern_key(0.5, pattern_from_ranks(ex_chain, (0,)))
-    k2 = pattern_key(0.5, pattern_from_ranks(ex_chain, (0, 1)))
+    k1 = key(0.5, pattern_from_ranks(ex_chain, (0,)))
+    k2 = key(0.5, pattern_from_ranks(ex_chain, (0, 1)))
     assert k1 < k2
-    k3 = pattern_key(0.5, pattern_from_ranks(ex_chain, (1,)))
+    k3 = key(0.5, pattern_from_ranks(ex_chain, (1,)))
     assert k1 < k3
 
 
 def test_render_pattern(ex_chain):
-    assert render_pattern(ex_chain, ROOT) == "0"
+    assert render_pattern(ex_chain, ()) == "0"
     f = pattern_from_ranks(ex_chain, (0, 3))
     assert render_pattern(ex_chain, f) == "(3,2)+(2,2)"

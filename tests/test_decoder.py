@@ -1,12 +1,13 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from treechase import decoder
 from treechase.baselines import LccConfig, classify_ml, lcc_decode
-from treechase.channel import likelihoods, modulate, sigma_from_snr_db, transmit
-from treechase.chase import bound_B, pattern_key
+from treechase.channel import hard_decision, likelihoods, modulate, sigma_from_snr_db, transmit
+from treechase.chase import bound_B
 from treechase.decoder import (
     EXIT_BUDGET,
     EXIT_CERTIFIED_KANEKO,
@@ -16,7 +17,6 @@ from treechase.decoder import (
     DecoderConfig,
     compare_traces,
     decode_with_trace,
-    mld_oracle,
     tcgs_decode,
 )
 from treechase.interp import read_codeword
@@ -24,6 +24,7 @@ from treechase.rscode import encode, make_code
 from treechase.sim import draw_frame
 
 from conftest import pam_pi
+from reference import _codebook_scores_setup, mld_oracle
 
 
 def test_worked_example_end_to_end(code54, example1_pi):
@@ -83,7 +84,6 @@ def test_mld_oracle_examples(code54, example1_pi):
 
 
 def test_mld_oracle_rejects_large_code():
-    from treechase.rscode import make_code
     big = make_code(2, 8, 255, 128)
     with pytest.raises(ValueError):
         mld_oracle(big, np.zeros((256, 255)))
@@ -139,31 +139,71 @@ def test_certified_exits_agree_with_oracle_quick(code54):
     assert certified > 100  # the certificate fires on most frames
 
 
+def _fsum_weight(pi, z, c):
+    """The soft weight of z - c, one correctly rounded sum."""
+    cols = np.arange(len(z))
+    return math.fsum(pi[list(z), cols] - pi[list(c), cols])
+
+
+def _least_weight(code, pi, z):
+    """The least _fsum_weight over the codebook.  The float64 row sums pick the
+    candidates: each is within an ulp-level error of its fsum, far inside the
+    1e-9 window."""
+    cols = np.arange(code.n)
+    terms = pi[list(z), cols] - pi[_codebook_scores_setup(code)[1], cols]
+    approx = terms.sum(axis=1)
+    return min(math.fsum(terms[i]) for i in np.flatnonzero(approx <= approx.min() + 1e-9))
+
+
 @pytest.mark.parametrize("alg", ["tcgs", "lcc"])
 def test_certified_is_score_optimal_under_ties(alg):
-    """Likelihoods quantized to the integers -4..0 make score ties common.  A
-    certified output must reach the best codeword score; which tied codeword
-    it is may differ from mld_oracle's lexicographic tie-break, so scores are
-    compared."""
+    """Likelihoods quantized to the integers -4..0, then to the tenths -1.1..0,
+    make weight ties common.  A certified output's weight, one correctly rounded
+    sum, must be the least over the codebook; which tied codeword it is may
+    differ from mld_oracle's lexicographic tie-break, so weights are compared.
+    Tenths are inexact in binary, so sums taken in different orders differ by
+    an ulp and a certificate must compare correctly rounded ones."""
     rng = np.random.default_rng(17)
     certified = 0
     # after the three tie fields: t_min = 0 ([4,3], [6,5]), k = 1 with n = q and the
     # node x = 0 ([7,1]), and n = q ([5,2]); appended so earlier frames keep their draws
-    for code in (make_code(5, 1, 4, 2), make_code(7, 1, 6, 2), make_code(2, 3, 7, 3),
-                 make_code(5, 1, 4, 3), make_code(7, 1, 6, 5), make_code(7, 1, 7, 1),
-                 make_code(5, 1, 5, 2)):
-        cols = np.arange(code.n)
-        for _ in range(150):
-            pi = np.maximum(np.round(pam_pi(code, rng)[0]), -4.0)
-            if alg == "tcgs":
-                res = tcgs_decode(code, pi, DecoderConfig(max_trials=16))
-            else:
-                res = lcc_decode(code, pi, LccConfig(eta=4))
-            if res.certified:
-                certified += 1
-                _, best = mld_oracle(code, pi)
-                assert pi[list(res.codeword), cols].sum() == pi[list(best), cols].sum()
+    codes = (make_code(5, 1, 4, 2), make_code(7, 1, 6, 2), make_code(2, 3, 7, 3),
+             make_code(5, 1, 4, 3), make_code(7, 1, 6, 5), make_code(7, 1, 7, 1),
+             make_code(5, 1, 5, 2))
+    quantizers = (lambda pi: np.maximum(np.round(pi), -4.0),
+                  lambda pi: np.maximum(np.round(pi * 10), -11.0) / 10)
+    for quantize in quantizers:
+        for code in codes:
+            for _ in range(150):
+                pi = quantize(pam_pi(code, rng)[0])
+                if alg == "tcgs":
+                    res = tcgs_decode(code, pi, DecoderConfig(max_trials=16))
+                else:
+                    res = lcc_decode(code, pi, LccConfig(eta=4))
+                if res.certified:
+                    certified += 1
+                    z = hard_decision(pi)
+                    assert _fsum_weight(pi, z, res.codeword) == _least_weight(code, pi, z)
     assert certified > 100
+
+
+def test_certificate_compares_correctly_rounded_weights(code54):
+    """On this tenths-valued frame (3,0,2,4) weighs 0.6 and (2,2,2,2) weighs
+    0.6000000000000001, both as correctly rounded sums.  Summed in rank order,
+    the bound under (3,0,2,4) rounds up to (2,2,2,2)'s weight, so a tree
+    certificate that compares sums taken in different orders fires on the
+    heavier codeword."""
+    pi = np.array([[-1.0, -0.6, -1.0, -0.6], [-0.3, -0.4, -0.4, -0.8],
+                   [-0.9, -0.3, -0.3, -0.1], [-0.5, -0.3, -0.9, -0.4],
+                   [-0.5, -0.6, -1.0, -0.2]])
+    res = tcgs_decode(code54, pi, DecoderConfig(max_trials=32))
+    assert res.exit_reason == EXIT_CERTIFIED_TREE
+    assert res.codeword == (3, 0, 2, 4)
+    assert res.best_weight == 0.6
+    assert res.trials == 18
+    z = hard_decision(pi)
+    assert _fsum_weight(pi, z, (2, 2, 2, 2)) == 0.6000000000000001
+    assert _fsum_weight(pi, z, res.codeword) == _least_weight(code54, pi, z) == 0.6
 
 
 def test_popped_bounds_nondecreasing_and_weight_nonincreasing(code54):
@@ -323,9 +363,10 @@ def test_narrow_dtypes_decode_as_float64(dtype):
                 assert classify_ml(code, pi, got, tx) == classify_ml(code, ref, want, tx)
 
 
-def test_pops_follow_pattern_key_under_ties(code54, code76, monkeypatch):
+def test_pops_follow_heap_key_under_ties(code54, code76, monkeypatch):
     """Rounded, clipped likelihoods make many bounds tie; the frontier must still
-    pop in strictly increasing pattern_key order (bound, weight, leftmost ranks)."""
+    pop in strictly increasing (bound, len, ranks) order: bound, then Hamming
+    weight, then leftmost ranks."""
     popped = []
     real = decoder.render_pattern
     monkeypatch.setattr(decoder, "render_pattern",
@@ -338,7 +379,7 @@ def test_pops_follow_pattern_key_under_ties(code54, code76, monkeypatch):
             pi = np.maximum(np.round(pam_pi(code, rng)[0]), -4.0)
             popped.clear()
             decode_with_trace(code, pi, cfg)
-            keys = [pattern_key(bound_B(chain, f, code.t_min), f) for chain, f in popped]
+            keys = [(bound_B(chain, f, code.t_min), len(f), f) for chain, f in popped]
             assert all(a < b for a, b in zip(keys, keys[1:]))
             ties += sum(a[0] == b[0] for a, b in zip(keys, keys[1:]))
     assert ties > 0

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from treechase.galois import PRIMITIVE_POLY, lagrange_table, make_field
-from treechase.rscode import CodeParams, codebook, encode, make_code
+from treechase.rscode import CodeParams, encode, make_code
+
+from reference import codebook
 
 
 def first_k_fit(code, cw):
