@@ -15,7 +15,7 @@ from .decoder import (CERTIFIED_EXITS, DecodeResult, DecoderConfig,
                       EXIT_THRESHOLD, compare_traces, decode_with_trace, tcgs_decode)
 from .galois import BinaryField, Field, PrimeField, make_field
 from .interp import (GroebnerBasis, backward_remove, factorize, forward_add,
-                     interpolate, minimal_poly, wdeg_key)
+                     interpolate, wdeg_key)
 from .rscode import CodeParams, encode, make_code
 from .sim import SweepConfig, SweepRow, parse_snr_spec, rows_to_csv, run_point, run_sweep
 from .stats import chi2_threshold, wilson_interval
@@ -33,7 +33,7 @@ __all__ = [
     "frame_rng", "hard_decision",
     "interpolate", "kaneko_B0", "lcc_decode", "leftmost_child",
     "likelihoods", "load_pi", "make_code", "make_field",
-    "minimal_poly", "modulate", "next_sibling", "parse_snr_spec",
+    "modulate", "next_sibling", "parse_snr_spec",
     "render_pattern", "rows_to_csv", "run_point",
     "run_sweep", "save_pi", "sigma_from_snr_db", "soft_weights", "tcgs_decode",
     "transmit", "wdeg_key", "wilson_interval",

@@ -45,16 +45,16 @@ class LccConfig:
 def lcc_decode(code: CodeParams, pi: np.ndarray, cfg: LccConfig | None = None,
                genie_codeword: tuple[int, ...] | None = None) -> DecodeResult:
     cfg = cfg or LccConfig()
-    s = _Search(code, pi, genie_codeword, None)
     if cfg.eta > code.n:
         raise ValueError("eta must be <= n")
+    s = _Search(code, pi, genie_codeword, None)
     z, sub = s.z, s.sub
 
-    # reliability of a coordinate = weight of its cheapest single-symbol change
-    lrps = s.chain.floor[0][:cfg.eta]
-    second = {j: sub(z[j], int(s.sw.lam[:, j].argmin()) + 1) for j in lrps}
-
     def gray_walk(basis):
+        # reliability of a coordinate = weight of its cheapest single-symbol change,
+        # ties to the lower coordinate; built only for frames trial 1 did not settle
+        lrps = np.argsort(s.chain.mins, kind="stable")[:cfg.eta].tolist()
+        second = {j: sub(z[j], int(s.sw.lam[:, j].argmin()) + 1) for j in lrps}
         state = list(z)
         for i in range(1, 1 << cfg.eta):
             j = lrps[(i & -i).bit_length() - 1]  # Gray code i flips bit ctz(i)

@@ -86,7 +86,7 @@ def check_pi(pi, q: int, n: int) -> np.ndarray:
 
 def hard_decision(pi: np.ndarray) -> tuple[int, ...]:
     """Columnwise argmax; ties resolve to the smallest field value."""
-    return tuple(np.argmax(pi, axis=0).tolist())
+    return tuple(pi.argmax(axis=0).tolist())
 
 
 @dataclass
@@ -98,17 +98,16 @@ class SoftWeights:
     def pattern_weight(self, e) -> float:
         """Total weight of an error vector (0 entries contribute nothing),
         correctly rounded (math.fsum) as every weight a certificate compares."""
-        return math.fsum([self.lam[ej - 1, j] for j, ej in enumerate(e) if ej])
+        item = self.lam.item  # a Python float per entry, no numpy scalar
+        return math.fsum([item(ej - 1, j) for j, ej in enumerate(e) if ej])
 
 
 def soft_weights(field: Field, pi: np.ndarray, z: tuple[int, ...]) -> SoftWeights:
     """The weights of pi about its hard decision z."""
-    q, n = pi.shape
-    zv = np.asarray(z, dtype=np.int64)
-    deltas = np.arange(1, q, dtype=np.int64)
+    zv = np.array(z)
     # idx[d-1][j] = z_j - d in the field: XOR in characteristic 2, integers mod p otherwise
-    idx = zv ^ deltas[:, None] if field.p == 2 else (zv - deltas[:, None]) % field.p
-    cols = np.arange(n)
+    idx = zv ^ field.deltas if field.p == 2 else (zv - field.deltas) % field.p
+    cols = np.arange(len(z))
     return SoftWeights(lam=pi[zv, cols] - pi[idx, cols])
 
 

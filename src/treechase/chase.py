@@ -27,11 +27,15 @@ codeword has a smaller rounded weight.
 AtomChain holds the weight table and sorts it the first time the tree search
 (or a trace) reads a rank: one stable argsort of the coordinate-major weights,
 whose index order is (coordinate, delta), so ties need no second key.
-Coordinates are read off the chain.  Both bounds and both tree moves are one
-greedy scan: bound_B walks the chain past the pattern, and the Kaneko floor
-kaneko_B0 walks a per-coordinate floor of lightest weights instead, so frames
-that stop at a Kaneko certificate, or never search the tree (lcc), never pay
-for the sort.
+Coordinates are read off the chain.  bound_B and both tree moves are one
+greedy scan of the chain past the pattern.  The Kaneko floor kaneko_B0 needs
+no chain and no sort at all: the first atom a scan of the sorted chain meets
+on each coordinate is that coordinate's lightest, so the floor is the sum of
+the d_min - wt(e) smallest per-coordinate minima (AtomChain.mins) outside the
+support of e.  Which of several tied coordinates is picked does not change
+the multiset of weights, so the sum is the chain scan's to the bit, and
+frames that stop at a Kaneko certificate, or never search the tree (lcc),
+never pay for the sort.
 """
 
 from __future__ import annotations
@@ -50,10 +54,13 @@ class AtomChain:
     """All n*(q-1) atoms of lam[d-1][j], sorted ascending on first read.
 
     coords and weights are parallel tuples indexed by 0-based rank; the sort
-    behind them runs the first time one of them is read.
+    behind them runs the first time one of them is read.  mins holds each
+    coordinate's lightest atom weight, the weight of its cheapest
+    single-symbol change; build_atom_chain takes it once, unsorted.
     """
 
     lam: np.ndarray  # shape (q-1, n)
+    mins: tuple[float, ...]  # lam.min(axis=0)
 
     @property
     def size(self) -> int:
@@ -76,17 +83,6 @@ class AtomChain:
     def weights(self) -> tuple[float, ...]:
         return tuple(self.lam.T.ravel()[self._order].tolist())
 
-    @cached_property
-    def floor(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        """Coordinates ordered by (lightest atom weight, coordinate), with that weight.
-
-        This is the order in which a scan of the sorted chain first meets
-        each coordinate.
-        """
-        mins = self.lam.min(axis=0)
-        order = np.argsort(mins, kind="stable")
-        return tuple(order.tolist()), tuple(mins[order].tolist())
-
     def atom(self, rank: int) -> tuple[int, int]:
         """(coordinate, delta) of the atom at rank."""
         j, d = divmod(int(self._order[rank]), self.lam.shape[0])
@@ -94,9 +90,10 @@ class AtomChain:
 
 
 def build_atom_chain(sw: SoftWeights) -> AtomChain:
-    if sw.lam.size and float(sw.lam.min()) < 0.0:
+    mins = tuple(sw.lam.min(axis=0).tolist())
+    if min(mins, default=0.0) < 0.0:
         raise ValueError("negative soft weight: z must be the columnwise argmax")
-    return AtomChain(sw.lam)
+    return AtomChain(sw.lam, mins)
 
 
 def render_pattern(chain: AtomChain, f: tuple[int, ...]) -> str:
@@ -159,10 +156,12 @@ def kaneko_B0(chain: AtomChain, e, d_min: int) -> float:
     """Early-termination floor: every rival hypothesis weighs at least this much.
 
     The (d_min - wt(e)) lightest atoms on coordinates outside the support of
-    e, summed; 0 once e already touches d_min coordinates.  A decoded
-    hypothesis whose weight does not exceed its own floor is maximum-likelihood.
+    e, one per coordinate, summed; 0 once e already touches d_min coordinates,
+    +inf when fewer coordinates remain.  A decoded hypothesis whose weight does
+    not exceed its own floor is maximum-likelihood.
     """
-    support = {j for j, v in enumerate(e) if v}
-    coords, weights = chain.floor
-    picks = _greedy_scan(coords, 0, support, d_min - len(support))
-    return math.inf if picks is None else math.fsum([weights[i] for i in picks])
+    rest = [w for w, v in zip(chain.mins, e) if not v]
+    need = d_min - (len(e) - len(rest))
+    if need > len(rest):
+        return math.inf
+    return math.fsum(sorted(rest)[:need]) if need > 0 else 0.0

@@ -211,24 +211,24 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
     """Decode a likelihood matrix pi (one row per field value, one column per
     coordinate) into the most plausible message found within the budget."""
     cfg = cfg or DecoderConfig()
+    field = code.field
+    if cfg.threshold_eps is not None and field.p != 2:
+        raise ValueError("threshold mode requires a characteristic-2 field")
     s = _Search(code, pi, genie_codeword, trace)
-    chain, z, sub, pi = s.chain, s.z, s.sub, s.pi  # pi as float64
+    chain, z, sub = s.chain, s.z, s.sub
     t_min, L = code.t_min, cfg.max_trials
 
-    # threshold setup: T_z in soft-weight units, from the Euclidean sphere test
-    T_z = None
-    if cfg.threshold_eps is not None:
-        field = code.field
-        if field.p != 2:
-            raise ValueError("threshold mode requires a characteristic-2 field")
-        dof = code.n * field.m
-        s2 = cfg.sigma2
-        T = s2 * chi2_threshold(cfg.threshold_eps, dof)
-        log_norm = 0.5 * field.m * math.log(2.0 * math.pi * s2)
-        resid_z = -2.0 * s2 * (float(sum(pi[zj, j] for j, zj in enumerate(z))) + code.n * log_norm)
-        T_z = (T - resid_z) / (2.0 * s2)
-
     def tree_order(basis):
+        # threshold setup, only for frames that reach the tree: T_z in soft-weight
+        # units, from the Euclidean sphere test
+        T_z = None
+        if cfg.threshold_eps is not None:
+            pi, s2 = s.pi, cfg.sigma2  # pi as float64
+            T = s2 * chi2_threshold(cfg.threshold_eps, code.n * field.m)
+            log_norm = 0.5 * field.m * math.log(2.0 * math.pi * s2)
+            resid_z = -2.0 * s2 * (float(sum(pi[zj, j] for j, zj in enumerate(z)))
+                                   + code.n * log_norm)
+            T_z = (T - resid_z) / (2.0 * s2)
         # A heap of (bound, len(f), f, parent basis): bound, then Hamming weight,
         # then leftmost ranks.  The keys are unique: f's ranks name the pattern and
         # the tree holds each pattern once, so a comparison never reaches the basis

@@ -28,20 +28,24 @@ for zero operands too.
 
 Univariate polynomials are plain lists of ints, lowest degree first, with no
 trailing zeros (the zero polynomial is the empty list).  The kernels on the
-decoder's per-frame path (poly_eval, poly_scale, poly_sub, poly_mul_linear,
-poly_div_linear, poly_divrem) are Field methods that loop over local table
-lookups, so no coefficient costs a method call.  poly_scale only multiplies
-and is shared; the others add, so each field kind has its own: XOR in
-GF(2^m), integer arithmetic mod p in GF(p).
+decoder's per-frame path (poly_eval, poly_evals, poly_scale, poly_submul,
+poly_mul_linear, poly_div_linear, poly_divrem) are Field methods that loop
+over local table lookups, so no coefficient costs a method call.  poly_scale
+only multiplies and is shared; the others add, so each field kind has its
+own: XOR in GF(2^m), integer arithmetic mod p in GF(p).  A difference a - b
+is poly_submul(a, b, [1]).
 
 lagrange_table caches, per field and node tuple, the Lagrange basis of the
 nodes in the log domain, and poly_combine applies it: the interpolant of
 values ys is one numpy gather exp[log y_j + log L_j[i]] and one reduction over
 j, XOR in GF(2^m) and a sum mod p in GF(p).  interp.interpolate reads both.
+The table is also where duplicate nodes are rejected: lru_cache keeps no
+exception, so a bad node tuple raises on every call.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -121,10 +125,11 @@ class Field:
 
     def poly_eval(self, a: list[int], x: int) -> int:
         """a(x) by Horner's rule."""
-        raise NotImplementedError
+        return self.poly_evals(a, (x,))[0]
 
-    def poly_sub(self, a: list[int], b: list[int]) -> list[int]:
-        """a(x) - b(x)."""
+    def poly_submul(self, a: list[int], b: list[int], c: list[int]) -> list[int]:
+        """a(x) - b(x) * c(x), the products subtracted in place, one row of b per
+        coefficient of c (so c is the shorter factor on the hot paths)."""
         raise NotImplementedError
 
     def poly_mul_linear(self, a: list[int], beta: int) -> list[int]:
@@ -136,8 +141,23 @@ class Field:
         raise NotImplementedError
 
     def poly_divrem(self, num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-        """Quotient and remainder with deg rem < deg den."""
+        """Quotient and remainder with deg rem < deg den.
+
+        Inputs are copied and trimmed only when they need it: num is copied
+        once as the working remainder, and den is read in place unless it has
+        trailing zeros.
+        """
         raise NotImplementedError
+
+    def poly_evals(self, a: list[int], xs) -> list[int]:
+        """[a(x) for x in xs]: Horner's rule at each node, in one loop."""
+        raise NotImplementedError
+
+    @cached_property
+    def deltas(self) -> np.ndarray:
+        """The column of nonzero deltas 1..q-1, built on first use, as
+        channel.soft_weights indexes the delta rows z - d."""
+        return np.arange(1, self.q, dtype=np.int64)[:, None]
 
     @cached_property
     def _np_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -180,18 +200,12 @@ class PrimeField(Field):
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def poly_eval(self, a, x):
+    def poly_submul(self, a, b, c):
         p = self.p
-        acc = 0
-        for v in reversed(a):
-            acc = (acc * x + v) % p
-        return acc
-
-    def poly_sub(self, a, b):
-        p = self.p
-        out = list(a) + [0] * (len(b) - len(a))
-        for i, v in enumerate(b):
-            out[i] = (out[i] - v) % p
+        out = list(a) + [0] * (len(b) + len(c) - 1 - len(a))
+        for i, w in enumerate(c):
+            for j, v in enumerate(b, i):
+                out[j] = (out[j] - v * w) % p
         return poly_trim(out)
 
     def poly_mul_linear(self, a, beta):
@@ -213,23 +227,32 @@ class PrimeField(Field):
         return poly_trim(out)
 
     def poly_divrem(self, num, den):
-        den = poly_trim(list(den))
-        if not den:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = poly_trim(list(num))
+        den, rem = _divrem_operands(num, den)
         dd = len(den) - 1
         if len(rem) <= dd:
             return [], rem
         p = self.p
         inv_lead = self.inv(den[-1])
+        low = den[:dd]  # the leading term cancels by construction
         quo = [0] * (len(rem) - dd)
         for i in range(len(quo) - 1, -1, -1):
             c = rem[i + dd] * inv_lead % p
             if c:
                 quo[i] = c
-                for j, v in enumerate(den):
-                    rem[i + j] = (rem[i + j] - c * v) % p
-        return poly_trim(quo), poly_trim(rem)
+                for j, v in enumerate(low, i):
+                    rem[j] = (rem[j] - c * v) % p
+        return quo, poly_trim(rem[:dd])
+
+    def poly_evals(self, a, xs):
+        p = self.p
+        lead, rest = (a[-1], a[-2::-1]) if a else (0, ())
+        out = []
+        for x in xs:
+            acc = lead
+            for v in rest:
+                acc = (acc * x + v) % p
+            out.append(acc)
+        return out
 
     def _sum_rows(self, terms):
         return terms.sum(axis=0) % self.p
@@ -252,29 +275,19 @@ class BinaryField(Field):
                 x ^= poly
         self._set_tables(powers)
 
-    def add(self, a, b):
-        return a ^ b
-
-    def sub(self, a, b):
-        return a ^ b
+    add = sub = staticmethod(operator.xor)  # a C call, so map(field.sub, z, c) runs in C
 
     def mul(self, a, b):
         return self._exp[self._log[a] + self._log[b]]
 
-    def poly_eval(self, a, x):
+    def poly_submul(self, a, b, c):
         exp, log = self._exp, self._log
-        lx = log[x]
-        acc = 0
-        for v in reversed(a):
-            acc = exp[log[acc] + lx] ^ v
-        return acc
-
-    def poly_sub(self, a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] ^= v
+        out = list(a) + [0] * (len(b) + len(c) - 1 - len(a))
+        log_b = [log[v] for v in b]  # a zero coefficient's products land in the zero tail
+        for i, w in enumerate(c):
+            lw = log[w]
+            for j, lv in enumerate(log_b, i):
+                out[j] ^= exp[lv + lw]
         return poly_trim(out)
 
     def poly_mul_linear(self, a, beta):
@@ -298,25 +311,33 @@ class BinaryField(Field):
         return poly_trim(out)
 
     def poly_divrem(self, num, den):
-        den = poly_trim(list(den))
-        if not den:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = poly_trim(list(num))
+        den, rem = _divrem_operands(num, den)
         dd = len(den) - 1
         if len(rem) <= dd:
             return [], rem
         exp, log = self._exp, self._log
         log_inv_lead = self._order - log[den[-1]]
-        log_den = [log[v] for v in den]
+        log_low = [log[v] for v in den[:dd]]  # the leading term cancels by construction
         quo = [0] * (len(rem) - dd)
         for i in range(len(quo) - 1, -1, -1):
             c = rem[i + dd]
             if c:
                 c = quo[i] = exp[log[c] + log_inv_lead]
                 lc = log[c]
-                for j, lv in enumerate(log_den):
-                    rem[i + j] ^= exp[lc + lv]
-        return poly_trim(quo), poly_trim(rem)
+                for j, lv in enumerate(log_low, i):
+                    rem[j] ^= exp[lc + lv]
+        return quo, poly_trim(rem[:dd])
+
+    def poly_evals(self, a, xs):
+        exp, log = self._exp, self._log
+        lead, rest = (a[-1], a[-2::-1]) if a else (0, ())
+        out = []
+        for x in xs:
+            lx, acc = log[x], lead
+            for v in rest:
+                acc = exp[log[acc] + lx] ^ v
+            out.append(acc)
+        return out
 
     def _sum_rows(self, terms):
         return np.bitwise_xor.reduce(terms, axis=0)
@@ -348,6 +369,16 @@ def poly_trim(c: list[int]) -> list[int]:
     return c
 
 
+def _divrem_operands(num, den) -> tuple[list[int], list[int]]:
+    """den trimmed (copied only if it has trailing zeros), and num copied
+    and trimmed as the working remainder; ZeroDivisionError for den = 0."""
+    if not den or not den[-1]:
+        den = poly_trim(list(den))
+        if not den:
+            raise ZeroDivisionError("polynomial division by zero")
+    return den, poly_trim(list(num))
+
+
 def poly_deg(c: list[int]) -> int:
     """Degree; -1 for the zero polynomial."""
     return len(c) - 1
@@ -376,8 +407,10 @@ def lagrange_table(field: Field, xs: tuple[int, ...]) -> tuple[np.ndarray, tuple
     N / (x - x_j), the polynomial of degree len(xs) - 1 that is 1 at x_j and 0
     at the other nodes; Field.poly_combine of the rows with values ys is the
     interpolant of degree < len(xs).  A code builds its table once, at its
-    first decode.  O(len(xs)^2).
+    first decode.  O(len(xs)^2).  ValueError for repeated nodes.
     """
+    if len(set(xs)) != len(xs):
+        raise ValueError("duplicate x coordinates")
     N = [1]
     for x in xs:
         N = field.poly_mul_linear(N, x)

@@ -22,11 +22,13 @@ the hard decision in closed form.  The module is spanned by N = prod (x - x_j)
 and y - R, R the interpolant of degree < n (galois.lagrange_table); cancelling
 the leading terms of these two against each other until they sit in
 different positions (one y-free, one y-bearing) leaves a Groebner basis of
-the module, the reduction of Gao (2003) and Alekhnovich (2005).  Its minimal
-element equals that of the fold of forward_add from {1, y} up to a nonzero
-scalar, so factorize reads the same message off it, and off every basis the
-point updates derive from it.  read_codeword then reads the codeword off the
-same element instead of re-encoding the message.
+the module, the reduction of Gao (2003) and Alekhnovich (2005): one
+poly_divrem per pass, and one poly_submul for the y-parts' co-factor.  Its
+minimal element equals that of the fold of forward_add from {1, y} up to a
+nonzero scalar, so factorize reads the same message off it, and off every
+basis the point updates derive from it.  read_codeword then reads the
+codeword off the same element instead of re-encoding the message.  A basis
+finds its minimal element once (GroebnerBasis.minimal), for both.
 
 All operations are pure: they return new objects and never mutate their
 inputs, so bases branched across search-tree nodes may share structure.
@@ -35,8 +37,9 @@ inputs, so bases branched across search-tree nodes may share structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .galois import Field, lagrange_table, poly_deg
+from .galois import Field, lagrange_table
 
 _NEG = -(10**9)  # stand-in for the weighted degree of a zero part
 
@@ -67,22 +70,33 @@ class GroebnerBasis:
     polys: tuple[BivarPoly, BivarPoly]
     points: tuple[tuple[int, int], ...]
 
+    @cached_property
+    def minimal(self) -> BivarPoly:
+        """The element of least (1, k-1)-weighted degree (element 0 on ties),
+        found once per basis: factorize and read_codeword both read it."""
+        P0, P1 = self.polys
+        return P0 if wdeg_key(self.k, P0) <= wdeg_key(self.k, P1) else P1
+
 
 def _eliminate(basis: GroebnerBasis, d: tuple[int, int]) -> tuple[int, BivarPoly]:
     """One Koetter elimination step over the discrepancies d = (d0, d1).
 
     mu is the lower-order element among those with d[mu] != 0 (element 0 on
-    ties); R = d[mu]*P[nu] - d[nu]*P[mu] is the other element with its
-    discrepancy cancelled (P[nu] itself, unscaled, when d[nu] is already 0).
+    ties); R = P[nu] - (d[nu]/d[mu])*P[mu] is the other element with its
+    discrepancy cancelled, one multiply-subtract per part (P[nu] itself when
+    d[nu] is already 0).  Koetter's d[mu]*P[nu] - d[nu]*P[mu] is d[mu]*R: every
+    element is kept only up to a unit, which changes no leading term, root or
+    message u = -q0/q1.
     """
     field, k, P = basis.field, basis.k, basis.polys
     mu = 0 if d[0] and (not d[1] or wdeg_key(k, P[0]) <= wdeg_key(k, P[1])) else 1
     nu = 1 - mu
     if not d[nu]:
         return mu, P[nu]
-    scale, sub = field.poly_scale, field.poly_sub
-    return mu, BivarPoly(tuple(sub(scale(P[nu].q0, d[mu]), scale(P[mu].q0, d[nu]))),
-                         tuple(sub(scale(P[nu].q1, d[mu]), scale(P[mu].q1, d[nu]))))
+    ratio = [field.mul(d[nu], field.inv(d[mu]))]
+    submul = field.poly_submul
+    return mu, BivarPoly(tuple(submul(P[nu].q0, P[mu].q0, ratio)),
+                         tuple(submul(P[nu].q1, P[mu].q1, ratio)))
 
 
 def forward_add(basis: GroebnerBasis, x: int, y: int) -> GroebnerBasis:
@@ -124,31 +138,21 @@ def backward_remove(basis: GroebnerBasis, x: int, y: int) -> GroebnerBasis:
     return GroebnerBasis(field, k, (P[mu], R) if mu == 0 else (R, P[mu]), pts)
 
 
-def minimal_poly(basis: GroebnerBasis) -> BivarPoly:
-    P0, P1 = basis.polys
-    k = basis.k
-    return P0 if wdeg_key(k, P0) <= wdeg_key(k, P1) else P1
-
-
 def factorize(basis: GroebnerBasis) -> list[int] | None:
     """Message u = -q0/q1 of the minimal basis element, if it exists.
 
     Returns the coefficient list (possibly empty, meaning the zero message)
     when q1 divides q0 exactly and the quotient has degree < k; None when the
-    minimal element admits no such root.  Note: test the result with
+    minimal element admits no such root.  A quotient of degree >= k is
+    rejected from the degrees alone, before dividing, and the division is by
+    -q1, so the quotient is u itself.  Note: test the result with
     `is not None`, since the zero message is falsy.
     """
-    field, k = basis.field, basis.k
-    P = minimal_poly(basis)
-    if not P.q1:
+    field, P = basis.field, basis.minimal
+    if not P.q1 or len(P.q0) - len(P.q1) >= basis.k:
         return None
-    quo, rem = field.poly_divrem(P.q0, P.q1)
-    if rem:
-        return None
-    u = field.poly_sub([], quo)
-    if poly_deg(u) >= k:
-        return None
-    return u
+    u, rem = field.poly_divrem(P.q0, field.poly_scale(P.q1, field.sub(0, 1)))
+    return None if rem else u
 
 
 def interpolate(field: Field, k: int, points) -> GroebnerBasis:
@@ -163,21 +167,16 @@ def interpolate(field: Field, k: int, points) -> GroebnerBasis:
     element leads with y, the leading terms sit in different positions, which
     makes the pair a Groebner basis.
     """
-    points = tuple((x, y) for x, y in points)
+    points = tuple(map(tuple, points))
     if not points:
         raise ValueError("interpolation needs at least one point")
     xs, ys = zip(*points)
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate x coordinates")
-    log_rows, N = lagrange_table(field, xs)
-    scale, sub = field.poly_scale, field.poly_sub
-    r0, s0, r1, s1 = list(N), [], sub([], field.poly_combine(log_rows, ys)), [1]
+    log_rows, N = lagrange_table(field, xs)  # ValueError for duplicate xs
+    # R - y, the interpolant's element up to the unit -1, saves negating R
+    r0, s0, r1, s1 = N, [], field.poly_combine(log_rows, ys), [field.sub(0, 1)]
     while len(r1) > len(s1) + k - 1:  # deg r1 > deg s1 + k - 1: r1 + s1*y leads y-free
         quo, rem = field.poly_divrem(r0, r1)
-        for i, c in enumerate(quo):  # s0 -= quo * s1, one term at a time
-            if c:
-                s0 = sub(s0, [0] * i + scale(s1, c))
-        r0, s0, r1, s1 = r1, s1, rem, s0
+        r0, s0, r1, s1 = r1, s1, rem, field.poly_submul(s0, quo, s1)
     return GroebnerBasis(field, k, (BivarPoly(tuple(r0), tuple(s0)),
                                     BivarPoly(tuple(r1), tuple(s1))), points)
 
@@ -188,9 +187,14 @@ def read_codeword(basis: GroebnerBasis, u: list[int], xs) -> tuple[int, ...]:
 
     q0 = -u*q1 and the element vanishes at every point (x_j, y_j), so
     q1(x_j) * (y_j - u(x_j)) = 0: the value is y_j wherever q1(x_j) != 0, and
-    u is evaluated only at the roots of q1, which are at most deg q1.
+    u is evaluated only at the roots of q1, which are at most deg q1.  One
+    poly_evals scan finds them; a constant q1 has none, so then the codeword
+    is the interpolated word itself.
     """
-    ev = basis.field.poly_eval
-    q1 = minimal_poly(basis).q1
-    ys = dict(basis.points)
-    return tuple([ys[x] if ev(q1, x) else ev(u, x) for x in xs])
+    field, q1 = basis.field, basis.minimal.q1
+    c = list(map(dict(basis.points).__getitem__, xs))
+    if len(q1) > 1:
+        for j, v in enumerate(field.poly_evals(q1, xs)):
+            if not v:
+                c[j] = field.poly_eval(u, xs[j])
+    return tuple(c)

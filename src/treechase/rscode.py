@@ -61,5 +61,4 @@ def encode(code: CodeParams, message: list[int]) -> tuple[int, ...]:
     """Evaluate the message polynomial at the code's points."""
     if poly_deg(message) >= code.k:
         raise ValueError(f"message degree {poly_deg(message)} >= k = {code.k}")
-    fld = code.field
-    return tuple(fld.poly_eval(message, x) for x in code.eval_points)
+    return tuple(code.field.poly_evals(message, code.eval_points))

@@ -81,6 +81,8 @@ def test_lcc_eta_validation(code54, example1_pi):
         LccConfig(eta=-1)
     with pytest.raises(ValueError):
         lcc_decode(code54, example1_pi, LccConfig(eta=5))
+    with pytest.raises(ValueError, match="eta"):  # checked before the front end reads pi
+        lcc_decode(code54, np.full((5, 4), np.nan), LccConfig(eta=5))
 
 
 def test_classify_ml_four_cases(code54, example1_pi):

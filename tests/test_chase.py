@@ -197,7 +197,10 @@ def b0_by_chain_scan(chain, e, d_min):
 
 @pytest.mark.parametrize("quantized", [False, True])
 def test_kaneko_floor_equals_chain_scan(quantized):
+    """Bit for bit, on every branch: need = d_min - wt(e) <= 0 (floor 0), need
+    more than the coordinates left (floor +inf), and a sum in between."""
     rng = np.random.default_rng(13)
+    branches = {"none needed": 0, "too few left": 0, "sum": 0}
     for _ in range(60):
         n, q = int(rng.integers(1, 9)), int(rng.choice([2, 3, 5, 8]))
         if quantized:  # few levels, so weights tie within and across coordinates
@@ -210,9 +213,20 @@ def test_kaneko_floor_equals_chain_scan(quantized):
             e = [0] * n
             for j in support:
                 e[j] = int(rng.integers(1, q))
-            for d_min in range(1, n + 2):
-                assert kaneko_B0(chain, e, d_min) == b0_by_chain_scan(ref, e, d_min)
+            for d_min in range(0, n + 3):
+                b0 = kaneko_B0(chain, e, d_min)
+                assert b0 == b0_by_chain_scan(ref, e, d_min)
+                need = d_min - size
+                if need <= 0:
+                    branches["none needed"] += 1
+                    assert b0 == 0.0
+                elif need > n - size:
+                    branches["too few left"] += 1
+                    assert b0 == math.inf
+                else:
+                    branches["sum"] += 1
         assert not {"_order", "coords", "weights"} & set(vars(chain))
+    assert min(branches.values()) > 0
 
 
 def test_kaneko_examples(ex_chain):

@@ -289,9 +289,11 @@ def test_threshold_fires_immediately_outside_sphere(code16):
 
 
 def test_threshold_mode_rejects_prime_field(code54, example1_pi):
+    cfg = DecoderConfig(max_trials=16, threshold_eps=0.1, sigma2=1.0)
     with pytest.raises(ValueError):
-        tcgs_decode(code54, example1_pi,
-                    DecoderConfig(max_trials=16, threshold_eps=0.1, sigma2=1.0))
+        tcgs_decode(code54, example1_pi, cfg)
+    with pytest.raises(ValueError, match="characteristic-2"):  # before the front end reads pi
+        tcgs_decode(code54, np.full((5, 4), np.nan), cfg)
 
 
 def test_decoder_config_validation():

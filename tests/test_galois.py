@@ -89,7 +89,7 @@ coef5 = st.lists(st.integers(0, 4), max_size=6)
 @given(coef5, coef5)
 def test_poly_add_sub_roundtrip(a, b):
     s = poly_add(GF5, a, b)
-    assert poly_trim(GF5.poly_sub(s, b)) == poly_trim(a)
+    assert poly_trim(GF5.poly_submul(s, b, [1])) == poly_trim(a)
 
 
 @given(coef5, coef5)
@@ -238,8 +238,8 @@ def test_kernel_eval_scale_sub_match_reference(case):
     assert f.poly_eval(a, x) == ref_eval(f, a, x)
     assert f.poly_eval(a, 0) == (a[0] if a else 0)
     assert f.poly_scale(a, x) == ref_scale(f, a, x)
-    assert f.poly_sub(a, b) == ref_sub(f, a, b)
-    assert f.poly_sub([], a) == ref_sub(f, [], a)
+    assert f.poly_submul(a, b, [1]) == ref_sub(f, a, b)
+    assert f.poly_submul([], a, [1]) == ref_sub(f, [], a)
 
 
 @given(field_and_polys(count=1))
@@ -278,3 +278,58 @@ def test_scalar_table_ops_match_independent_arithmetic(f, data):
         if a:
             assert clmul_mod(a, f.inv(a), f.m) == 1
     assert sorted(f.exp_order()) == list(range(1, f.q))
+
+
+# --- the trial-1 kernels against tests/reference.py's poly_mul and poly_add ---
+#
+# poly_submul (Euclid's co-factor update and every elimination step),
+# poly_divrem (the Euclid step and factorize) and poly_evals (read_codeword's
+# root scan and encode) over prime and binary fields, small and large.
+
+TRIAL_FIELDS = [make_field(p) for p in (2, 5, 7, 257)] + [make_field(2, m) for m in (4, 8)]
+
+
+@st.composite
+def trial_field_and_polys(draw, count=3, max_size=9):
+    f = draw(st.sampled_from(TRIAL_FIELDS))
+    elem = st.one_of(st.just(0), st.just(1), st.integers(0, f.q - 1))
+    return f, [poly_trim(draw(st.lists(elem, max_size=max_size))) for _ in range(count)]
+
+
+@given(trial_field_and_polys())
+def test_submul_is_a_minus_b_times_c(case):
+    f, (a, b, c) = case
+    diff = f.poly_submul(a, b, c)
+    assert poly_add(f, diff, poly_mul(f, b, c)) == a
+    assert f.poly_submul(a, b, []) == f.poly_submul(a, [], c) == a
+    assert f.poly_submul(a, a, [1]) == []
+
+
+@given(trial_field_and_polys(count=2))
+def test_divrem_reassembles_the_dividend(case):
+    f, (num, den) = case
+    if not den:
+        with pytest.raises(ZeroDivisionError):
+            f.poly_divrem(num, den)
+        return
+    quo, rem = f.poly_divrem(num, den)
+    assert poly_add(f, poly_mul(f, quo, den), rem) == num
+    assert len(rem) < len(den) and quo == poly_trim(list(quo)) and rem == poly_trim(list(rem))
+    assert f.poly_divrem(poly_mul(f, num, den), den) == (num, [])  # exact: q1 | q0 in factorize
+    assert f.poly_divrem(tuple(num), tuple(den) + (0, 0)) == (quo, rem)  # tuples, untrimmed den
+
+
+@given(trial_field_and_polys(count=2), st.data())
+def test_evals_is_pointwise_and_finds_the_roots(case, data):
+    f, (a, b) = case
+    xs = data.draw(st.lists(st.integers(0, f.q - 1), max_size=12))
+    assert f.poly_evals(a, xs) == [ref_eval(f, a, x) for x in xs]
+    prod = poly_mul(f, a, b)
+    assert f.poly_evals(prod, xs) == [f.mul(u, v) for u, v in
+                                      zip(f.poly_evals(a, xs), f.poly_evals(b, xs))]
+    roots = data.draw(st.lists(st.integers(0, f.q - 1), max_size=4, unique=True))
+    locator = [1]
+    for r in roots:  # prod (x - r), built with poly_mul alone
+        locator = poly_mul(f, locator, [f.sub(0, r), 1])
+    assert ([x for x, v in zip(xs, f.poly_evals(locator, xs)) if not v]
+            == [x for x in xs if x in roots])
