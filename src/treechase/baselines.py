@@ -54,14 +54,14 @@ def lcc_decode(code: CodeParams, pi: np.ndarray, cfg: LccConfig | None = None,
         # reliability of a coordinate = weight of its cheapest single-symbol change,
         # ties to the lower coordinate; built only for frames trial 1 did not settle
         lrps = np.argsort(s.chain.mins, kind="stable")[:cfg.eta].tolist()
-        second = {j: sub(z[j], int(s.sw.lam[:, j].argmin()) + 1) for j in lrps}
-        state = list(z)
+        second = [sub(z[j], int(s.sw.lam[:, j].argmin()) + 1) for j in lrps]
         for i in range(1, 1 << cfg.eta):
-            j = lrps[(i & -i).bit_length() - 1]  # Gray code i flips bit ctz(i)
-            y_new = second[j] if state[j] == z[j] else z[j]
+            # Gray code i flips bit b = ctz(i): lrps[b] holds its second-best
+            # symbol exactly when bit b of the Gray word i ^ (i >> 1) is set
+            b = (i & -i).bit_length() - 1
+            j = lrps[b]
             s.steps += 1
-            basis, exit_reason = s.trial(basis, j, state[j], y_new)
-            state[j] = y_new
+            basis, exit_reason = s.trial(basis, j, second[b] if (i ^ (i >> 1)) >> b & 1 else z[j])
             if exit_reason is not None:
                 return exit_reason
         return EXIT_BUDGET

@@ -1,8 +1,12 @@
 """One trial engine and the best-first tree search that drives it.
 
 A trial is one hard-decision decode: the inherited interpolation basis with
-one point swapped (one backward removal, one forward insertion), then one
-factorization attempt.  _Search is the engine every decoder shares.  It owns
+one point swapped, then one factorization attempt.  The basis holds the test
+vector it interpolates (GroebnerBasis.points, a mapping x -> y), so a swap
+names only the coordinate and its new symbol: backward_remove(basis, x)
+releases the old one, forward_add(basis, x, y) constrains the new one.
+factorize(basis, xs) returns None or the message and its codeword (u, c) in
+one call.  _Search is the engine every decoder shares.  It owns
 the front end (hard decision z, soft weights, atom chain) and the running
 hypothesis (the lightest error pattern e* whose subtraction from z gives a
 codeword), and it runs every trial: run makes the first (z interpolated in
@@ -42,8 +46,7 @@ from .chase import (
     render_pattern,
 )
 from .galois import poly_str
-from .interp import (GroebnerBasis, backward_remove, factorize, forward_add, interpolate,
-                     read_codeword)
+from .interp import GroebnerBasis, backward_remove, factorize, forward_add, interpolate
 from .rscode import CodeParams
 from .stats import chi2_threshold
 
@@ -148,7 +151,7 @@ class _Search:
         """Interpolate z in closed form and attempt it; unless that exits, order
         runs the later trials from its basis and returns the exit reason."""
         code = self.code
-        basis = interpolate(code.field, code.k, zip(code.eval_points, self.z))
+        basis = interpolate(code.field, code.k, code.eval_points, self.z)
         self.trials = 1
         exit_reason = self.attempt(basis, "0") or order(basis)
         if exit_reason in CERTIFIED_EXITS and self.u_star is None:
@@ -163,12 +166,12 @@ class _Search:
                             best_weight=self.w_star, trials=self.trials, steps=self.steps,
                             exit_reason=exit_reason)
 
-    def trial(self, basis: GroebnerBasis, j: int, y_old: int, y_new: int,
+    def trial(self, basis: GroebnerBasis, j: int, y_new: int,
               pattern: str = "") -> tuple[GroebnerBasis, str | None]:
-        """One later trial: y_new replaces y_old at coordinate j (one backward
-        and one forward update), then the attempt."""
+        """One later trial: y_new replaces the basis's value at coordinate j (one
+        backward and one forward update), then the attempt."""
         x = self.code.eval_points[j]
-        basis = forward_add(backward_remove(basis, x, y_old), x, y_new)
+        basis = forward_add(backward_remove(basis, x), x, y_new)
         self.trials += 1
         return basis, self.attempt(basis, pattern)
 
@@ -178,13 +181,13 @@ class _Search:
         pattern labels the trial in the trace.
         """
         trace = self.trace
-        u = factorize(basis)
-        if u is None:
+        found = factorize(basis, self.code.eval_points)
+        if found is None:
             if trace is not None:
                 trace.append(f"HDD trial={self.trials} step={self.steps} pattern={pattern} "
                              "result=none")
             return None
-        c = read_codeword(basis, u, self.code.eval_points)
+        u, c = found
         e = tuple(map(self.sub, self.z, c))
         w = self.sw.pattern_weight(e)
         improved = w < self.w_star or (self.u_star is None and w == self.w_star)
@@ -257,7 +260,7 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
                 return EXIT_CERTIFIED_TREE
             # the last atom of f replaces z at its coordinate
             j, delta = chain.atom(f[-1])
-            nb, exit_reason = s.trial(f_basis, j, z[j], sub(z[j], delta), pat_str)
+            nb, exit_reason = s.trial(f_basis, j, sub(z[j], delta), pat_str)
             if exit_reason is not None:
                 return exit_reason
             if s.trials == L:

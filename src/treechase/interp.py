@@ -11,7 +11,8 @@ Three point operations keep the basis updated in O(n) per call:
 
   forward_add     adjoin one interpolation point (Koetter's update)
   backward_remove delete one interpolation point (division update)
-  factorize       read a degree-< k message off the minimal basis element
+  factorize       read a degree-< k message and its codeword off the
+                  minimal basis element
 
 Both point updates are one elimination step (_eliminate) over the elements'
 discrepancies at x_j: forward_add multiplies the lower-order element by
@@ -26,9 +27,11 @@ the module, the reduction of Gao (2003) and Alekhnovich (2005): one
 poly_divrem per pass, and one poly_submul for the y-parts' co-factor.  Its
 minimal element equals that of the fold of forward_add from {1, y} up to a
 nonzero scalar, so factorize reads the same message off it, and off every
-basis the point updates derive from it.  read_codeword then reads the
-codeword off the same element instead of re-encoding the message.  A basis
-finds its minimal element once (GroebnerBasis.minimal), for both.
+basis the point updates derive from it; factorize also reads the codeword
+off that element instead of re-encoding the message.
+
+A basis owns its point set, the mapping x -> y of the word it interpolates:
+a point swap names only the x it releases and the new y it constrains.
 
 All operations are pure: they return new objects and never mutate their
 inputs, so bases branched across search-tree nodes may share structure.
@@ -37,7 +40,6 @@ inputs, so bases branched across search-tree nodes may share structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .galois import Field, lagrange_table
 
@@ -68,14 +70,7 @@ class GroebnerBasis:
     field: Field
     k: int
     polys: tuple[BivarPoly, BivarPoly]
-    points: tuple[tuple[int, int], ...]
-
-    @cached_property
-    def minimal(self) -> BivarPoly:
-        """The element of least (1, k-1)-weighted degree (element 0 on ties),
-        found once per basis: factorize and read_codeword both read it."""
-        P0, P1 = self.polys
-        return P0 if wdeg_key(self.k, P0) <= wdeg_key(self.k, P1) else P1
+    points: dict[int, int]  # x -> y; never mutated, so bases may share it
 
 
 def _eliminate(basis: GroebnerBasis, d: tuple[int, int]) -> tuple[int, BivarPoly]:
@@ -107,18 +102,17 @@ def forward_add(basis: GroebnerBasis, x: int, y: int) -> GroebnerBasis:
     element of the module, so an F[x]-combination of P0 and P1, and N_S(x) != 0.
     """
     field, k = basis.field, basis.k
-    for px, _ in basis.points:
-        if px == x:
-            raise ValueError(f"x = {x} already interpolated")
+    if x in basis.points:
+        raise ValueError(f"x = {x} already interpolated")
     P = basis.polys
     mu, R = _eliminate(basis, (bivar_eval(field, P[0], x, y), bivar_eval(field, P[1], x, y)))
     M = BivarPoly(tuple(field.poly_mul_linear(P[mu].q0, x)),
                   tuple(field.poly_mul_linear(P[mu].q1, x)))
-    return GroebnerBasis(field, k, (M, R) if mu == 0 else (R, M), basis.points + ((x, y),))
+    return GroebnerBasis(field, k, (M, R) if mu == 0 else (R, M), {**basis.points, x: y})
 
 
-def backward_remove(basis: GroebnerBasis, x: int, y: int) -> GroebnerBasis:
-    """Release the constraint at (x, y), enlarging the module by one point.
+def backward_remove(basis: GroebnerBasis, x: int) -> GroebnerBasis:
+    """Release the constraint at x, enlarging the module by one point.
 
     The y-parts (P0.q1(x), P1.q1(x)) are never both zero at an interpolated x:
     y - R_S, with R_S the interpolant of the points S, lies in the module and
@@ -126,39 +120,55 @@ def backward_remove(basis: GroebnerBasis, x: int, y: int) -> GroebnerBasis:
     RuntimeError below therefore flags a basis that is not a basis of the module.
     """
     field, k = basis.field, basis.k
-    if (x, y) not in basis.points:
-        raise ValueError(f"point ({x}, {y}) not interpolated")
+    if x not in basis.points:
+        raise ValueError(f"x = {x} not interpolated")
     P = basis.polys
     e = (field.poly_eval(P[0].q1, x), field.poly_eval(P[1].q1, x))
     if e == (0, 0):
         raise RuntimeError("degenerate basis: no y-part is nonzero at the removed x")
     mu, R = _eliminate(basis, e)
     R = BivarPoly(tuple(field.poly_div_linear(R.q0, x)), tuple(field.poly_div_linear(R.q1, x)))
-    pts = tuple(pt for pt in basis.points if pt != (x, y))
-    return GroebnerBasis(field, k, (P[mu], R) if mu == 0 else (R, P[mu]), pts)
+    points = basis.points.copy()
+    del points[x]
+    return GroebnerBasis(field, k, (P[mu], R) if mu == 0 else (R, P[mu]), points)
 
 
-def factorize(basis: GroebnerBasis) -> list[int] | None:
-    """Message u = -q0/q1 of the minimal basis element, if it exists.
+def factorize(basis: GroebnerBasis, xs) -> tuple[list[int], tuple[int, ...]] | None:
+    """Message u = -q0/q1 of the minimal basis element, and its codeword at
+    the interpolated nodes xs, if the message exists.
 
-    Returns the coefficient list (possibly empty, meaning the zero message)
-    when q1 divides q0 exactly and the quotient has degree < k; None when the
-    minimal element admits no such root.  A quotient of degree >= k is
-    rejected from the degrees alone, before dividing, and the division is by
-    -q1, so the quotient is u itself.  Note: test the result with
-    `is not None`, since the zero message is falsy.
+    The minimal element is the one of least (1, k-1)-weighted degree (element
+    0 on ties).  It yields u (a coefficient list, possibly empty, meaning the
+    zero message) when q1 divides q0 exactly and the quotient has degree < k;
+    otherwise factorize returns None.  A quotient of degree >= k is rejected
+    from the degrees alone, before dividing, and the division is by -q1, so
+    the quotient is u itself.
+
+    The codeword is read off the same element instead of encoding u: q0 =
+    -u*q1 and the element vanishes at every point (x_j, y_j), so q1(x_j) *
+    (y_j - u(x_j)) = 0.  c_j is y_j wherever q1(x_j) != 0, and u is evaluated
+    only at the roots of q1, which are at most deg q1.  One poly_evals scan
+    finds them; a constant q1 has none, so then c is the interpolated word.
     """
-    field, P = basis.field, basis.minimal
-    if not P.q1 or len(P.q0) - len(P.q1) >= basis.k:
+    field, k, (P0, P1) = basis.field, basis.k, basis.polys
+    P = P0 if wdeg_key(k, P0) <= wdeg_key(k, P1) else P1
+    if not P.q1 or len(P.q0) - len(P.q1) >= k:
         return None
     u, rem = field.poly_divrem(P.q0, field.poly_scale(P.q1, field.sub(0, 1)))
-    return None if rem else u
+    if rem:
+        return None
+    c = list(map(basis.points.__getitem__, xs))
+    if len(P.q1) > 1:
+        for j, v in enumerate(field.poly_evals(P.q1, xs)):
+            if not v:
+                c[j] = field.poly_eval(u, xs[j])
+    return u, tuple(c)
 
 
-def interpolate(field: Field, k: int, points) -> GroebnerBasis:
-    """The Groebner basis of the q0 + q1*y that vanish on points (distinct x,
-    at least one): {N, y - R} reduced under the (1, k-1) order, y-free leader
-    first.
+def interpolate(field: Field, k: int, xs: tuple[int, ...], ys) -> GroebnerBasis:
+    """The Groebner basis of the q0 + q1*y that vanish at the points (x_j, y_j)
+    (xs a tuple of distinct nodes, at least one; ys as many values): {N, y - R}
+    reduced under the (1, k-1) order, y-free leader first.
 
     While both elements lead y-free, the higher one's leading terms are
     cancelled against the lower one's by one division of their q0 parts (a
@@ -167,10 +177,8 @@ def interpolate(field: Field, k: int, points) -> GroebnerBasis:
     element leads with y, the leading terms sit in different positions, which
     makes the pair a Groebner basis.
     """
-    points = tuple(map(tuple, points))
-    if not points:
-        raise ValueError("interpolation needs at least one point")
-    xs, ys = zip(*points)
+    if not xs or len(xs) != len(ys):
+        raise ValueError("interpolation needs at least one node and one value per node")
     log_rows, N = lagrange_table(field, xs)  # ValueError for duplicate xs
     # R - y, the interpolant's element up to the unit -1, saves negating R
     r0, s0, r1, s1 = N, [], field.poly_combine(log_rows, ys), [field.sub(0, 1)]
@@ -178,23 +186,4 @@ def interpolate(field: Field, k: int, points) -> GroebnerBasis:
         quo, rem = field.poly_divrem(r0, r1)
         r0, s0, r1, s1 = r1, s1, rem, field.poly_submul(s0, quo, s1)
     return GroebnerBasis(field, k, (BivarPoly(tuple(r0), tuple(s0)),
-                                    BivarPoly(tuple(r1), tuple(s1))), points)
-
-
-def read_codeword(basis: GroebnerBasis, u: list[int], xs) -> tuple[int, ...]:
-    """u's values at the interpolated xs, for u = factorize(basis), read off
-    the minimal element q0 + q1*y that u came from.
-
-    q0 = -u*q1 and the element vanishes at every point (x_j, y_j), so
-    q1(x_j) * (y_j - u(x_j)) = 0: the value is y_j wherever q1(x_j) != 0, and
-    u is evaluated only at the roots of q1, which are at most deg q1.  One
-    poly_evals scan finds them; a constant q1 has none, so then the codeword
-    is the interpolated word itself.
-    """
-    field, q1 = basis.field, basis.minimal.q1
-    c = list(map(dict(basis.points).__getitem__, xs))
-    if len(q1) > 1:
-        for j, v in enumerate(field.poly_evals(q1, xs)):
-            if not v:
-                c[j] = field.poly_eval(u, xs[j])
-    return tuple(c)
+                                    BivarPoly(tuple(r1), tuple(s1))), dict(zip(xs, ys)))

@@ -146,8 +146,10 @@ class _PointCtx:
                                          sigma2=self.sigma2 if cfg.threshold_eps is not None else None)
         elif alg == "hdd":
             self.dec_cfg = DecoderConfig(max_trials=1)
-        else:
+        elif alg == "lcc":
             self.dec_cfg = LccConfig(eta=cfg.eta)
+        else:  # run_frame runs lcc_decode for lcc and tcgs_decode for every other name
+            raise ValueError(f"unknown algorithm {alg!r} (choose from {ALGORITHMS})")
 
     def run_frame(self, idx: int) -> tuple[bool, int, int, int]:
         cfg, code = self.cfg, self.code

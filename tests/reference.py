@@ -11,6 +11,7 @@ because no decode, sweep or CLI path calls it:
                         completeness argument
   interpolate_points    the fold of forward_add from {1, y}, which
                         interp.interpolate reduces to in closed form
+  minimal               a basis's element of least weighted degree
   codebook              every (message, codeword) pair of a small code
   mld_oracle            exhaustive maximum-likelihood decode of a small code
 """
@@ -26,7 +27,7 @@ from scipy.special import gammaincc
 from treechase.channel import check_pi
 from treechase.chase import AtomChain
 from treechase.galois import Field, poly_trim
-from treechase.interp import BivarPoly, GroebnerBasis, forward_add
+from treechase.interp import BivarPoly, GroebnerBasis, forward_add, wdeg_key
 from treechase.rscode import CodeParams, encode
 
 
@@ -91,10 +92,16 @@ def interpolate_points(field: Field, k: int, points) -> GroebnerBasis:
     of all q0 + q1*y (no points)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    basis = GroebnerBasis(field, k, (BivarPoly((1,), ()), BivarPoly((), (1,))), ())
+    basis = GroebnerBasis(field, k, (BivarPoly((1,), ()), BivarPoly((), (1,))), {})
     for x, y in points:
         basis = forward_add(basis, x, y)
     return basis
+
+
+def minimal(basis: GroebnerBasis) -> BivarPoly:
+    """The element of least (1, k-1)-weighted degree, element 0 on ties, as
+    factorize picks it."""
+    return min(basis.polys, key=lambda P: wdeg_key(basis.k, P))
 
 
 @lru_cache(maxsize=8)

@@ -44,9 +44,10 @@ def test_lcc_exhaustive_matches_brute_force(code54, example1_pi):
     for mask in itertools.product((0, 1), repeat=4):
         y = [second[j] if mask[j] else z[j] for j in range(4)]
         basis = interpolate_points(f, 2, zip(code54.eval_points, y))
-        u = factorize(basis)
-        if u is None:
+        found = factorize(basis, code54.eval_points)
+        if found is None:
             continue
+        u = found[0]
         cw = encode(code54, u)
         w = sw.pattern_weight([f.sub(zj, cj) for zj, cj in zip(z, cw)])
         if best_w is None or w < best_w:

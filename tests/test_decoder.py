@@ -19,7 +19,7 @@ from treechase.decoder import (
     decode_with_trace,
     tcgs_decode,
 )
-from treechase.interp import read_codeword
+from treechase.interp import factorize
 from treechase.rscode import encode, make_code
 from treechase.sim import draw_frame
 
@@ -464,19 +464,21 @@ def test_verify_trace_detects_perturbation(code54, example1_pi, example1_trace):
 
 
 @pytest.mark.parametrize("m,n,k,snr_db,frames", [(4, 15, 11, 4.0, 300), (8, 255, 239, 6.0, 12)])
-def test_read_codeword_equals_encode(monkeypatch, m, n, k, snr_db, frames):
-    """Every codeword the engine reads off the error locator, over seeded frames
+def test_factorize_codeword_equals_encode(monkeypatch, m, n, k, snr_db, frames):
+    """Every codeword factorize reads off the error locator, over seeded frames
     through both pattern orders, equals the message's encoding."""
     code = make_code(2, m, n, k)
     sigma = sigma_from_snr_db(snr_db, k / n)
     checked = []
 
-    def read_and_check(basis, u, xs):
-        c = read_codeword(basis, u, xs)
-        checked.append(c == encode(code, u))
-        return c
+    def factorize_and_check(basis, xs):
+        found = factorize(basis, xs)
+        if found is not None:
+            u, c = found
+            checked.append(c == encode(code, u))
+        return found
 
-    monkeypatch.setattr(decoder, "read_codeword", read_and_check)
+    monkeypatch.setattr(decoder, "factorize", factorize_and_check)
     for i in range(frames):
         _, pi = draw_frame(code, sigma, 0, i)
         tcgs_decode(code, pi, DecoderConfig(max_trials=16))

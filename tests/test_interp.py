@@ -13,7 +13,7 @@ from treechase.interp import (
     wdeg_key,
 )
 
-from reference import interpolate_points
+from reference import interpolate_points, minimal
 
 GF5 = PrimeField(5)
 GF7 = PrimeField(7)
@@ -22,7 +22,23 @@ GF16 = BinaryField(4)
 
 def vanishes_everywhere(basis) -> bool:
     return all(bivar_eval(basis.field, P, x, y) == 0
-               for P in basis.polys for x, y in basis.points)
+               for P in basis.polys for x, y in basis.points.items())
+
+
+def assert_reads_codeword(basis, xs):
+    """factorize finds no message, or a degree-< k one and its values at xs."""
+    found = factorize(basis, xs)
+    if found is not None:
+        u, c = found
+        assert len(u) <= basis.k and c == tuple(basis.field.poly_evals(u, xs))
+
+
+def assert_rejected(update, basis, *args):
+    """update(basis, *args) raises ValueError and leaves basis as it was."""
+    polys, points = basis.polys, dict(basis.points)
+    with pytest.raises(ValueError):
+        update(basis, *args)
+    assert basis.polys == polys and basis.points == points
 
 
 def leading_terms_split(basis) -> bool:
@@ -62,16 +78,14 @@ def test_forward_add_maintains_invariants_gf7():
 
 def test_forward_add_rejects_duplicate_x():
     basis = interpolate_points(GF5, 2, [(0, 1), (1, 0)])
-    with pytest.raises(ValueError):
-        forward_add(basis, 0, 3)
+    assert_rejected(forward_add, basis, 0, 3)
+    assert_rejected(forward_add, basis, 1, 0)  # the point itself
 
 
 def test_backward_remove_unknown_point():
     basis = interpolate_points(GF5, 2, [(0, 1), (1, 0)])
-    with pytest.raises(ValueError):
-        backward_remove(basis, 2, 2)
-    with pytest.raises(ValueError):
-        backward_remove(basis, 0, 4)  # right x, wrong y
+    assert_rejected(backward_remove, basis, 2)
+    assert_rejected(backward_remove, backward_remove(basis, 0), 0)  # removed already
 
 
 def test_backward_then_forward_restores_factorization():
@@ -81,17 +95,17 @@ def test_backward_then_forward_restores_factorization():
         q = field.q
         n = int(rng.integers(3, min(q, 9)))
         k = int(rng.integers(1, n))
-        xs = [int(v) for v in rng.permutation(np.arange(1, q))[:n]]
+        xs = tuple(int(v) for v in rng.permutation(np.arange(1, q))[:n])
         ys = [int(v) for v in rng.integers(0, q, size=n)]
         basis = interpolate_points(field, k, zip(xs, ys))
-        before = factorize(basis)
+        before = factorize(basis, xs)
         j = int(rng.integers(0, n))
-        removed = backward_remove(basis, xs[j], ys[j])
+        removed = backward_remove(basis, xs[j])
         assert vanishes_everywhere(removed)
         restored = forward_add(removed, xs[j], ys[j])
         assert vanishes_everywhere(restored)
-        assert factorize(restored) == before
-        assert wdeg_key(k, restored.minimal) == wdeg_key(k, basis.minimal)
+        assert factorize(restored, xs) == before
+        assert wdeg_key(k, minimal(restored)) == wdeg_key(k, minimal(basis))
 
 
 def test_factorize_reads_message_from_clean_interpolation(code54):
@@ -100,22 +114,21 @@ def test_factorize_reads_message_from_clean_interpolation(code54):
     u = [1, 2]
     cw = encode(code54, u)
     basis = interpolate_points(GF5, 2, zip(code54.eval_points, cw))
-    assert factorize(basis) == u
+    assert factorize(basis, code54.eval_points) == (u, cw)
 
 
 def test_factorize_none_when_no_root():
     # hard decision of the worked example is not a codeword: first basis pops
     # a valid u only because min-weight element divides; perturb to break it
     basis = interpolate_points(GF5, 2, [(0, 1), (1, 0), (2, 2), (3, 1)])
-    u = factorize(basis)
-    if u is not None:
-        assert len(poly_trim(u)) <= 2
+    found = factorize(basis, (0, 1, 2, 3))
+    if found is not None:
+        assert len(poly_trim(found[0])) <= 2
 
 
 def test_factorize_zero_message_is_empty_list(code54):
     basis = interpolate_points(GF5, 2, zip(code54.eval_points, (0, 0, 0, 0)))
-    u = factorize(basis)
-    assert u == [] and u is not None
+    assert factorize(basis, code54.eval_points) == ([], (0, 0, 0, 0))
 
 
 def test_degree_k_quotient_rejected():
@@ -124,7 +137,7 @@ def test_degree_k_quotient_rejected():
     coeffs = [1, 0, 1]
     pts = [(x, f.poly_eval(coeffs, x)) for x in range(7)]
     basis = interpolate_points(f, 2, pts)
-    assert factorize(basis) is None
+    assert factorize(basis, tuple(range(7))) is None
 
 
 def test_interpolate_points_equals_fold():
@@ -159,7 +172,7 @@ def test_forward_then_backward_restores_point_set(field, data):
     basis = interpolate_points(field, k, zip(xs[:-1], ys[:-1]))
     added = forward_add(basis, xs[-1], ys[-1])
     assert vanishes_everywhere(added)
-    removed = backward_remove(added, xs[-1], ys[-1])
+    removed = backward_remove(added, xs[-1])
     assert removed.points == basis.points
     assert vanishes_everywhere(removed)
     assert leading_terms_split(removed)
@@ -172,20 +185,26 @@ def test_random_walk_keeps_update_preconditions(field, k, data):
     distinct x.  At a new x the discrepancies are never both zero (the y-free
     product of (x - x_j) lies in the module), which is why forward_add has no
     all-vanishing branch; at an interpolated x the y-parts are never both zero
-    (y - R_S lies in the module and has q1 = 1), so backward_remove never raises."""
+    (y - R_S lies in the module and has q1 = 1), so backward_remove never raises.
+    After every update the basis holds the walked word, and factorize reads a
+    codeword that agrees with its message."""
     pool = data.draw(st.lists(st.integers(0, field.q - 1), min_size=1, max_size=12, unique=True))
-    basis = interpolate_points(field, k, ())
+    basis, word = interpolate_points(field, k, ()), {}
     for _ in range(data.draw(st.integers(1, 30))):
-        used = [x for x, _ in basis.points]
-        fresh = [x for x in pool if x not in used]
-        if fresh and (not used or data.draw(st.booleans())):
+        fresh = [x for x in pool if x not in word]
+        if fresh and (not word or data.draw(st.booleans())):
             x, y = data.draw(st.sampled_from(fresh)), data.draw(st.integers(0, field.q - 1))
             assert tuple(bivar_eval(field, P, x, y) for P in basis.polys) != (0, 0)
             basis = forward_add(basis, x, y)
+            word[x] = y
         else:
-            basis = backward_remove(basis, *data.draw(st.sampled_from(basis.points)))
+            x = data.draw(st.sampled_from(sorted(word)))
+            basis = backward_remove(basis, x)
+            del word[x]
+        assert basis.points == word
         assert vanishes_everywhere(basis)
-        for x, _ in basis.points:
+        assert_reads_codeword(basis, tuple(word))
+        for x in word:
             assert tuple(field.poly_eval(P.q1, x) for P in basis.polys) != (0, 0)
 
 
@@ -207,14 +226,15 @@ def assert_same_module(got, ref):
     k = got.k
     assert vanishes_everywhere(got) and vanishes_everywhere(ref)
     assert sorted(wdeg_key(k, P) for P in got.polys) == sorted(wdeg_key(k, P) for P in ref.polys)
-    assert proportional(got.field, got.minimal, ref.minimal)
-    assert factorize(got) == factorize(ref)
+    assert proportional(got.field, minimal(got), minimal(ref))
+    xs = tuple(got.points)
+    assert factorize(got, xs) == factorize(ref, xs)
 
 
 @st.composite
 def interpolation_problems(draw):
-    """(field, k, points): random values, or a degree-< k curve with a few errors,
-    so that factorize finds a message on some draws."""
+    """(field, k, xs, ys): random values, or a degree-< k curve with a few
+    errors, so that factorize finds a message on some draws."""
     field = draw(st.sampled_from(CLOSED_FORM_FIELDS))
     xs = draw(st.lists(st.integers(0, field.q - 1), min_size=1, max_size=min(field.q, 20),
                        unique=True))
@@ -228,25 +248,30 @@ def interpolation_problems(draw):
         keep = draw(st.lists(st.booleans(), min_size=len(xs), max_size=len(xs)))
         ys = [field.add(field.poly_eval(u, x), 0 if kept else e)
               for x, e, kept in zip(xs, errors, keep)]
-    return field, k, list(zip(xs, ys))
+    return field, k, tuple(xs), ys
 
 
 @settings(max_examples=200)
 @given(interpolation_problems(), st.data())
 def test_interpolate_matches_fold(problem, data):
     """interpolate and the fold of forward_add from {1, y} give bases of one
-    module, and keep doing so along a random walk of one-point swaps."""
-    field, k, points = problem
-    got, ref = interpolate(field, k, points), interpolate_points(field, k, points)
-    assert (got.field, got.k, got.points) == (ref.field, ref.k, ref.points)
+    module, and keep doing so along a random walk of one-point swaps, each
+    basis holding the walked word and reading a codeword of its message."""
+    field, k, xs, ys = problem
+    got, ref = interpolate(field, k, xs, ys), interpolate_points(field, k, zip(xs, ys))
+    word = dict(zip(xs, ys))
+    assert (got.field, got.k, got.points) == (ref.field, ref.k, word)
     assert [wdeg_key(k, P)[1] for P in got.polys] == [0, 1]  # y-free leader first
     assert_same_module(got, ref)
+    assert_reads_codeword(got, xs)
     for _ in range(data.draw(st.integers(0, 8))):
-        x, y_old = data.draw(st.sampled_from(got.points))
-        y_new = data.draw(st.integers(0, field.q - 1))
-        got = forward_add(backward_remove(got, x, y_old), x, y_new)
-        ref = forward_add(backward_remove(ref, x, y_old), x, y_new)
+        x = data.draw(st.sampled_from(xs))
+        word[x] = data.draw(st.integers(0, field.q - 1))
+        got = forward_add(backward_remove(got, x), x, word[x])
+        ref = forward_add(backward_remove(ref, x), x, word[x])
+        assert got.points == ref.points == word
         assert_same_module(got, ref)
+        assert_reads_codeword(got, xs)
 
 
 EDGE_CASE_FIELDS = ([make_field(p) for p in (2, 3, 5, 7, 257)]
@@ -261,15 +286,19 @@ def test_interpolate_edge_cases(field):
              [(x, 1) for x in range(n)],        # constant values
              [(x, x) for x in range(n - 1, -1, -1)]]
     for points in cases:
+        xs, ys = zip(*points)
         for k in range(1, len(points) + 1):
-            assert_same_module(interpolate(field, k, points), interpolate_points(field, k, points))
+            assert_same_module(interpolate(field, k, xs, ys), interpolate_points(field, k, points))
 
 
 def test_interpolate_rejects_bad_points():
     with pytest.raises(ValueError):
-        interpolate(GF7, 2, [])
+        interpolate(GF7, 2, (), ())
+    for xs, ys in (((0, 4), (1,)), ((0,), (1, 2)), ((), (1,))):  # a value per node
+        with pytest.raises(ValueError):
+            interpolate(GF7, 2, xs, ys)
     with pytest.raises(ValueError):
-        interpolate(GF7, 2, [(0, 1), (4, 2), (0, 3)])
+        interpolate(GF7, 2, (0, 4, 0), (1, 2, 3))
     for _ in range(2):  # the Lagrange table's cache keeps no exception: each call raises
         with pytest.raises(ValueError):
-            interpolate(GF16, 1, [(5, 1), (5, 1)])
+            interpolate(GF16, 1, (5, 5), (1, 1))

@@ -1,4 +1,5 @@
-"""Smoke runs of the experiment scripts: each exits 0 and prints one row per point."""
+"""Smoke runs of the experiment scripts (each exits 0 and prints one row per
+point), and the line counter on a module of known size."""
 
 import importlib.util
 from pathlib import Path
@@ -9,11 +10,11 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 HEADERS = {"algorithm", "SNR", "L", "epsilon"}  # first word of each table header
 
 
-def _main(name):
+def _load(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    return mod.main
+    return mod
 
 
 @pytest.mark.parametrize("name, args, rows", [
@@ -23,7 +24,38 @@ def _main(name):
     ("run_threshold_tradeoff", ["--eps", "0,0.1", "--L", "8"], 2),
 ])
 def test_script_prints_one_row_per_point(name, args, rows, capsys):
-    assert _main(name)(args + ["--frames", "60", "--workers", "1"]) == 0
+    assert _load(name).main(args + ["--frames", "60", "--workers", "1"]) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
     data = [ln for ln in lines if ln.replace(",", " ").split()[0] not in HEADERS]
     assert len(data) == rows, lines
+
+
+SAMPLE = '''"""Module docstring,
+two lines."""
+
+import os  # a comment
+
+
+# a comment line
+class A:
+    """Class docstring."""
+
+    x = """a string that
+    spans two lines"""
+
+    def f(self):
+        """Function docstring."""
+        return (1 +
+                2)
+'''
+
+
+def test_count_lines_skips_docstrings_comments_and_blanks(tmp_path, capsys):
+    count_lines = _load("count_lines")
+    # import, class, the two lines of x, def, and the two lines of the return
+    assert count_lines.code_lines(SAMPLE) == 7
+    (tmp_path / "a.py").write_text(SAMPLE)
+    (tmp_path / "b.py").write_text("x = 1\n\n")
+    paths = [str(tmp_path / "a.py"), str(tmp_path / "b.py")]
+    assert count_lines.main(paths) == 0
+    assert [ln.split()[0] for ln in capsys.readouterr().out.splitlines()] == ["7", "1", "8"]

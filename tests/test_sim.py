@@ -83,6 +83,16 @@ def test_validate_config_rejections():
         validate_config(small_cfg(max_frames=0))
 
 
+def test_run_point_rejects_unknown_algorithm():
+    """A sweep point picks its decoder config by name; an unknown name raises
+    validate_config's error instead of running some other decoder."""
+    with pytest.raises(ValueError) as checked:
+        validate_config(small_cfg(algorithms=("magic",)))
+    with pytest.raises(ValueError) as ran:
+        run_point(small_cfg(), "magic", 5.0)
+    assert str(ran.value) == str(checked.value)
+
+
 @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), float("-inf"), 1e308, -1e308])
 def test_validate_config_rejects_snr_without_finite_noise_variance(snr_db):
     """An SNR whose noise variance is not a finite positive float is rejected
