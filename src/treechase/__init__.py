@@ -14,8 +14,7 @@ from .decoder import (CERTIFIED_EXITS, DecodeResult, DecoderConfig,
                       EXIT_BUDGET, EXIT_CERTIFIED_KANEKO, EXIT_CERTIFIED_TREE, EXIT_GENIE,
                       EXIT_THRESHOLD, compare_traces, decode_with_trace, tcgs_decode)
 from .galois import BinaryField, Field, PrimeField, make_field
-from .interp import (GroebnerBasis, backward_remove, factorize, forward_add,
-                     interpolate, wdeg_key)
+from .interp import GroebnerBasis, backward_remove, factorize, forward_add, interpolate
 from .rscode import CodeParams, encode, make_code
 from .sim import SweepConfig, SweepRow, parse_snr_spec, rows_to_csv, run_point, run_sweep
 from .stats import chi2_threshold, wilson_interval
@@ -36,5 +35,5 @@ __all__ = [
     "modulate", "next_sibling", "parse_snr_spec",
     "render_pattern", "rows_to_csv", "run_point",
     "run_sweep", "save_pi", "sigma_from_snr_db", "soft_weights", "tcgs_decode",
-    "transmit", "wdeg_key", "wilson_interval",
+    "transmit", "wilson_interval",
 ]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoder import EXIT_BUDGET, DecodeResult, _Search
-from .rscode import CodeParams
+from .rscode import CodeParams, check_word
 
 # Unused here: the benchmark tracer (perfbench/tracing.py) wraps these names in this module.
 from .channel import hard_decision, soft_weights  # noqa: F401
@@ -77,8 +77,9 @@ def classify_ml(code: CodeParams, pi: np.ndarray, result: DecodeResult,
     uncertified frames might be (1, 0); wrong outputs that strictly out-score
     the transmitted word definitely are (1, 1); other wrong outputs,
     including score ties, count only toward the upper bound (1, 0).
+    transmitted must be a word of the code's shape: n symbols in [0, q).
     """
-    tx = tuple(transmitted)
+    tx = check_word(code, transmitted)
     if result.codeword is not None and tuple(result.codeword) == tx:
         return (0, 0) if result.certified else (1, 0)
     if result.codeword is None:

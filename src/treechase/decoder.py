@@ -47,7 +47,7 @@ from .chase import (
 )
 from .galois import poly_str
 from .interp import GroebnerBasis, backward_remove, factorize, forward_add, interpolate
-from .rscode import CodeParams
+from .rscode import CodeParams, check_word
 from .stats import chi2_threshold
 
 # Unused here: the benchmark tracer (perfbench/tracing.py) wraps this name in this module.
@@ -133,7 +133,7 @@ class _Search:
         self.z = z = hard_decision(pi)
         self.sw = sw = soft_weights(field, pi, z)
         self.chain = chain = build_atom_chain(sw)
-        self.genie = tuple(genie_codeword) if genie_codeword is not None else None
+        self.genie = check_word(code, genie_codeword) if genie_codeword is not None else None
         # running hypothesis: initially e* = z itself (codeword 0, no message kept yet)
         self.e_star, self.w_star = z, sw.pattern_weight(z)
         self.u_star: list[int] | None = None

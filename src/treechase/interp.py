@@ -4,8 +4,13 @@ The decoder maintains a two-element Groebner basis {Q0, Q1} of the module of
 polynomials q0(x) + q1(x)*y that vanish on a set of points (x_j, y_j) with
 distinct x coordinates, with deg_y <= 1.  Polynomials are ordered by
 (1, k-1)-weighted degree, ties broken in favour of the y-bearing leading
-monomial, so a well-formed basis always holds one polynomial with a y-free
-leading term and one with a y-bearing leading term.
+monomial.  The basis is positional: element 0 leads y-free and element 1
+leads with y, so their weighted degrees are len(P0.q0) - 1 and
+len(P1.q1) + k - 2.  interpolate returns the y-free leader first, and every
+update keeps each element's leading term in its slot: an element multiplied
+or divided by (x - x_j) keeps its leading position, and one that has a
+multiple of the lower-order element subtracted keeps its own leader, which
+sits in the other position and so is higher.
 
 Three point operations keep the basis updated in O(n) per call:
 
@@ -43,9 +48,6 @@ from dataclasses import dataclass
 
 from .galois import Field, lagrange_table
 
-_NEG = -(10**9)  # stand-in for the weighted degree of a zero part
-
-
 @dataclass(frozen=True)
 class BivarPoly:
     """q0(x) + q1(x) * y with list coefficients, low degree first."""
@@ -56,13 +58,6 @@ class BivarPoly:
 
 def bivar_eval(field: Field, P: BivarPoly, x: int, y: int) -> int:
     return field.add(field.poly_eval(P.q0, x), field.mul(y, field.poly_eval(P.q1, x)))
-
-
-def wdeg_key(k: int, P: BivarPoly) -> tuple[int, int]:
-    """(weighted degree, leading-monomial y-degree) under the (1, k-1) order."""
-    d0 = len(P.q0) - 1 if P.q0 else _NEG
-    d1 = len(P.q1) - 1 + (k - 1) if P.q1 else _NEG
-    return (max(d0, d1), 1 if d1 >= d0 else 0)
 
 
 @dataclass(frozen=True)
@@ -76,15 +71,16 @@ class GroebnerBasis:
 def _eliminate(basis: GroebnerBasis, d: tuple[int, int]) -> tuple[int, BivarPoly]:
     """One Koetter elimination step over the discrepancies d = (d0, d1).
 
-    mu is the lower-order element among those with d[mu] != 0 (element 0 on
-    ties); R = P[nu] - (d[nu]/d[mu])*P[mu] is the other element with its
-    discrepancy cancelled, one multiply-subtract per part (P[nu] itself when
-    d[nu] is already 0).  Koetter's d[mu]*P[nu] - d[nu]*P[mu] is d[mu]*R: every
-    element is kept only up to a unit, which changes no leading term, root or
-    message u = -q0/q1.
+    mu is the lower-order element among those with d[mu] != 0 (element 0,
+    whose leader is y-free, when the weighted degrees tie); R = P[nu] -
+    (d[nu]/d[mu])*P[mu] is the other element with its discrepancy cancelled,
+    one multiply-subtract per part (P[nu] itself when d[nu] is already 0).
+    Koetter's d[mu]*P[nu] - d[nu]*P[mu] is d[mu]*R: every element is kept
+    only up to a unit, which changes no leading term, root or message
+    u = -q0/q1.
     """
     field, k, P = basis.field, basis.k, basis.polys
-    mu = 0 if d[0] and (not d[1] or wdeg_key(k, P[0]) <= wdeg_key(k, P[1])) else 1
+    mu = 0 if d[0] and (not d[1] or len(P[0].q0) < len(P[1].q1) + k) else 1
     nu = 1 - mu
     if not d[nu]:
         return mu, P[nu]
@@ -142,7 +138,8 @@ def factorize(basis: GroebnerBasis, xs) -> tuple[list[int], tuple[int, ...]] | N
     zero message) when q1 divides q0 exactly and the quotient has degree < k;
     otherwise factorize returns None.  A quotient of degree >= k is rejected
     from the degrees alone, before dividing, and the division is by -q1, so
-    the quotient is u itself.
+    the quotient is u itself.  Element 0 leads y-free, so its degree check
+    always rejects it: only element 1 is read, and only when it is minimal.
 
     The codeword is read off the same element instead of encoding u: q0 =
     -u*q1 and the element vanishes at every point (x_j, y_j), so q1(x_j) *
@@ -150,9 +147,8 @@ def factorize(basis: GroebnerBasis, xs) -> tuple[list[int], tuple[int, ...]] | N
     only at the roots of q1, which are at most deg q1.  One poly_evals scan
     finds them; a constant q1 has none, so then c is the interpolated word.
     """
-    field, k, (P0, P1) = basis.field, basis.k, basis.polys
-    P = P0 if wdeg_key(k, P0) <= wdeg_key(k, P1) else P1
-    if not P.q1 or len(P.q0) - len(P.q1) >= k:
+    field, k, (P0, P) = basis.field, basis.k, basis.polys
+    if len(P0.q0) < len(P.q1) + k or len(P.q0) - len(P.q1) >= k:
         return None
     u, rem = field.poly_divrem(P.q0, field.poly_scale(P.q1, field.sub(0, 1)))
     if rem:

@@ -62,3 +62,11 @@ def encode(code: CodeParams, message: list[int]) -> tuple[int, ...]:
     if poly_deg(message) >= code.k:
         raise ValueError(f"message degree {poly_deg(message)} >= k = {code.k}")
     return tuple(code.field.poly_evals(message, code.eval_points))
+
+
+def check_word(code: CodeParams, word) -> tuple[int, ...]:
+    """word as a tuple; ValueError unless it has n symbols, each in [0, q)."""
+    w = tuple(word)
+    if len(w) != code.n or min(w) < 0 or max(w) >= code.field.q:
+        raise ValueError(f"a word of the code has {code.n} symbols in [0, {code.field.q})")
+    return w

@@ -5,10 +5,16 @@ index), so frame i is the same message and noise realization no matter how
 many workers run the sweep or which algorithm consumes it; reruns are
 byte-reproducible.  Stopping is evaluated at fixed-size chunk boundaries
 (again worker-independent): a sweep point ends at max_frames or once
-min_errors frame errors have accumulated, whichever comes first.  A point
-builds its context once, in the parent, and maps _run_frame over each
-chunk's frame indices, in process or over a fork pool whose workers inherit
-that context; the parent counts the outcomes in frame order.
+min_errors frame errors have accumulated, whichever comes first.
+
+_decoder is the one place that maps an algorithm name to its decode function
+and config: tcgs is the tree search, lcc the Gray-walk Chase baseline, and
+hdd one hard-decision trial of the tree decoder (it ignores threshold_eps).
+validate_config checks every name through it, and run_point stores the
+point's context (cfg, code, sigma, decode, config) in _CTX once, in the
+parent, then maps _run_frame over each chunk's frame indices, in process or
+over a fork pool whose workers inherit _CTX; the parent counts the outcomes
+in frame order.
 
 The CSV report deliberately writes 0.000 in the wall_seconds column unless
 timing is explicitly requested, because measured wall time is the one field
@@ -20,6 +26,7 @@ from __future__ import annotations
 import io
 import math
 import time
+from collections.abc import Callable
 from contextlib import ExitStack
 from dataclasses import dataclass
 
@@ -101,13 +108,8 @@ def validate_config(cfg: SweepConfig) -> CodeParams:
         raise ValueError("sweeps simulate BPSK, which needs a binary field (p = 2)")
     if not cfg.algorithms:
         raise ValueError("no algorithms selected")
-    for alg in cfg.algorithms:
-        if alg not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {alg!r} (choose from {ALGORITHMS})")
     if not cfg.snr_db:
         raise ValueError("no SNR points")
-    for snr_db in cfg.snr_db:
-        sigma_from_snr_db(snr_db, cfg.k / cfg.n)
     if cfg.L < 1:
         raise ValueError("L must be >= 1")
     if "lcc" in cfg.algorithms and not 0 <= cfg.eta <= cfg.n:
@@ -118,6 +120,10 @@ def validate_config(cfg: SweepConfig) -> CodeParams:
         raise ValueError("min_errors must be >= 0")
     if cfg.workers < 1:
         raise ValueError("workers must be >= 1")
+    for snr_db in cfg.snr_db:  # every point's noise and decoder, as run_point builds them
+        sigma = sigma_from_snr_db(snr_db, cfg.k / cfg.n)
+        for alg in cfg.algorithms:
+            _decoder(cfg, alg, sigma * sigma)
     if cfg.threshold_eps is not None:  # checks eps, and loads scipy before any worker forks
         chi2_threshold(cfg.threshold_eps, code.n * code.field.m)
     return code
@@ -132,50 +138,40 @@ def draw_frame(code: CodeParams, sigma: float, seed: int, idx: int) -> tuple[tup
     return tx, likelihoods(code.field, code.n, r, sigma * sigma)
 
 
-class _PointCtx:
-    """The state of one (algorithm, SNR) sweep point: code, noise and decoder config."""
-
-    def __init__(self, cfg: SweepConfig, alg: str, snr_db: float):
-        self.cfg, self.alg = cfg, alg
-        self.code = make_code(cfg.p, cfg.m, cfg.n, cfg.k)
-        self.sigma = sigma_from_snr_db(snr_db, cfg.k / cfg.n)
-        self.sigma2 = self.sigma * self.sigma
-        if alg == "tcgs":
-            self.dec_cfg = DecoderConfig(max_trials=cfg.L,
-                                         threshold_eps=cfg.threshold_eps,
-                                         sigma2=self.sigma2 if cfg.threshold_eps is not None else None)
-        elif alg == "hdd":
-            self.dec_cfg = DecoderConfig(max_trials=1)
-        elif alg == "lcc":
-            self.dec_cfg = LccConfig(eta=cfg.eta)
-        else:  # run_frame runs lcc_decode for lcc and tcgs_decode for every other name
-            raise ValueError(f"unknown algorithm {alg!r} (choose from {ALGORITHMS})")
-
-    def run_frame(self, idx: int) -> tuple[bool, int, int, int]:
-        cfg, code = self.cfg, self.code
-        tx, pi = draw_frame(code, self.sigma, cfg.seed, idx)
-        genie = tx if cfg.genie else None
-        if self.alg == "lcc":
-            res = lcc_decode(code, pi, self.dec_cfg, genie_codeword=genie)
-        else:
-            res = tcgs_decode(code, pi, self.dec_cfg, genie_codeword=genie)
-        err = res.codeword is None or tuple(res.codeword) != tx
-        eu, el = classify_ml(code, pi, res, tx)
-        return err, eu, el, res.trials
+def _decoder(cfg: SweepConfig, alg: str,
+             sigma2: float) -> tuple[Callable, DecoderConfig | LccConfig]:
+    """The decode function and config that algorithm alg runs at noise variance
+    sigma2.  The decoders are looked up in this module's globals at each call,
+    so wrappers that perfbench/tracing.py swaps in are the ones that run."""
+    if alg == "tcgs":
+        return tcgs_decode, DecoderConfig(max_trials=cfg.L, threshold_eps=cfg.threshold_eps,
+                                          sigma2=sigma2)
+    if alg == "hdd":
+        return tcgs_decode, DecoderConfig(max_trials=1)
+    if alg == "lcc":
+        return lcc_decode, LccConfig(eta=cfg.eta)
+    raise ValueError(f"unknown algorithm {alg!r} (choose from {ALGORITHMS})")
 
 
-_CTX: _PointCtx | None = None  # the running point's, inherited by forked workers
+_CTX: tuple | None = None  # the running point's, inherited by forked workers
 
 
 def _run_frame(idx: int) -> tuple[bool, int, int, int]:
-    return _CTX.run_frame(idx)
+    """Draw, decode and classify frame idx of the running point."""
+    cfg, code, sigma, decode, dec_cfg = _CTX
+    tx, pi = draw_frame(code, sigma, cfg.seed, idx)
+    res = decode(code, pi, dec_cfg, genie_codeword=tx if cfg.genie else None)
+    err = res.codeword is None or tuple(res.codeword) != tx
+    return (err, *classify_ml(code, pi, res, tx), res.trials)
 
 
 def run_point(cfg: SweepConfig, alg: str, snr_db: float) -> SweepRow:
     global _CTX
     start = time.perf_counter()
     row = SweepRow(alg, snr_db)
-    _CTX = _PointCtx(cfg, alg, snr_db)
+    sigma = sigma_from_snr_db(snr_db, cfg.k / cfg.n)
+    code = make_code(cfg.p, cfg.m, cfg.n, cfg.k)
+    _CTX = (cfg, code, sigma, *_decoder(cfg, alg, sigma * sigma))
     with ExitStack() as stack:
         pool = None
         if cfg.workers > 1:

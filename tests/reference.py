@@ -11,6 +11,8 @@ because no decode, sweep or CLI path calls it:
                         completeness argument
   interpolate_points    the fold of forward_add from {1, y}, which
                         interp.interpolate reduces to in closed form
+  wdeg_key              a bivariate polynomial's (1, k-1)-weighted degree
+                        and leading-monomial y-degree, read off both parts
   minimal               a basis's element of least weighted degree
   codebook              every (message, codeword) pair of a small code
   mld_oracle            exhaustive maximum-likelihood decode of a small code
@@ -27,7 +29,7 @@ from scipy.special import gammaincc
 from treechase.channel import check_pi
 from treechase.chase import AtomChain
 from treechase.galois import Field, poly_trim
-from treechase.interp import BivarPoly, GroebnerBasis, forward_add, wdeg_key
+from treechase.interp import BivarPoly, GroebnerBasis, forward_add
 from treechase.rscode import CodeParams, encode
 
 
@@ -96,6 +98,17 @@ def interpolate_points(field: Field, k: int, points) -> GroebnerBasis:
     for x, y in points:
         basis = forward_add(basis, x, y)
     return basis
+
+
+_NEG = -(10**9)  # stand-in for the weighted degree of a zero part
+
+
+def wdeg_key(k: int, P: BivarPoly) -> tuple[int, int]:
+    """(weighted degree, leading-monomial y-degree) under the (1, k-1) order,
+    ties to the y-bearing monomial; a zero part never leads."""
+    d0 = len(P.q0) - 1 if P.q0 else _NEG
+    d1 = len(P.q1) - 1 + (k - 1) if P.q1 else _NEG
+    return (max(d0, d1), 1 if d1 >= d0 else 0)
 
 
 def minimal(basis: GroebnerBasis) -> BivarPoly:

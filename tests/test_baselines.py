@@ -102,6 +102,23 @@ def test_classify_ml_four_cases(code54, example1_pi):
     assert classify_ml(code54, example1_pi, res5, tx) == (1, 0)
 
 
+def test_words_of_the_wrong_shape_are_rejected(code54, example1_pi):
+    """A transmitted or genie word has n symbols, each in [0, q).  A zip over a
+    longer or shorter word would truncate it silently: classify_ml would score
+    a correct decode against tx + (0,) as (1, 0), and a short genie word would
+    never match, so the decode would run to its budget."""
+    tx = (1, 3, 0, 2)
+    res = tcgs_decode(code54, example1_pi, DecoderConfig(max_trials=16))
+    assert classify_ml(code54, example1_pi, res, tx) == (0, 0)
+    for bad in (tx + (0,), tx[:3], (1, 3, 0, 5), (1, 3, -1, 2)):
+        with pytest.raises(ValueError, match="4 symbols in"):
+            classify_ml(code54, example1_pi, res, bad)
+        with pytest.raises(ValueError, match="4 symbols in"):
+            tcgs_decode(code54, example1_pi, genie_codeword=bad)
+        with pytest.raises(ValueError, match="4 symbols in"):
+            lcc_decode(code54, example1_pi, genie_codeword=bad)
+
+
 def test_classify_ml_none_output_counts_upper_only(code54, example1_pi):
     from treechase.decoder import DecodeResult, EXIT_BUDGET
     res = DecodeResult(message=None, codeword=None, best_error=(1, 0, 2, 0),

@@ -10,10 +10,9 @@ from treechase.interp import (
     factorize,
     forward_add,
     interpolate,
-    wdeg_key,
 )
 
-from reference import interpolate_points, minimal
+from reference import interpolate_points, minimal, wdeg_key
 
 GF5 = PrimeField(5)
 GF7 = PrimeField(7)
@@ -42,9 +41,8 @@ def assert_rejected(update, basis, *args):
 
 
 def leading_terms_split(basis) -> bool:
-    """A well-formed basis pairs one y-free leader with one y-bearing leader."""
-    a, b = (wdeg_key(basis.k, P) for P in basis.polys)
-    return {a[1], b[1]} == {0, 1}
+    """A well-formed basis is positional: element 0 leads y-free, element 1 with y."""
+    return [wdeg_key(basis.k, P)[1] for P in basis.polys] == [0, 1]
 
 
 def test_wdeg_key_orders_by_weighted_degree():
@@ -101,9 +99,9 @@ def test_backward_then_forward_restores_factorization():
         before = factorize(basis, xs)
         j = int(rng.integers(0, n))
         removed = backward_remove(basis, xs[j])
-        assert vanishes_everywhere(removed)
+        assert vanishes_everywhere(removed) and leading_terms_split(removed)
         restored = forward_add(removed, xs[j], ys[j])
-        assert vanishes_everywhere(restored)
+        assert vanishes_everywhere(restored) and leading_terms_split(restored)
         assert factorize(restored, xs) == before
         assert wdeg_key(k, minimal(restored)) == wdeg_key(k, minimal(basis))
 
@@ -171,7 +169,7 @@ def test_forward_then_backward_restores_point_set(field, data):
     k = data.draw(st.integers(1, len(xs) - 1))
     basis = interpolate_points(field, k, zip(xs[:-1], ys[:-1]))
     added = forward_add(basis, xs[-1], ys[-1])
-    assert vanishes_everywhere(added)
+    assert vanishes_everywhere(added) and leading_terms_split(added)
     removed = backward_remove(added, xs[-1])
     assert removed.points == basis.points
     assert vanishes_everywhere(removed)
@@ -186,8 +184,9 @@ def test_random_walk_keeps_update_preconditions(field, k, data):
     product of (x - x_j) lies in the module), which is why forward_add has no
     all-vanishing branch; at an interpolated x the y-parts are never both zero
     (y - R_S lies in the module and has q1 = 1), so backward_remove never raises.
-    After every update the basis holds the walked word, and factorize reads a
-    codeword that agrees with its message."""
+    After every update the basis holds the walked word, keeps its y-free
+    leader in slot 0, and factorize reads a codeword that agrees with its
+    message."""
     pool = data.draw(st.lists(st.integers(0, field.q - 1), min_size=1, max_size=12, unique=True))
     basis, word = interpolate_points(field, k, ()), {}
     for _ in range(data.draw(st.integers(1, 30))):
@@ -202,7 +201,7 @@ def test_random_walk_keeps_update_preconditions(field, k, data):
             basis = backward_remove(basis, x)
             del word[x]
         assert basis.points == word
-        assert vanishes_everywhere(basis)
+        assert vanishes_everywhere(basis) and leading_terms_split(basis)
         assert_reads_codeword(basis, tuple(word))
         for x in word:
             assert tuple(field.poly_eval(P.q1, x) for P in basis.polys) != (0, 0)
@@ -221,10 +220,12 @@ def proportional(field, P, Q) -> bool:
 
 
 def assert_same_module(got, ref):
-    """Two Groebner bases of one module: vanishing, equal leading terms, the
-    minimal element unique up to a nonzero scalar, and so one factorization."""
+    """Two Groebner bases of one module: vanishing, positional, equal leading
+    terms, the minimal element unique up to a nonzero scalar, and so one
+    factorization."""
     k = got.k
     assert vanishes_everywhere(got) and vanishes_everywhere(ref)
+    assert leading_terms_split(got) and leading_terms_split(ref)
     assert sorted(wdeg_key(k, P) for P in got.polys) == sorted(wdeg_key(k, P) for P in ref.polys)
     assert proportional(got.field, minimal(got), minimal(ref))
     xs = tuple(got.points)
@@ -261,7 +262,7 @@ def test_interpolate_matches_fold(problem, data):
     got, ref = interpolate(field, k, xs, ys), interpolate_points(field, k, zip(xs, ys))
     word = dict(zip(xs, ys))
     assert (got.field, got.k, got.points) == (ref.field, ref.k, word)
-    assert [wdeg_key(k, P)[1] for P in got.polys] == [0, 1]  # y-free leader first
+    assert leading_terms_split(got)  # y-free leader first
     assert_same_module(got, ref)
     assert_reads_codeword(got, xs)
     for _ in range(data.draw(st.integers(0, 8))):

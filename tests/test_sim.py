@@ -71,6 +71,10 @@ def test_validate_config_rejections():
         validate_config(small_cfg(snr_db=()))
     with pytest.raises(ValueError):
         validate_config(small_cfg(L=0))
+    with pytest.raises(ValueError, match="L must be"):  # lcc builds no DecoderConfig to check L
+        validate_config(small_cfg(algorithms=("lcc",), L=0))
+    with pytest.raises(ValueError):
+        validate_config(small_cfg(algorithms=("lcc",), eta=-1))  # the [0, n] check, low side
     with pytest.raises(ValueError):
         validate_config(small_cfg(algorithms=("lcc",), eta=16))
     with pytest.raises(ValueError):
