@@ -14,6 +14,7 @@ Eb/N0 convention sigma^2 = 1 / (2 * rate * 10^(snr_db / 10)).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,20 +68,18 @@ def likelihoods(field: Field, n: int, samples: np.ndarray, sigma2: float) -> np.
 
 
 def check_pi(pi, q: int, n: int) -> np.ndarray:
-    """pi as float64; ValueError unless it is a real (q, n) array, every entry finite.
+    """pi as float64; ValueError unless it is a real (q, n) array.
 
-    Decoder entry check: an infinite or NaN log-likelihood makes soft weights
-    infinite or NaN, and then a certificate would compare garbage.  Integer
-    and low-precision weights and sums would wrap or round, so the decoder
-    reads only the float64 copy.
+    Decoder entry check.  Integer and low-precision weights and sums would
+    wrap or round, so the decoder reads only the float64 copy.  Finiteness is
+    checked on the soft weights (soft_weights), which every entry of pi
+    enters.
     """
     if not isinstance(pi, np.ndarray) or pi.dtype.kind not in "iuf":
         kind = pi.dtype if isinstance(pi, np.ndarray) else type(pi).__name__
         raise ValueError(f"pi must be a real numeric array, got {kind}")
     if pi.shape != (q, n):
         raise ValueError(f"pi shape {pi.shape} != ({q}, {n})")
-    if not np.isfinite(pi).all():
-        raise ValueError("pi has non-finite entries")
     return pi.astype(np.float64, copy=False)
 
 
@@ -89,11 +88,27 @@ def hard_decision(pi: np.ndarray) -> tuple[int, ...]:
     return tuple(pi.argmax(axis=0).tolist())
 
 
+# The total of all soft weights may be at most half the largest float: every
+# weight a certificate or the frontier compares sums at most one weight per
+# coordinate, so its exact value stays below the total, which numpy's rounded
+# sum misses by far less than a factor of 2, and no math.fsum can overflow.
+_WEIGHT_TOTAL_MAX = sys.float_info.max / 2
+
+
 @dataclass
 class SoftWeights:
-    """Weights lam[d-1][j] = pi[z_j][j] - pi[z_j - d][j] >= 0 for d in 1..q-1."""
+    """The front end of one decode: the hard decision z of pi and the weights
+    lam[d-1][j] = pi[z_j][j] - pi[z_j - d][j] >= 0 for d in 1..q-1 about it.
+
+    mins[j] is the lightest weight of coordinate j, the cost of its cheapest
+    single-symbol change; z_weight is pattern_weight(z), the weight of the
+    hypothesis that the zero codeword was sent.
+    """
 
     lam: np.ndarray  # shape (q-1, n)
+    z: tuple[int, ...]
+    mins: tuple[float, ...]  # lam.min(axis=0)
+    z_weight: float
 
     def pattern_weight(self, e) -> float:
         """Total weight of an error vector (0 entries contribute nothing),
@@ -102,13 +117,28 @@ class SoftWeights:
         return math.fsum([item(ej - 1, j) for j, ej in enumerate(e) if ej])
 
 
-def soft_weights(field: Field, pi: np.ndarray, z: tuple[int, ...]) -> SoftWeights:
-    """The weights of pi about its hard decision z."""
-    zv = np.array(z)
-    # idx[d-1][j] = z_j - d in the field: XOR in characteristic 2, integers mod p otherwise
+def soft_weights(field: Field, pi: np.ndarray) -> SoftWeights:
+    """The front end of pi (float64, one row per field value): z by columnwise
+    argmax (ties to the smallest value), the weights about it, their minima
+    per coordinate and the weight of z, in one pass.
+
+    ValueError unless the total of all weights is at most half the largest
+    float: a NaN or infinite entry of pi makes some weight NaN or infinite,
+    and a huge finite one could make a sum of weights overflow.
+    """
+    zv = pi.argmax(axis=0)
+    # rows[d][j] = pi[z_j - d][j], z_j - d in the field: XOR in characteristic 2,
+    # integers mod p otherwise; row 0 holds the top entries pi[z_j][j]
     idx = zv ^ field.deltas if field.p == 2 else (zv - field.deltas) % field.p
-    cols = np.arange(len(z))
-    return SoftWeights(lam=pi[zv, cols] - pi[idx, cols])
+    rows = pi[idx, np.arange(zv.size)]
+    top = rows[0]
+    lam = top - rows[1:]
+    if not lam.sum() <= _WEIGHT_TOTAL_MAX:  # also False for a NaN total
+        raise ValueError("pi has non-finite entries, or entries too large to weigh")
+    # weight of z: for z_j != 0, top_j - pi[0][j] is the weight lam[z_j - 1][j],
+    # the same float64 difference; for z_j = 0 it is 0
+    return SoftWeights(lam, tuple(zv.tolist()), tuple(lam.min(axis=0).tolist()),
+                       math.fsum((top - pi[0]).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ class AtomChain:
     coords and weights are parallel tuples indexed by 0-based rank; the sort
     behind them runs the first time one of them is read.  mins holds each
     coordinate's lightest atom weight, the weight of its cheapest
-    single-symbol change; build_atom_chain takes it once, unsorted.
+    single-symbol change (SoftWeights.mins), unsorted.
     """
 
     lam: np.ndarray  # shape (q-1, n)
@@ -90,10 +90,14 @@ class AtomChain:
 
 
 def build_atom_chain(sw: SoftWeights) -> AtomChain:
-    mins = tuple(sw.lam.min(axis=0).tolist())
-    if min(mins, default=0.0) < 0.0:
+    """The chain of sw's weights; ValueError for a negative one.
+
+    The decoder builds AtomChain(sw.lam, sw.mins) itself: soft_weights takes
+    z by argmax, so its weights are never negative.
+    """
+    if min(sw.mins, default=0.0) < 0.0:
         raise ValueError("negative soft weight: z must be the columnwise argmax")
-    return AtomChain(sw.lam, mins)
+    return AtomChain(sw.lam, sw.mins)
 
 
 def render_pattern(chain: AtomChain, f: tuple[int, ...]) -> str:

@@ -6,15 +6,17 @@ vector it interpolates (GroebnerBasis.points, a mapping x -> y), so a swap
 names only the coordinate and its new symbol: backward_remove(basis, x)
 releases the old one, forward_add(basis, x, y) constrains the new one.
 factorize(basis, xs) returns None or the message and its codeword (u, c) in
-one call.  _Search is the engine every decoder shares.  It owns
-the front end (hard decision z, soft weights, atom chain) and the running
-hypothesis (the lightest error pattern e* whose subtraction from z gives a
-codeword), and it runs every trial: run makes the first (z interpolated in
-closed form), hands that basis to a pattern order, and assembles the
-DecodeResult from the exit reason the order returns; trial makes each later
-one.  A decoder is only its pattern order: tcgs_decode pops flipping
-patterns best-first by their bound B, and baselines.lcc_decode Gray-walks
-the test vectors of its least reliable positions.  Certificates:
+one call.  _Search is the engine every decoder shares.  It owns the front
+end (one soft_weights pass over pi gives the hard decision z, the soft
+weights, their per-coordinate minima and the weight of z; the atom chain
+wraps the weights) and the running hypothesis (the lightest error pattern
+e* whose subtraction from z gives a codeword), and it runs every trial: run
+makes the first (z interpolated in closed form), hands that basis to a
+pattern order, and assembles the DecodeResult from the exit reason the
+order returns; trial makes each later one.  A decoder is only its pattern
+order: tcgs_decode pops flipping patterns best-first by their bound B, and
+baselines.lcc_decode Gray-walks the test vectors of its least reliable
+positions.  Certificates:
 
   certified_tree    at a pop, weight(e*) <= B(front pattern): nothing lighter
                     can be generated by any unexplored pattern.
@@ -36,21 +38,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import check_pi, hard_decision, soft_weights
-from .chase import (
-    bound_B,
-    build_atom_chain,
-    kaneko_B0,
-    leftmost_child,
-    next_sibling,
-    render_pattern,
-)
+from .channel import check_pi, soft_weights
+from .chase import AtomChain, bound_B, kaneko_B0, leftmost_child, next_sibling, render_pattern
 from .galois import poly_str
 from .interp import GroebnerBasis, backward_remove, factorize, forward_add, interpolate
 from .rscode import CodeParams, check_word
 from .stats import chi2_threshold
 
-# Unused here: the benchmark tracer (perfbench/tracing.py) wraps this name in this module.
+# Unused here: the benchmark tracer (perfbench/tracing.py) wraps these names in this module.
+from .channel import hard_decision  # noqa: F401
+from .chase import build_atom_chain  # noqa: F401
 from .rscode import encode  # noqa: F401
 
 EXIT_CERTIFIED_TREE = "certified_tree"
@@ -130,12 +127,12 @@ class _Search:
         field = code.field
         self.pi = pi = check_pi(pi, field.q, code.n)
         self.code, self.sub, self.d_min, self.trace = code, field.sub, code.d_min, trace
-        self.z = z = hard_decision(pi)
-        self.sw = sw = soft_weights(field, pi, z)
-        self.chain = chain = build_atom_chain(sw)
+        self.sw = sw = soft_weights(field, pi)  # ValueError for non-finite or huge pi
+        self.z = z = sw.z
+        self.chain = chain = AtomChain(sw.lam, sw.mins)
         self.genie = check_word(code, genie_codeword) if genie_codeword is not None else None
         # running hypothesis: initially e* = z itself (codeword 0, no message kept yet)
-        self.e_star, self.w_star = z, sw.pattern_weight(z)
+        self.e_star, self.w_star = z, sw.z_weight
         self.u_star: list[int] | None = None
         self.c_star: tuple[int, ...] | None = None
         self.trials = self.steps = 0

@@ -155,9 +155,9 @@ class Field:
 
     @cached_property
     def deltas(self) -> np.ndarray:
-        """The column of nonzero deltas 1..q-1, built on first use, as
-        channel.soft_weights indexes the delta rows z - d."""
-        return np.arange(1, self.q, dtype=np.int64)[:, None]
+        """The column of deltas 0..q-1, built on first use, as
+        channel.soft_weights gathers the rows z - d (row 0 is z itself)."""
+        return np.arange(self.q, dtype=np.int64)[:, None]
 
     @cached_property
     def _np_tables(self) -> tuple[np.ndarray, np.ndarray]:

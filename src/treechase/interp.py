@@ -40,6 +40,9 @@ a point swap names only the x it releases and the new y it constrains.
 
 All operations are pure: they return new objects and never mutate their
 inputs, so bases branched across search-tree nodes may share structure.
+That is the operations' contract, not enforced: every trial builds the
+records, so they are slotted dataclasses and not frozen ones, whose
+constructor costs about twice as much.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ from dataclasses import dataclass
 
 from .galois import Field, lagrange_table
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True)
 class BivarPoly:
     """q0(x) + q1(x) * y with list coefficients, low degree first."""
 
@@ -60,7 +64,7 @@ def bivar_eval(field: Field, P: BivarPoly, x: int, y: int) -> int:
     return field.add(field.poly_eval(P.q0, x), field.mul(y, field.poly_eval(P.q1, x)))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GroebnerBasis:
     field: Field
     k: int
@@ -144,18 +148,26 @@ def factorize(basis: GroebnerBasis, xs) -> tuple[list[int], tuple[int, ...]] | N
     The codeword is read off the same element instead of encoding u: q0 =
     -u*q1 and the element vanishes at every point (x_j, y_j), so q1(x_j) *
     (y_j - u(x_j)) = 0.  c_j is y_j wherever q1(x_j) != 0, and u is evaluated
-    only at the roots of q1, which are at most deg q1.  One poly_evals scan
-    finds them; a constant q1 has none, so then c is the interpolated word.
+    only at the roots of q1, which are at most deg q1.  A constant q1 has
+    none, so then c is the interpolated word; a linear one has the one root
+    -q1[0]/q1[1], read in closed form and kept only when it is a node; a
+    longer one is scanned at every node (poly_evals).
     """
     field, k, (P0, P) = basis.field, basis.k, basis.polys
-    if len(P0.q0) < len(P.q1) + k or len(P.q0) - len(P.q1) >= k:
+    q1 = P.q1
+    if len(P0.q0) < len(q1) + k or len(P.q0) - len(q1) >= k:
         return None
-    u, rem = field.poly_divrem(P.q0, field.poly_scale(P.q1, field.sub(0, 1)))
+    minus_one = field.sub(0, 1)  # 1 in characteristic 2, where -q1 is q1
+    u, rem = field.poly_divrem(P.q0, q1 if minus_one == 1 else field.poly_scale(q1, minus_one))
     if rem:
         return None
     c = list(map(basis.points.__getitem__, xs))
-    if len(P.q1) > 1:
-        for j, v in enumerate(field.poly_evals(P.q1, xs)):
+    if len(q1) == 2:
+        r = field.mul(field.sub(0, q1[0]), field.inv(q1[1]))
+        if r in basis.points:
+            c[xs.index(r)] = field.poly_eval(u, r)
+    elif len(q1) > 2:
+        for j, v in enumerate(field.poly_evals(q1, xs)):
             if not v:
                 c[j] = field.poly_eval(u, xs[j])
     return u, tuple(c)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from importlib import resources
 
-from treechase import CodeParams, load_pi, make_code, make_field
+from treechase import CodeParams, SoftWeights, load_pi, make_code, make_field
 from treechase.rscode import encode
 
 
@@ -56,3 +56,9 @@ def pam_pi(code: CodeParams, rng: np.random.Generator,
 def random_lam(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
     """Random positive soft-weight table, shape (q-1, n), no ties in practice."""
     return rng.uniform(0.01, 3.0, size=(q - 1, n))
+
+
+def weights_of(lam: np.ndarray) -> SoftWeights:
+    """SoftWeights of a hand-made table lam, read as the weights about the
+    all-zero hard decision, whose own weight is then 0."""
+    return SoftWeights(lam, (0,) * lam.shape[1], tuple(lam.min(axis=0).tolist()), 0.0)

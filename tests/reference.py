@@ -16,10 +16,14 @@ because no decode, sweep or CLI path calls it:
   minimal               a basis's element of least weighted degree
   codebook              every (message, codeword) pair of a small code
   mld_oracle            exhaustive maximum-likelihood decode of a small code
+  front_end             the decoder's front end as separate steps (hard
+                        decision, soft weights about it, per-coordinate
+                        minima, weight of z), which channel.soft_weights fuses
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import product
 
@@ -142,6 +146,21 @@ def mld_oracle(code: CodeParams, pi: np.ndarray) -> tuple[list[int], tuple[int, 
     score; ties favour the lexicographically smallest message coefficient
     vector, the first in codebook order.  Only for small codes (q^k <= 1e6)."""
     pi = check_pi(pi, code.field.q, code.n)
+    if not np.isfinite(pi).all():
+        raise ValueError("pi has non-finite entries")
     msgs, cws = _codebook_scores_setup(code)
     pick = int(np.argmax(pi[cws, np.arange(code.n)].sum(axis=1)))
     return list(msgs[pick]), tuple(int(v) for v in cws[pick])
+
+
+def front_end(field: Field, pi: np.ndarray):
+    """(z, lam, mins, weight of z) of a float64 pi, one step at a time: z the
+    columnwise argmax, lam[d-1][j] = pi[z_j][j] - pi[z_j - d][j] with z_j - d
+    taken by Field.sub, mins = lam.min(axis=0), and the weight of z as
+    SoftWeights.pattern_weight sums an error vector."""
+    q, n = pi.shape
+    z = tuple(int(np.argmax(pi[:, j])) for j in range(n))
+    lam = np.array([[pi[z[j], j] - pi[field.sub(z[j], d), j] for j in range(n)]
+                    for d in range(1, q)])
+    mins = tuple(float(lam[:, j].min()) for j in range(n))
+    return z, lam, mins, math.fsum([float(lam[zj - 1, j]) for j, zj in enumerate(z) if zj])

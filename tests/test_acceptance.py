@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from treechase.channel import SoftWeights, modulate, transmit
+from treechase.channel import modulate, transmit
 from treechase.chase import bound_B, build_atom_chain
 from treechase.decoder import DecoderConfig, tcgs_decode
 from treechase.galois import BinaryField, PrimeField
@@ -30,7 +30,7 @@ from treechase.rscode import encode
 from treechase.sim import SweepConfig, run_point, run_sweep, rows_to_csv
 from treechase.stats import chi2_threshold, wilson_interval
 
-from conftest import pam_pi, random_lam
+from conftest import pam_pi, random_lam, weights_of
 from reference import (codebook, interpolate_points, minimal_decompose, mld_oracle,
                        pattern_from_ranks, rank_of)
 
@@ -159,7 +159,7 @@ def test_acceptance_greedy_equals_exhaustive(report):
         n = int(rng.integers(2, 7))
         q = int(rng.integers(3, 8))
         t_min = int(rng.integers(1, 3))
-        chain = build_atom_chain(SoftWeights(lam=random_lam(n, q, rng)))
+        chain = build_atom_chain(weights_of(random_lam(n, q, rng)))
         ranks, coords = [], set()
         start = int(rng.integers(0, chain.size))
         for r in range(start, chain.size):
@@ -218,7 +218,7 @@ def test_acceptance_minimal_decomposition(report, code54):
     checked = 0
     t_min = code54.t_min
     for _ in range(100):
-        chain = build_atom_chain(SoftWeights(lam=random_lam(4, 5, rng)))
+        chain = build_atom_chain(weights_of(random_lam(4, 5, rng)))
         rank = rank_of(chain)
         for _, cw in codebook(code54):
             e = tuple(code54.field.sub(0, c) for c in cw)  # z = 0

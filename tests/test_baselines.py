@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from treechase.baselines import LccConfig, classify_ml, lcc_decode
-from treechase.channel import hard_decision, soft_weights
+from treechase.channel import soft_weights
 from treechase.decoder import DecoderConfig, tcgs_decode
 from treechase.galois import PrimeField
 from treechase.interp import factorize
@@ -37,8 +37,8 @@ def test_lcc_exhaustive_matches_brute_force(code54, example1_pi):
     equal the best hypothesis among those 2^n hard decisions."""
     res = lcc_decode(code54, example1_pi, LccConfig(eta=4))
     f = code54.field
-    z = hard_decision(example1_pi)
-    sw = soft_weights(f, example1_pi, z)
+    sw = soft_weights(f, example1_pi)
+    z = sw.z
     second = [f.sub(z[j], int(sw.lam.argmin(axis=0)[j]) + 1) for j in range(4)]
     best_w, best_u = None, None
     for mask in itertools.product((0, 1), repeat=4):
@@ -154,9 +154,9 @@ def test_classify_ml_weight_equals_soft_weight_table(code54, code76):
             if res.codeword is None or res.codeword == tx:
                 continue  # decided without a weight
             wrong += 1
-            z = hard_decision(pi)
-            e_tx = tuple(field.sub(zj, cj) for zj, cj in zip(z, tx))
-            w_tx = soft_weights(field, pi, z).pattern_weight(e_tx)
+            sw = soft_weights(field, pi)
+            e_tx = tuple(field.sub(zj, cj) for zj, cj in zip(sw.z, tx))
+            w_tx = sw.pattern_weight(e_tx)
             want = (1, 1) if res.best_weight < w_tx else (1, 0)
             assert classify_ml(code, pi, res, tx) == want
     assert wrong > 20

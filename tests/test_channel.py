@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from treechase.channel import (
     SoftWeights,
@@ -16,6 +18,8 @@ from treechase.channel import (
     transmit,
 )
 from treechase.galois import BinaryField, PrimeField
+
+from reference import front_end
 
 GF16 = BinaryField(4)
 
@@ -77,8 +81,8 @@ def test_hard_decision_tie_breaks_to_smallest():
 
 def test_soft_weights_reproduce_worked_matrix(example1_pi):
     f5 = PrimeField(5)
-    sw = soft_weights(f5, example1_pi, hard_decision(example1_pi))
-    assert hard_decision(example1_pi) == (1, 0, 2, 0)
+    sw = soft_weights(f5, example1_pi)
+    assert sw.z == hard_decision(example1_pi) == (1, 0, 2, 0)
     expected = [
         [1.24, 0.94, 2.02, 0.32],
         [0.25, 0.22, 0.15, 0.03],
@@ -94,13 +98,13 @@ def test_soft_weights_nonnegative_at_hard_decision(code16):
     rng = np.random.default_rng(11)
     sig = transmit(modulate(GF16, (0,) * 15), 1.0, rng)
     pi = likelihoods(GF16, 15, sig, 1.0)
-    sw = soft_weights(GF16, pi, hard_decision(pi))
+    sw = soft_weights(GF16, pi)
     assert float(sw.lam.min()) >= 0.0
 
 
 def test_pattern_weight_sums_entries(example1_pi):
     f5 = PrimeField(5)
-    sw = soft_weights(f5, example1_pi, hard_decision(example1_pi))
+    sw = soft_weights(f5, example1_pi)
     # e = (0,2,2,3): 0.22 + 0.15 + 0.11
     assert sw.pattern_weight((0, 2, 2, 3)) == pytest.approx(0.48, abs=5e-3)
     assert sw.pattern_weight((0, 0, 0, 0)) == 0.0
@@ -110,11 +114,54 @@ def test_char2_weights_use_xor_indexing():
     rng = np.random.default_rng(3)
     sig = transmit(modulate(GF16, (5,) * 15), 0.8, rng)
     pi = likelihoods(GF16, 15, sig, 0.64)
-    z = hard_decision(pi)
-    sw = soft_weights(GF16, pi, z)
+    sw = soft_weights(GF16, pi)
+    z = sw.z
     for j in (0, 7, 14):
         for d in (1, 9, 15):
             assert float(sw.lam[d - 1, j]) == pytest.approx(float(pi[z[j], j] - pi[z[j] ^ d, j]))
+
+
+@st.composite
+def fields_and_pis(draw):
+    """(field, pi) over GF(5), GF(7) or GF(16): pi real, or on a few levels so
+    that entries of a column tie."""
+    field = draw(st.sampled_from([PrimeField(5), PrimeField(7), GF16]))
+    levels = draw(st.sampled_from([st.floats(-40.0, 5.0), st.integers(-3, 0).map(float)]))
+    return field, draw(hnp.arrays(np.float64, (field.q, draw(st.integers(1, 15))),
+                                  elements=levels))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields_and_pis())
+def test_soft_weights_equal_the_separate_steps(case):
+    """The one-pass front end gives the z, weights, minima and weight of z of
+    the separate steps, bit for bit."""
+    field, pi = case
+    sw = soft_weights(field, pi)
+    z, lam, mins, z_weight = front_end(field, pi)
+    assert sw.z == z == hard_decision(pi)
+    assert sw.lam.tobytes() == lam.tobytes()
+    assert np.array(sw.mins).tobytes() == np.array(mins).tobytes()
+    assert sw.z_weight.hex() == z_weight.hex() == sw.pattern_weight(z).hex()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("entry, rest, ok", [
+    (np.nan, 0.0, False), (np.inf, 0.0, False), (-np.inf, 0.0, False),
+    (1e308, -1e308, False),  # a weight overflows
+    (1e308, 0.0, False),     # four finite weights of 1e308 whose total overflows
+    (5e307, 0.0, False),     # total 2e308, above half the largest float
+    (2e307, 0.0, True),      # total 8e307, below it
+    (1e308, 1e308, True),    # huge but equal entries weigh 0
+])
+def test_soft_weights_reject_weights_that_could_overflow(entry, rest, ok):
+    pi = np.full((5, 3), rest)
+    pi[2, 1] = entry
+    if ok:
+        assert soft_weights(PrimeField(5), pi).z == hard_decision(pi)
+    else:
+        with pytest.raises(ValueError, match="non-finite entries, or entries too large"):
+            soft_weights(PrimeField(5), pi)
 
 
 def test_save_load_roundtrip(tmp_path, example1_pi):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from treechase.channel import SoftWeights, hard_decision, soft_weights
+from treechase.channel import soft_weights
 from treechase.chase import (
     bound_B,
     build_atom_chain,
@@ -17,7 +17,7 @@ from treechase.chase import (
 )
 from treechase.galois import PrimeField
 
-from conftest import random_lam
+from conftest import random_lam, weights_of
 from reference import codebook, minimal_decompose, pattern_from_ranks, rank_of
 
 GF5 = PrimeField(5)
@@ -25,12 +25,12 @@ GF5 = PrimeField(5)
 
 def chain_from_lam(lam: np.ndarray):
     qm1, n = lam.shape
-    return build_atom_chain(SoftWeights(lam=lam))
+    return build_atom_chain(weights_of(lam))
 
 
 @pytest.fixture(scope="module")
 def ex_chain(example1_pi):
-    return build_atom_chain(soft_weights(GF5, example1_pi, hard_decision(example1_pi)))
+    return build_atom_chain(soft_weights(GF5, example1_pi))
 
 
 def ranks_of(chain, atoms):
@@ -161,7 +161,7 @@ def test_next_sibling_bound_is_one_correctly_rounded_sum():
     assert bound_B(chain, sib, 0) == math.fsum([0.1, 0.2, 0.3, 0.6]) == 1.2
     lam = np.array([[0.2, 0.3, 0.1]])
     assert (0.1 + 0.2) + 0.3 != (0.2 + 0.3) + 0.1
-    assert bound_B(chain_from_lam(lam), (0, 1, 2), 0) == SoftWeights(lam).pattern_weight((1, 1, 1))
+    assert bound_B(chain_from_lam(lam), (0, 1, 2), 0) == weights_of(lam).pattern_weight((1, 1, 1))
 
 
 def test_child_none_when_all_coordinates_used():
@@ -305,7 +305,7 @@ def test_bound_monotone_under_tree_moves():
 
 def test_bound_soundness_exhaustive_gf5(code54):
     rng = np.random.default_rng(8)
-    sw = SoftWeights(lam=random_lam(4, 5, rng))
+    sw = weights_of(random_lam(4, 5, rng))
     chain = build_atom_chain(sw)
     t_min = code54.t_min
     for _, cw in codebook(code54):

@@ -43,6 +43,21 @@ def test_replay_malformed_matrix_exit_one(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_replay_huge_finite_matrix_exit_one(tmp_path, capsys):
+    """Finite entries near 1e308 make weights whose sums overflow: one error
+    line, not a trace that certifies a codeword at weight inf."""
+    path = tmp_path / "huge.pi"
+    path.write_text("4 3\n-6e307 -1e308 -1e308\n5e307 -1e308 1e308\n"
+                    "1e308 -1e308 -1e308\n-1e308 1e308 -1e308\n")
+    rc = main(["replay", "--k", "1", "--pi", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert [ln for ln in captured.err.splitlines() if ln.startswith("error:")] == [
+        "error: pi has non-finite entries, or entries too large to weigh"]
+
+
 def test_unknown_subcommand_exit_one(capsys):
     assert main(["warp"]) == 1
     assert main([]) == 1

@@ -83,6 +83,14 @@ def test_mld_oracle_examples(code54, example1_pi):
     assert msg_u == []  # tie broken toward the lexicographically first message
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_mld_oracle_rejects_non_finite_pi(code54, example1_pi, entry):
+    bad = example1_pi.copy()
+    bad[3, 2] = entry
+    with pytest.raises(ValueError, match="non-finite"):
+        mld_oracle(code54, bad)
+
+
 def test_mld_oracle_rejects_large_code():
     big = make_code(2, 8, 255, 128)
     with pytest.raises(ValueError):
@@ -316,17 +324,64 @@ def _spoil(pi, how):
         return bad.astype(complex)
     if how == "bool":
         return bad > bad.mean()
-    bad[[0, 2, 4], [1, 2, 3]] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[how]
+    # huge: finite, but three weights near 1e308, so sums of them overflow
+    bad[[0, 2, 4], [1, 2, 3]] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf,
+                                 "huge": 1e308}[how]
     return bad
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("decode", [tcgs_decode, lcc_decode])
-@pytest.mark.parametrize("how", ["nan", "+inf", "-inf", "complex", "bool"])
+@pytest.mark.parametrize("how", ["nan", "+inf", "-inf", "huge", "complex", "bool"])
 def test_decoders_reject_non_finite_or_non_real_pi(code54, example1_pi, decode, how):
     with pytest.raises(ValueError):
         decode(code54, _spoil(example1_pi, how))
     with pytest.raises(ValueError):
         decode(code54, example1_pi.tolist())
+
+
+# Finite, with weights near 1e308 over [3,1] GF(4): the tree search certified
+# (0, 0, 0) at weight inf although (1, 1, 1) scores higher (5e307), and the Gray
+# walk certified (1, 1, 1) at weight inf.
+HUGE_PI = np.array([[-6e307, -1e308, -1e308], [5e307, -1e308, 1e308],
+                    [1e308, -1e308, -1e308], [-1e308, 1e308, -1e308]])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("decode", [tcgs_decode, lambda c, p: lcc_decode(c, p, LccConfig(eta=3))])
+def test_decoders_reject_huge_finite_pi(decode):
+    with pytest.raises(ValueError, match="too large"):
+        decode(make_code(2, 2, 3, 1), HUGE_PI)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("p, m, n, k", [(2, 2, 3, 1), (5, 1, 4, 2), (2, 3, 7, 3)])
+def test_huge_finite_pi_never_overflows_or_certifies_a_heavier_codeword(p, m, n, k):
+    """Entries drawn from {+-1e308, +-6e307, +-5e307, +-1, 0}, and columns offset
+    by such values under weights near 1e300: each decode raises ValueError or
+    returns, and a certified output weighs no more than any codeword, each
+    weight one math.fsum of soft weights about z."""
+    code = make_code(p, m, n, k)
+    q, cws, cols = code.field.q, _codebook_scores_setup(code)[1], np.arange(n)
+    values = np.array([1e308, -1e308, 6e307, -6e307, 5e307, -5e307, 1.0, -1.0, 0.0])
+    rng = np.random.default_rng(20)
+    lcc = LccConfig(eta=min(3, n))
+    rejected = decoded = 0
+    for _ in range(150):
+        for pi in (rng.choice(values, size=(q, n)),
+                   rng.choice(values[:6], size=n) + 1e300 * rng.integers(-3, 1, size=(q, n))):
+            for decode in (tcgs_decode, lambda c, p: lcc_decode(c, p, lcc)):
+                try:
+                    res = decode(code, pi)
+                except ValueError:
+                    rejected += 1
+                    continue
+                decoded += 1
+                if res.certified:
+                    top = pi[hard_decision(pi), cols]
+                    assert res.best_weight <= min(math.fsum((top - pi[cw, cols]).tolist())
+                                                  for cw in cws)
+    assert rejected > 0 and decoded > 0
 
 
 def _narrow(raw: np.ndarray, dtype) -> np.ndarray:

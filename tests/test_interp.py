@@ -115,6 +115,29 @@ def test_factorize_reads_message_from_clean_interpolation(code54):
     assert factorize(basis, code54.eval_points) == (u, cw)
 
 
+@pytest.mark.parametrize("p, m, n, k", [(5, 1, 4, 2), (7, 1, 6, 2), (2, 4, 15, 11)])
+def test_factorize_reads_the_codeword_for_every_locator_degree(p, m, n, k):
+    """A codeword with e <= (n - k) // 2 symbol errors: the error locator q1
+    has degree e (constant, linear with its root read in closed form, or
+    longer and scanned), and factorize returns the message and its encoding."""
+    from treechase.rscode import encode, make_code
+    code = make_code(p, m, n, k)
+    field, xs = code.field, code.eval_points
+    rng = np.random.default_rng(7)
+    degrees = set()
+    for _ in range(60):
+        u = poly_trim(rng.integers(0, field.q, size=k).tolist())
+        cw = encode(code, u)
+        word = list(cw)
+        errors = int(rng.integers(0, (n - k) // 2 + 1))
+        for j in rng.choice(n, size=errors, replace=False).tolist():
+            word[j] = field.add(word[j], int(rng.integers(1, field.q)))
+        basis = interpolate(field, k, xs, tuple(word))
+        assert factorize(basis, xs) == (u, cw)
+        degrees.add(len(basis.polys[1].q1) - 1)
+    assert degrees == set(range((n - k) // 2 + 1))
+
+
 def test_factorize_none_when_no_root():
     # hard decision of the worked example is not a codeword: first basis pops
     # a valid u only because min-weight element divides; perturb to break it
