@@ -8,8 +8,8 @@ Gray-ordered test patterns, and a seeded Monte-Carlo sweep harness.
 from .baselines import LccConfig, classify_ml, lcc_decode
 from .channel import (SoftWeights, frame_rng, hard_decision, likelihoods, load_pi,
                       modulate, save_pi, sigma_from_snr_db, soft_weights, transmit)
-from .chase import (AtomChain, bound_B, build_atom_chain, kaneko_B0, leftmost_child,
-                    next_sibling, render_pattern)
+from .chase import (bound_B, build_atom_chain, kaneko_B0, leftmost_child, next_sibling,
+                    render_pattern)
 from .decoder import (CERTIFIED_EXITS, DecodeResult, DecoderConfig,
                       EXIT_BUDGET, EXIT_CERTIFIED_KANEKO, EXIT_CERTIFIED_TREE, EXIT_GENIE,
                       EXIT_THRESHOLD, compare_traces, decode_with_trace, tcgs_decode)
@@ -22,7 +22,7 @@ from .stats import chi2_threshold, wilson_interval
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomChain", "BinaryField", "CERTIFIED_EXITS", "CodeParams",
+    "BinaryField", "CERTIFIED_EXITS", "CodeParams",
     "DecodeResult", "DecoderConfig", "EXIT_BUDGET", "EXIT_CERTIFIED_TREE",
     "EXIT_CERTIFIED_KANEKO", "EXIT_GENIE", "EXIT_THRESHOLD", "Field",
     "GroebnerBasis", "LccConfig", "PrimeField", "SoftWeights",

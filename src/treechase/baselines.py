@@ -48,12 +48,12 @@ def lcc_decode(code: CodeParams, pi: np.ndarray, cfg: LccConfig | None = None,
     if cfg.eta > code.n:
         raise ValueError("eta must be <= n")
     s = _Search(code, pi, genie_codeword, None)
-    z, sub = s.z, s.sub
+    z, sub = s.sw.z, s.sub
 
     def gray_walk(basis):
         # reliability of a coordinate = weight of its cheapest single-symbol change,
         # ties to the lower coordinate; built only for frames trial 1 did not settle
-        lrps = np.argsort(s.chain.mins, kind="stable")[:cfg.eta].tolist()
+        lrps = np.argsort(s.sw.mins, kind="stable")[:cfg.eta].tolist()
         second = [sub(z[j], int(s.sw.lam[:, j].argmin()) + 1) for j in lrps]
         for i in range(1, 1 << cfg.eta):
             # Gray code i flips bit b = ctz(i): lrps[b] holds its second-best

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,6 +104,13 @@ class SoftWeights:
     mins[j] is the lightest weight of coordinate j, the cost of its cheapest
     single-symbol change; z_weight is pattern_weight(z), the weight of the
     hypothesis that the zero codeword was sent.
+
+    The atom (j, d) is the change of z_j by d, of weight lam[d-1][j].  The
+    atom chain is the sorted view of the table: coords and weights are
+    parallel tuples indexed by 0-based rank, ascending by (weight, coord,
+    delta), and atom(rank) is (coord, delta).  The one stable argsort behind
+    them runs the first time one of them is read, so a decode that never
+    reads a rank (trial 1 settles it, or lcc) never sorts.
     """
 
     lam: np.ndarray  # shape (q-1, n)
@@ -115,6 +123,29 @@ class SoftWeights:
         correctly rounded (math.fsum) as every weight a certificate compares."""
         item = self.lam.item  # a Python float per entry, no numpy scalar
         return math.fsum([item(ej - 1, j) for j, ej in enumerate(e) if ej])
+
+    @property
+    def size(self) -> int:
+        return self.lam.size
+
+    @cached_property
+    def _order(self) -> np.ndarray:
+        """Atom indices j*(q-1) + d-1 by (weight, coord, delta): the sort is
+        stable, so atoms of equal weight keep index order, (coord, delta)."""
+        return np.argsort(self.lam.T.ravel(), kind="stable")
+
+    @cached_property
+    def coords(self) -> tuple[int, ...]:
+        return tuple((self._order // self.lam.shape[0]).tolist())
+
+    @cached_property
+    def weights(self) -> tuple[float, ...]:
+        return tuple(self.lam.T.ravel()[self._order].tolist())
+
+    def atom(self, rank: int) -> tuple[int, int]:
+        """(coordinate, delta) of the atom at rank."""
+        j, d = divmod(int(self._order[rank]), self.lam.shape[0])
+        return (j, d + 1)
 
 
 def soft_weights(field: Field, pi: np.ndarray) -> SoftWeights:

@@ -9,7 +9,7 @@ factorize(basis, xs) returns None or the message and its codeword (u, c) in
 one call.  _Search is the engine every decoder shares.  It owns the front
 end (one soft_weights pass over pi gives the hard decision z, the soft
 weights, their per-coordinate minima and the weight of z; the atom chain
-wraps the weights) and the running hypothesis (the lightest error pattern
+is its sorted view) and the running hypothesis (the lightest error pattern
 e* whose subtraction from z gives a codeword), and it runs every trial: run
 makes the first (z interpolated in closed form), hands that basis to a
 pattern order, and assembles the DecodeResult from the exit reason the
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import check_pi, soft_weights
-from .chase import AtomChain, bound_B, kaneko_B0, leftmost_child, next_sibling, render_pattern
+from .chase import bound_B, kaneko_B0, leftmost_child, next_sibling, render_pattern
 from .galois import poly_str
 from .interp import GroebnerBasis, backward_remove, factorize, forward_add, interpolate
 from .rscode import CodeParams, check_word
@@ -128,27 +128,25 @@ class _Search:
         self.pi = pi = check_pi(pi, field.q, code.n)
         self.code, self.sub, self.d_min, self.trace = code, field.sub, code.d_min, trace
         self.sw = sw = soft_weights(field, pi)  # ValueError for non-finite or huge pi
-        self.z = z = sw.z
-        self.chain = chain = AtomChain(sw.lam, sw.mins)
         self.genie = check_word(code, genie_codeword) if genie_codeword is not None else None
         # running hypothesis: initially e* = z itself (codeword 0, no message kept yet)
-        self.e_star, self.w_star = z, sw.z_weight
+        self.e_star, self.w_star = sw.z, sw.z_weight
         self.u_star: list[int] | None = None
         self.c_star: tuple[int, ...] | None = None
         self.trials = self.steps = 0
         if trace is not None:
             trace.append(f"CODE q={field.q} n={code.n} k={code.k}")
-            trace.append("Z z=" + ",".join(str(v) for v in z))
-            for r in range(chain.size):
-                c, d = chain.atom(r)
-                trace.append(f"ATOM rank={r + 1} coord={c} delta={d} weight={chain.weights[r]:.4f}")
+            trace.append("Z z=" + ",".join(str(v) for v in sw.z))
+            for r in range(sw.size):
+                c, d = sw.atom(r)
+                trace.append(f"ATOM rank={r + 1} coord={c} delta={d} weight={sw.weights[r]:.4f}")
             trace.append(f"INIT weight={self.w_star:.4f}")
 
     def run(self, order: Callable[[GroebnerBasis], str]) -> DecodeResult:
         """Interpolate z in closed form and attempt it; unless that exits, order
         runs the later trials from its basis and returns the exit reason."""
         code = self.code
-        basis = interpolate(code.field, code.k, code.eval_points, self.z)
+        basis = interpolate(code.field, code.k, code.eval_points, self.sw.z)
         self.trials = 1
         exit_reason = self.attempt(basis, "0") or order(basis)
         if exit_reason in CERTIFIED_EXITS and self.u_star is None:
@@ -185,12 +183,12 @@ class _Search:
                              "result=none")
             return None
         u, c = found
-        e = tuple(map(self.sub, self.z, c))
+        e = tuple(map(self.sub, self.sw.z, c))
         w = self.sw.pattern_weight(e)
         improved = w < self.w_star or (self.u_star is None and w == self.w_star)
         if improved:
             self.e_star, self.w_star, self.u_star, self.c_star = e, w, u, c
-            b0 = kaneko_B0(self.chain, e, self.d_min)
+            b0 = kaneko_B0(self.sw, e, self.d_min)
         if trace is not None:
             tail = f" b0={b0:.4f}" if improved else ""
             trace.append(f"HDD trial={self.trials} step={self.steps} pattern={pattern} "
@@ -215,7 +213,7 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
     if cfg.threshold_eps is not None and field.p != 2:
         raise ValueError("threshold mode requires a characteristic-2 field")
     s = _Search(code, pi, genie_codeword, trace)
-    chain, z, sub = s.chain, s.z, s.sub
+    sw, z, sub = s.sw, s.sw.z, s.sub
     t_min, L = code.t_min, cfg.max_trials
 
     def tree_order(basis):
@@ -226,8 +224,14 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
             pi, s2 = s.pi, cfg.sigma2  # pi as float64
             T = s2 * chi2_threshold(cfg.threshold_eps, code.n * field.m)
             log_norm = 0.5 * field.m * math.log(2.0 * math.pi * s2)
-            resid_z = -2.0 * s2 * (float(sum(pi[zj, j] for j, zj in enumerate(z)))
-                                   + code.n * log_norm)
+            # plain float adds in coordinate order (no numpy overflow warning; sum()
+            # compensates from Python 3.12 on, which would change the bits)
+            top = 0.0
+            for v in pi[z, range(code.n)].tolist():
+                top += v
+            resid_z = -2.0 * s2 * (top + code.n * log_norm)
+            if not math.isfinite(resid_z):
+                raise ValueError("pi is too large for the threshold residual of z")
             T_z = (T - resid_z) / (2.0 * s2)
         # A heap of (bound, len(f), f, parent basis): bound, then Hamming weight,
         # then leftmost ranks.  The keys are unique: f's ranks name the pattern and
@@ -238,8 +242,8 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
         frontier: list[tuple] = []
         if s.trials < L:  # grow the tree only while a pop can follow
             # the root's leftmost child is the chain's first atom, which always exists
-            first = leftmost_child(chain, ())
-            frontier.append((bound_B(chain, first, t_min), 1, first, basis))
+            first = leftmost_child(sw, ())
+            frontier.append((bound_B(sw, first, t_min), 1, first, basis))
         while s.trials < L:
             if not frontier:
                 # frontier exhaustion is always exact: every pattern of the tree was tried
@@ -248,7 +252,7 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
             s.steps += 1
             pat_str = ""  # only trace lines read the rendered pattern
             if trace is not None:
-                pat_str = render_pattern(chain, f)
+                pat_str = render_pattern(sw, f)
                 trace.append(f"POP step={s.steps} pattern={pat_str} bound={bound:.4f}")
             if T_z is not None:
                 if bound >= T_z:
@@ -256,16 +260,16 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
             elif s.w_star <= bound:
                 return EXIT_CERTIFIED_TREE
             # the last atom of f replaces z at its coordinate
-            j, delta = chain.atom(f[-1])
+            j, delta = sw.atom(f[-1])
             nb, exit_reason = s.trial(f_basis, j, sub(z[j], delta), pat_str)
             if exit_reason is not None:
                 return exit_reason
             if s.trials == L:
                 break  # no pop follows, so no child or sibling would be read
             # the child extends the swapped basis; the sibling swaps from the parent's
-            for g, g_basis in ((leftmost_child(chain, f), nb), (next_sibling(chain, f), f_basis)):
+            for g, g_basis in ((leftmost_child(sw, f), nb), (next_sibling(sw, f), f_basis)):
                 if g is not None:
-                    heapq.heappush(frontier, (bound_B(chain, g, t_min), len(g), g, g_basis))
+                    heapq.heappush(frontier, (bound_B(sw, g, t_min), len(g), g, g_basis))
         return EXIT_BUDGET
 
     return s.run(tree_order)

@@ -33,7 +33,10 @@ poly_mul_linear, poly_div_linear, poly_divrem) are Field methods that loop
 over local table lookups, so no coefficient costs a method call.  poly_scale
 only multiplies and is shared; the others add, so each field kind has its
 own: XOR in GF(2^m), integer arithmetic mod p in GF(p).  A difference a - b
-is poly_submul(a, b, [1]).
+is poly_submul(a, b, [1]).  The linear-factor kernels are shared calls of
+those two: a*(x - beta) is poly_submul([0, *a], a, [beta]), and a/(x - beta)
+is poly_divrem(a, [-beta, 1]).  GF(2^m) keeps its own table-driven pair,
+since every later trial's point swap runs them.
 
 lagrange_table caches, per field and node tuple, the Lagrange basis of the
 nodes in the log domain, and poly_combine applies it: the interpolant of
@@ -133,12 +136,15 @@ class Field:
         raise NotImplementedError
 
     def poly_mul_linear(self, a: list[int], beta: int) -> list[int]:
-        """a(x) * (x - beta)."""
-        raise NotImplementedError
+        """a(x) * (x - beta), as x*a(x) - a(x)*beta."""
+        return self.poly_submul([0, *a], a, [beta])
 
     def poly_div_linear(self, a: list[int], beta: int) -> list[int]:
-        """a(x) / (x - beta) by synthetic division; raises if the division is inexact."""
-        raise NotImplementedError
+        """a(x) / (x - beta); RuntimeError if the division is inexact."""
+        quo, rem = self.poly_divrem(a, [self.sub(0, beta), 1])
+        if rem:
+            raise RuntimeError("inexact division by linear factor")
+        return quo
 
     def poly_divrem(self, num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
         """Quotient and remainder with deg rem < deg den.
@@ -206,24 +212,6 @@ class PrimeField(Field):
         for i, w in enumerate(c):
             for j, v in enumerate(b, i):
                 out[j] = (out[j] - v * w) % p
-        return poly_trim(out)
-
-    def poly_mul_linear(self, a, beta):
-        p = self.p
-        out = [0, *a]
-        for i, v in enumerate(a):
-            out[i] = (out[i] - beta * v) % p
-        return poly_trim(out)
-
-    def poly_div_linear(self, a, beta):
-        p = self.p
-        out = [0] * (len(a) - 1)
-        acc = 0
-        for i in range(len(a) - 1, 0, -1):
-            acc = (acc * beta + a[i]) % p
-            out[i - 1] = acc
-        if a and (acc * beta + a[0]) % p:
-            raise RuntimeError("inexact division by linear factor")
         return poly_trim(out)
 
     def poly_divrem(self, num, den):

@@ -5,7 +5,7 @@ because no decode, sweep or CLI path calls it:
 
   poly_add, poly_mul    dense polynomial sum and product through Field.add/mul
   chi2_sf               the chi-square tail, inverse of stats.chi2_threshold
-  rank_of               atom (coord, delta) -> 0-based rank in an AtomChain
+  rank_of               atom (coord, delta) -> 0-based rank in the atom chain
   pattern_from_ranks    the flipping pattern (sorted rank tuple) of a rank set
   minimal_decompose     the split of an error pattern behind the tree's
                         completeness argument
@@ -30,8 +30,7 @@ from itertools import product
 import numpy as np
 from scipy.special import gammaincc
 
-from treechase.channel import check_pi
-from treechase.chase import AtomChain
+from treechase.channel import SoftWeights, check_pi
 from treechase.galois import Field, poly_trim
 from treechase.interp import BivarPoly, GroebnerBasis, forward_add
 from treechase.rscode import CodeParams, encode
@@ -65,19 +64,19 @@ def chi2_sf(x: float, dof: int) -> float:
     return float(gammaincc(dof / 2.0, x / 2.0))
 
 
-def rank_of(chain: AtomChain) -> dict[tuple[int, int], int]:
+def rank_of(chain: SoftWeights) -> dict[tuple[int, int], int]:
     """0-based rank of each atom (coord, delta)."""
     return {chain.atom(r): r for r in range(chain.size)}
 
 
-def pattern_from_ranks(chain: AtomChain, ranks) -> tuple[int, ...]:
+def pattern_from_ranks(chain: SoftWeights, ranks) -> tuple[int, ...]:
     ranks = tuple(sorted(ranks))
     if len({chain.coords[r] for r in ranks}) != len(ranks):
         raise ValueError("pattern atoms must sit on distinct coordinates")
     return ranks
 
 
-def minimal_decompose(chain: AtomChain, e, t_min: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def minimal_decompose(chain: SoftWeights, e, t_min: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split e's atoms (rank-sorted) into the minimal pattern f and tail g.
 
     f keeps all but the t_min highest-ranked atoms of e; g keeps those t_min.

@@ -296,6 +296,17 @@ def test_threshold_fires_immediately_outside_sphere(code16):
     assert res.trials == 1
 
 
+def test_threshold_residual_that_overflows_is_rejected(code16):
+    """Entries near 1e308 keep the soft weights small enough to pass their
+    total check, but their sum over z, the threshold residual, overflows: a
+    ValueError, and no numpy overflow warning or budget run behind it."""
+    rng = np.random.default_rng(0)
+    pi = 1e308 + 1e300 * rng.normal(0.0, 5.0, size=(16, 15))
+    cfg = DecoderConfig(max_trials=16, threshold_eps=0.01, sigma2=0.3)
+    with pytest.raises(ValueError, match="threshold residual"):
+        tcgs_decode(code16, pi, cfg)
+
+
 def test_threshold_mode_rejects_prime_field(code54, example1_pi):
     cfg = DecoderConfig(max_trials=16, threshold_eps=0.1, sigma2=1.0)
     with pytest.raises(ValueError):
@@ -488,6 +499,27 @@ def test_one_trial_budget_builds_no_tree(code16, monkeypatch):
     assert calls == {"leftmost_child": 0, "next_sibling": 0, "bound_B": 0}
 
 
+def test_chain_is_sorted_only_when_the_tree_reads_it(code16, monkeypatch):
+    """The atom chain's one sort runs on the first read of a rank.  A frame that
+    a Kaneko certificate settles at trial 1, and every lcc frame, never sorts;
+    every tcgs frame that goes on to the tree search does."""
+    records = []
+    real = decoder.soft_weights
+    monkeypatch.setattr(decoder, "soft_weights",
+                        lambda field, pi: records.append(real(field, pi)) or records[-1])
+    tcgs, lcc = DecoderConfig(max_trials=16), LccConfig(eta=4)
+    sorted_frames = unsorted_frames = 0
+    for pi in _rs15_4db_frames(code16, 300):
+        res = tcgs_decode(code16, pi, tcgs)
+        reached_tree = res.trials > 1 or res.exit_reason != EXIT_CERTIFIED_KANEKO
+        assert ("_order" in vars(records[-1])) == reached_tree
+        sorted_frames += reached_tree
+        unsorted_frames += not reached_tree
+        lcc_decode(code16, pi, lcc)
+        assert "_order" not in vars(records[-1])
+    assert len(records) == 600 and sorted_frames > 0 and unsorted_frames > 0
+
+
 def test_budget_exhausted_frame_expands_no_node_after_last_trial(code16, monkeypatch):
     """A frame that spends all L = 16 trials pops 15 nodes: the root's child plus
     the children and siblings of the first 14 pops.  The 15th pop is the last
@@ -539,3 +571,34 @@ def test_factorize_codeword_equals_encode(monkeypatch, m, n, k, snr_db, frames):
         tcgs_decode(code, pi, DecoderConfig(max_trials=16))
         lcc_decode(code, pi, LccConfig(eta=4))
     assert len(checked) > frames and all(checked)
+
+
+@pytest.mark.parametrize("p,m,n,k", [(2, 3, 7, 3), (5, 1, 4, 2), (7, 1, 6, 2)])
+def test_every_attempt_is_a_bounded_distance_decode(monkeypatch, p, m, n, k):
+    """Every attempt of seeded tcgs (L = 16) and lcc decodes returns exactly the
+    one codeword within floor((n - k)/2) of the test vector it interpolates
+    (the basis's points), and None when there is none."""
+    code = make_code(p, m, n, k)
+    radius = (n - k) // 2
+    msgs, cws = _codebook_scores_setup(code)
+    counts = {"found": 0, "none": 0}
+
+    def factorize_and_check(basis, xs):
+        found = factorize(basis, xs)
+        word = np.array([basis.points[x] for x in xs])
+        near = np.flatnonzero((cws != word).sum(axis=1) <= radius)
+        if near.size:
+            (i,) = near  # the balls of radius floor((d - 1)/2) are disjoint
+            assert found == (msgs[i], tuple(cws[i].tolist()))
+        else:
+            assert found is None
+        counts["found" if found else "none"] += 1
+        return found
+
+    monkeypatch.setattr(decoder, "factorize", factorize_and_check)
+    rng = np.random.default_rng(p * 100 + n)
+    for _ in range(100):
+        pi, _ = pam_pi(code, rng)
+        tcgs_decode(code, pi, DecoderConfig(max_trials=16))
+        lcc_decode(code, pi, LccConfig(eta=min(4, n)))
+    assert counts["found"] > 200 and counts["none"] > 200

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treechase.galois import (
     PRIMITIVE_POLY,
     BinaryField,
+    Field,
     PrimeField,
     lagrange_table,
     make_field,
@@ -113,6 +116,30 @@ def test_div_linear_exact_and_inexact():
     assert poly_trim(f.poly_div_linear(a, 4)) == [1, 2, 3]
     with pytest.raises(RuntimeError):
         f.poly_div_linear([1, 1], 3)       # 1+x does not vanish at 3
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_binary_linear_factor_kernels_match_generic_forms(m):
+    """GF(2^m)'s table-driven poly_mul_linear and poly_div_linear return what
+    the shared Field forms (poly_submul, poly_divrem) return, and raise where
+    they raise: on every inexact division."""
+    f = BinaryField(m)
+    rng = random.Random(m)
+    inexact = 0
+    for _ in range(300):
+        a = poly_trim([rng.randrange(f.q) for _ in range(rng.randrange(9))])
+        beta = rng.randrange(f.q)
+        prod = f.poly_mul_linear(a, beta)
+        assert prod == Field.poly_mul_linear(f, a, beta)
+        assert f.poly_div_linear(prod, beta) == Field.poly_div_linear(f, prod, beta) == a
+        if a and f.poly_eval(a, beta):
+            inexact += 1
+            for div in (f.poly_div_linear, lambda a, b: Field.poly_div_linear(f, a, b)):
+                with pytest.raises(RuntimeError, match="inexact"):
+                    div(a, beta)
+        else:
+            assert f.poly_div_linear(a, beta) == Field.poly_div_linear(f, a, beta)
+    assert inexact > 100
 
 
 def test_poly_eval_horner_matches_naive():
