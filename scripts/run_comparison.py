@@ -13,7 +13,7 @@ Typical run (a few minutes single-core):
 import argparse
 import sys
 
-from treechase.sim import SweepConfig, parse_snr_spec, rows_to_csv, run_sweep
+from treechase.sim import SweepConfig, parse_code_spec, parse_snr_spec, rows_to_csv, run_sweep
 from treechase.stats import wilson_interval
 
 
@@ -32,7 +32,10 @@ def main(argv=None):
     ap.add_argument("--out", default=None, help="CSV path (default: stdout only)")
     args = ap.parse_args(argv)
 
-    p, m, n, k = (int(v) for v in args.code.split(","))
+    try:
+        p, m, n, k = parse_code_spec(args.code)
+    except ValueError as exc:
+        ap.error(str(exc))
     cfg = SweepConfig(p=p, m=m, n=n, k=k,
                       snr_db=parse_snr_spec(args.snr),
                       algorithms=("tcgs", "lcc", "hdd"),

@@ -13,7 +13,7 @@ bound).  Growing the trial budget tightens the bracket from both ends.
 import argparse
 import sys
 
-from treechase.sim import SweepConfig, run_sweep
+from treechase.sim import SweepConfig, parse_code_spec, run_sweep
 
 
 def main(argv=None):
@@ -26,7 +26,10 @@ def main(argv=None):
     ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args(argv)
 
-    p, m, n, k = (int(v) for v in args.code.split(","))
+    try:
+        p, m, n, k = parse_code_spec(args.code)
+    except ValueError as exc:
+        ap.error(str(exc))
     budgets = [int(v) for v in args.budgets.split(",")]
 
     print(f"{'L':>6} {'lower':>10} {'FER':>10} {'upper':>10} {'gap':>10}")

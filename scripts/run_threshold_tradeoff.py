@@ -17,7 +17,7 @@ a fixed SNR so both effects are visible in one table.
 import argparse
 import sys
 
-from treechase.sim import SweepConfig, run_sweep
+from treechase.sim import SweepConfig, parse_code_spec, run_sweep
 
 
 def main(argv=None):
@@ -32,7 +32,10 @@ def main(argv=None):
     ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args(argv)
 
-    p, m, n, k = (int(v) for v in args.code.split(","))
+    try:
+        p, m, n, k = parse_code_spec(args.code)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     print(f"{'epsilon':>10} {'FER':>10} {'avg trials':>11} {'frame errors':>13}")
     for tok in args.eps.split(","):

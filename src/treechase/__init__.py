@@ -7,12 +7,12 @@ Gray-ordered test patterns, and a seeded Monte-Carlo sweep harness.
 
 from .baselines import LccConfig, classify_ml, lcc_decode
 from .channel import (SoftWeights, frame_rng, hard_decision, likelihoods, load_pi,
-                      modulate, save_pi, sigma_from_snr_db, soft_weights, transmit)
+                      modulate, sigma_from_snr_db, soft_weights, transmit)
 from .chase import (bound_B, build_atom_chain, kaneko_B0, leftmost_child, next_sibling,
                     render_pattern)
 from .decoder import (CERTIFIED_EXITS, DecodeResult, DecoderConfig,
                       EXIT_BUDGET, EXIT_CERTIFIED_KANEKO, EXIT_CERTIFIED_TREE, EXIT_GENIE,
-                      EXIT_THRESHOLD, compare_traces, decode_with_trace, tcgs_decode)
+                      EXIT_THRESHOLD, compare_traces, tcgs_decode)
 from .galois import BinaryField, Field, PrimeField, make_field
 from .interp import GroebnerBasis, backward_remove, factorize, forward_add, interpolate
 from .rscode import CodeParams, encode, make_code
@@ -28,12 +28,12 @@ __all__ = [
     "GroebnerBasis", "LccConfig", "PrimeField", "SoftWeights",
     "SweepConfig", "SweepRow", "backward_remove", "bound_B",
     "build_atom_chain", "chi2_threshold", "classify_ml",
-    "compare_traces", "decode_with_trace", "encode", "factorize", "forward_add",
+    "compare_traces", "encode", "factorize", "forward_add",
     "frame_rng", "hard_decision",
     "interpolate", "kaneko_B0", "lcc_decode", "leftmost_child",
     "likelihoods", "load_pi", "make_code", "make_field",
     "modulate", "next_sibling", "parse_snr_spec",
     "render_pattern", "rows_to_csv", "run_point",
-    "run_sweep", "save_pi", "sigma_from_snr_db", "soft_weights", "tcgs_decode",
+    "run_sweep", "sigma_from_snr_db", "soft_weights", "tcgs_decode",
     "transmit", "wilson_interval",
 ]

@@ -175,14 +175,6 @@ def soft_weights(field: Field, pi: np.ndarray) -> SoftWeights:
 # ---------------------------------------------------------------------------
 # Likelihood matrix files: first line "q n", then q rows of n reals.
 
-def save_pi(path: str, pi: np.ndarray) -> None:
-    q, n = pi.shape
-    with open(path, "w") as fh:
-        fh.write(f"{q} {n}\n")
-        for row in pi:
-            fh.write(" ".join(f"{v:.6g}" for v in row) + "\n")
-
-
 def load_pi(path: str) -> np.ndarray:
     with open(path) as fh:
         stripped = (line.split("#", 1)[0] for line in fh)

@@ -16,9 +16,9 @@ import sys
 from importlib import resources
 
 from .channel import load_pi
-from .decoder import DecoderConfig, compare_traces, decode_with_trace
+from .decoder import DecoderConfig, compare_traces, tcgs_decode
 from .rscode import make_code
-from .sim import SweepConfig, parse_snr_spec, rows_to_csv, run_sweep
+from .sim import SweepConfig, parse_code_spec, parse_snr_spec, rows_to_csv, run_sweep
 from .stats import chi2_threshold
 
 
@@ -66,16 +66,8 @@ def _build_parser() -> _Parser:
     return top
 
 
-def _parse_code(spec: str) -> tuple[int, int, int, int]:
-    parts = spec.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"--code needs p,m,n,k, got {spec!r}")
-    p, m, n, k = (int(t) for t in parts)
-    return p, m, n, k
-
-
 def _cmd_sweep(args) -> int:
-    p, m, n, k = _parse_code(args.code)
+    p, m, n, k = parse_code_spec(args.code)
     cfg = SweepConfig(p=p, m=m, n=n, k=k,
                       snr_db=parse_snr_spec(args.snr),
                       algorithms=tuple(t.strip() for t in args.alg.split(",") if t.strip()),
@@ -98,7 +90,8 @@ def _cmd_replay(args) -> int:
     q, n = pi.shape
     m = q.bit_length() - 1
     code = make_code(2, m, n, args.k) if q == 1 << m else make_code(q, 1, n, args.k)
-    res, lines = decode_with_trace(code, pi, DecoderConfig(max_trials=args.L))
+    lines: list[str] = []
+    tcgs_decode(code, pi, DecoderConfig(max_trials=args.L), trace=lines)
     for ln in lines:
         print(ln)
     if args.golden:

@@ -275,13 +275,6 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
     return s.run(tree_order)
 
 
-def decode_with_trace(code: CodeParams, pi: np.ndarray,
-                      cfg: DecoderConfig | None = None) -> tuple[DecodeResult, list[str]]:
-    lines: list[str] = []
-    res = tcgs_decode(code, pi, cfg, trace=lines)
-    return res, lines
-
-
 def compare_traces(got_lines: list[str], expected_lines: list[str]) -> tuple[bool, str]:
     """Line-by-line comparison; the diagnostic pinpoints the first divergence."""
     expected = [ln.rstrip("\n") for ln in expected_lines if ln.strip()]

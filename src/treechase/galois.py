@@ -367,11 +367,6 @@ def _divrem_operands(num, den) -> tuple[list[int], list[int]]:
     return den, poly_trim(list(num))
 
 
-def poly_deg(c: list[int]) -> int:
-    """Degree; -1 for the zero polynomial."""
-    return len(c) - 1
-
-
 def poly_str(c: list[int]) -> str:
     """Human form, low degree first: [] -> "0", [1, 3] -> "1+3x", [0, 1, 2] -> "x+2x^2"."""
     terms = []

@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .galois import Field, make_field, poly_deg
+import numpy as np
+
+from .galois import Field, make_field
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,14 +61,17 @@ def make_code(p: int, m: int, n: int, k: int) -> CodeParams:
 
 def encode(code: CodeParams, message: list[int]) -> tuple[int, ...]:
     """Evaluate the message polynomial at the code's points."""
-    if poly_deg(message) >= code.k:
-        raise ValueError(f"message degree {poly_deg(message)} >= k = {code.k}")
+    if len(message) > code.k:
+        raise ValueError(f"a message has at most k = {code.k} coefficients, got {len(message)}")
     return tuple(code.field.poly_evals(message, code.eval_points))
 
 
 def check_word(code: CodeParams, word) -> tuple[int, ...]:
-    """word as a tuple; ValueError unless it has n symbols, each in [0, q)."""
+    """word as a tuple; ValueError unless it has n symbols, each an integer
+    (Python or numpy) in [0, q)."""
     w = tuple(word)
-    if len(w) != code.n or min(w) < 0 or max(w) >= code.field.q:
-        raise ValueError(f"a word of the code has {code.n} symbols in [0, {code.field.q})")
+    if (len(w) != code.n or not all(isinstance(v, (int, np.integer)) for v in w)
+            or min(w) < 0 or max(w) >= code.field.q):
+        raise ValueError(f"a word of the code has {code.n} symbols in [0, {code.field.q}), "
+                         "each an integer")
     return w

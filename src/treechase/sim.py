@@ -10,11 +10,11 @@ min_errors frame errors have accumulated, whichever comes first.
 _decoder is the one place that maps an algorithm name to its decode function
 and config: tcgs is the tree search, lcc the Gray-walk Chase baseline, and
 hdd one hard-decision trial of the tree decoder (it ignores threshold_eps).
-validate_config checks every name through it, and run_point stores the
-point's context (cfg, code, sigma, decode, config) in _CTX once, in the
-parent, then maps _run_frame over each chunk's frame indices, in process or
-over a fork pool whose workers inherit _CTX; the parent counts the outcomes
-in frame order.
+A SweepConfig checks every name through it when it is built, and run_point
+stores the point's context (cfg, code, sigma, decode, config) in _CTX once,
+in the parent, then maps _run_frame over each chunk's frame indices, in
+process or over a fork pool whose workers inherit _CTX; the parent counts
+the outcomes in frame order.
 
 The CSV report deliberately writes 0.000 in the wall_seconds column unless
 timing is explicitly requested, because measured wall time is the one field
@@ -46,6 +46,8 @@ CSV_HEADER = "algorithm,snr_db,frames,frame_errors,fer,avg_trials,e_upper_rate,e
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """One sweep; ValueError on construction unless every point can run."""
+
     p: int = 2
     m: int = 4
     n: int = 15
@@ -60,6 +62,31 @@ class SweepConfig:
     threshold_eps: float | None = None
     genie: bool = False
     workers: int = 1
+
+    def __post_init__(self):
+        make_code(self.p, self.m, self.n, self.k)  # ValueError for a code that cannot exist
+        if self.p != 2:
+            raise ValueError("sweeps simulate BPSK, which needs a binary field (p = 2)")
+        if not self.algorithms:
+            raise ValueError("no algorithms selected")
+        if not self.snr_db:
+            raise ValueError("no SNR points")
+        if self.L < 1:
+            raise ValueError("L must be >= 1")
+        if "lcc" in self.algorithms and not 0 <= self.eta <= self.n:
+            raise ValueError("eta must be in [0, n]")
+        if self.max_frames < 1:
+            raise ValueError("max_frames must be >= 1")
+        if self.min_errors < 0:
+            raise ValueError("min_errors must be >= 0")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        for snr_db in self.snr_db:  # every point's noise and decoder, as run_point builds them
+            sigma = sigma_from_snr_db(snr_db, self.k / self.n)
+            for alg in self.algorithms:
+                _decoder(self, alg, sigma * sigma)
+        if self.threshold_eps is not None:  # checks eps, and loads scipy before any worker forks
+            chi2_threshold(self.threshold_eps, self.n * self.m)
 
 
 @dataclass
@@ -100,33 +127,6 @@ class SweepRow:
     @property
     def e_lower_rate(self) -> float:
         return self.e_lower / self.frames if self.frames else 0.0
-
-
-def validate_config(cfg: SweepConfig) -> CodeParams:
-    code = make_code(cfg.p, cfg.m, cfg.n, cfg.k)
-    if cfg.p != 2:
-        raise ValueError("sweeps simulate BPSK, which needs a binary field (p = 2)")
-    if not cfg.algorithms:
-        raise ValueError("no algorithms selected")
-    if not cfg.snr_db:
-        raise ValueError("no SNR points")
-    if cfg.L < 1:
-        raise ValueError("L must be >= 1")
-    if "lcc" in cfg.algorithms and not 0 <= cfg.eta <= cfg.n:
-        raise ValueError("eta must be in [0, n]")
-    if cfg.max_frames < 1:
-        raise ValueError("max_frames must be >= 1")
-    if cfg.min_errors < 0:
-        raise ValueError("min_errors must be >= 0")
-    if cfg.workers < 1:
-        raise ValueError("workers must be >= 1")
-    for snr_db in cfg.snr_db:  # every point's noise and decoder, as run_point builds them
-        sigma = sigma_from_snr_db(snr_db, cfg.k / cfg.n)
-        for alg in cfg.algorithms:
-            _decoder(cfg, alg, sigma * sigma)
-    if cfg.threshold_eps is not None:  # checks eps, and loads scipy before any worker forks
-        chi2_threshold(cfg.threshold_eps, code.n * code.field.m)
-    return code
 
 
 def draw_frame(code: CodeParams, sigma: float, seed: int, idx: int) -> tuple[tuple, np.ndarray]:
@@ -190,7 +190,6 @@ def run_point(cfg: SweepConfig, alg: str, snr_db: float) -> SweepRow:
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
-    validate_config(cfg)
     return [run_point(cfg, alg, snr) for alg in cfg.algorithms for snr in cfg.snr_db]
 
 
@@ -203,6 +202,15 @@ def rows_to_csv(rows: list[SweepRow], timing: bool = False) -> str:
                   f"{r.fer:.8g},{r.avg_trials:.8g},{r.e_upper_rate:.8g},"
                   f"{r.e_lower_rate:.8g},{wall:.3f}\n")
     return out.getvalue()
+
+
+def parse_code_spec(spec: str) -> tuple[int, int, int, int]:
+    """'p,m,n,k' as four integers."""
+    parts = spec.split(",")
+    if len(parts) != 4:
+        raise ValueError(f"--code needs p,m,n,k, got {spec!r}")
+    p, m, n, k = (int(t) for t in parts)
+    return p, m, n, k
 
 
 def parse_snr_spec(spec: str) -> tuple[float, ...]:

@@ -19,6 +19,9 @@ because no decode, sweep or CLI path calls it:
   front_end             the decoder's front end as separate steps (hard
                         decision, soft weights about it, per-coordinate
                         minima, weight of z), which channel.soft_weights fuses
+  save_pi               write a likelihood matrix file, as channel.load_pi
+                        reads it
+  traced                a tcgs_decode and its trace lines
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from treechase.channel import SoftWeights, check_pi
+from treechase.decoder import DecodeResult, DecoderConfig, tcgs_decode
 from treechase.galois import Field, poly_trim
 from treechase.interp import BivarPoly, GroebnerBasis, forward_add
 from treechase.rscode import CodeParams, encode
@@ -163,3 +167,19 @@ def front_end(field: Field, pi: np.ndarray):
                     for d in range(1, q)])
     mins = tuple(float(lam[:, j].min()) for j in range(n))
     return z, lam, mins, math.fsum([float(lam[zj - 1, j]) for j, zj in enumerate(z) if zj])
+
+
+def save_pi(path: str, pi: np.ndarray) -> None:
+    """First line "q n", then q rows of n reals."""
+    q, n = pi.shape
+    with open(path, "w") as fh:
+        fh.write(f"{q} {n}\n")
+        for row in pi:
+            fh.write(" ".join(f"{v:.6g}" for v in row) + "\n")
+
+
+def traced(code: CodeParams, pi: np.ndarray,
+           cfg: DecoderConfig | None = None) -> tuple[DecodeResult, list[str]]:
+    lines: list[str] = []
+    res = tcgs_decode(code, pi, cfg, trace=lines)
+    return res, lines

@@ -103,14 +103,16 @@ def test_classify_ml_four_cases(code54, example1_pi):
 
 
 def test_words_of_the_wrong_shape_are_rejected(code54, example1_pi):
-    """A transmitted or genie word has n symbols, each in [0, q).  A zip over a
-    longer or shorter word would truncate it silently: classify_ml would score
-    a correct decode against tx + (0,) as (1, 0), and a short genie word would
-    never match, so the decode would run to its budget."""
+    """A transmitted or genie word has n symbols, each an integer in [0, q).  A
+    zip over a longer or shorter word would truncate it silently: classify_ml
+    would score a correct decode against tx + (0,) as (1, 0), and a short or
+    non-integer genie word would never match, so the decode would run to its
+    budget.  numpy integers are integers."""
     tx = (1, 3, 0, 2)
     res = tcgs_decode(code54, example1_pi, DecoderConfig(max_trials=16))
     assert classify_ml(code54, example1_pi, res, tx) == (0, 0)
-    for bad in (tx + (0,), tx[:3], (1, 3, 0, 5), (1, 3, -1, 2)):
+    assert classify_ml(code54, example1_pi, res, np.array(tx)) == (0, 0)
+    for bad in (tx + (0,), tx[:3], (1, 3, 0, 5), (1, 3, -1, 2), (1, 3, 0.5, 2)):
         with pytest.raises(ValueError, match="4 symbols in"):
             classify_ml(code54, example1_pi, res, bad)
         with pytest.raises(ValueError, match="4 symbols in"):

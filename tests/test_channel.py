@@ -12,14 +12,13 @@ from treechase.channel import (
     likelihoods,
     load_pi,
     modulate,
-    save_pi,
     sigma_from_snr_db,
     soft_weights,
     transmit,
 )
 from treechase.galois import BinaryField, PrimeField
 
-from reference import front_end
+from reference import front_end, save_pi
 
 GF16 = BinaryField(4)
 

@@ -127,9 +127,10 @@ def test_replay_gf16_matrix_roundtrip(tmp_path, capsys, code16):
     """A 16x15 matrix replays under make_code's extension-field convention; the
     trace differs from the packaged golden so the exit code is 2, but the
     printed lines are exactly the library's trace of the same decode."""
-    from treechase.channel import likelihoods, load_pi, modulate, save_pi, transmit, frame_rng
-    from treechase.decoder import DecoderConfig, decode_with_trace
+    from treechase.channel import likelihoods, load_pi, modulate, transmit, frame_rng
+    from treechase.decoder import DecoderConfig
     from treechase.rscode import encode
+    from reference import save_pi, traced
     tx = encode(code16, [3] * 11)
     r = transmit(modulate(code16.field, tx), 0.4, frame_rng(0, 0))
     pi = likelihoods(code16.field, 15, r, 0.16)
@@ -137,14 +138,14 @@ def test_replay_gf16_matrix_roundtrip(tmp_path, capsys, code16):
     save_pi(str(path), pi)
     rc = main(["replay", "--pi", str(path), "--L", "8", "--k", "11"])
     assert rc == 2
-    _, lines = decode_with_trace(code16, load_pi(str(path)), DecoderConfig(max_trials=8))
+    _, lines = traced(code16, load_pi(str(path)), DecoderConfig(max_trials=8))
     assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_replay_gf16_matrix_too_long_exit_one(tmp_path, capsys):
     """GF(16) has 15 nonzero evaluation points, so a 16-column matrix is no code."""
     import numpy as np
-    from treechase.channel import save_pi
+    from reference import save_pi
     path = tmp_path / "g16x16.pi"
     save_pi(str(path), np.zeros((16, 16)))
     rc = main(["replay", "--pi", str(path), "--L", "8", "--k", "11"])

@@ -16,7 +16,6 @@ from treechase.decoder import (
     EXIT_THRESHOLD,
     DecoderConfig,
     compare_traces,
-    decode_with_trace,
     tcgs_decode,
 )
 from treechase.interp import factorize
@@ -24,7 +23,7 @@ from treechase.rscode import encode, make_code
 from treechase.sim import draw_frame
 
 from conftest import pam_pi
-from reference import _codebook_scores_setup, mld_oracle
+from reference import _codebook_scores_setup, mld_oracle, traced
 
 
 def test_worked_example_end_to_end(code54, example1_pi):
@@ -42,7 +41,7 @@ def test_worked_example_end_to_end(code54, example1_pi):
 
 
 def test_worked_example_trace_checkpoints(code54, example1_pi):
-    _, lines = decode_with_trace(code54, example1_pi, DecoderConfig(max_trials=16))
+    _, lines = traced(code54, example1_pi, DecoderConfig(max_trials=16))
     pops = [ln for ln in lines if ln.startswith("POP ")]
     bounds = [float(ln.rsplit("bound=", 1)[1]) for ln in pops]
     assert bounds == pytest.approx(
@@ -218,7 +217,7 @@ def test_popped_bounds_nondecreasing_and_weight_nonincreasing(code54):
     rng = np.random.default_rng(17)
     for _ in range(50):
         pi, _ = pam_pi(code54, rng)
-        _, lines = decode_with_trace(code54, pi, DecoderConfig(max_trials=32))
+        _, lines = traced(code54, pi, DecoderConfig(max_trials=32))
         bounds = [float(ln.rsplit("bound=", 1)[1])
                   for ln in lines if ln.startswith("POP ")]
         assert bounds == sorted(bounds)
@@ -446,7 +445,7 @@ def test_pops_follow_heap_key_under_ties(code54, code76, monkeypatch):
         for _ in range(100):
             pi = np.maximum(np.round(pam_pi(code, rng)[0]), -4.0)
             popped.clear()
-            decode_with_trace(code, pi, cfg)
+            traced(code, pi, cfg)
             keys = [(bound_B(chain, f, code.t_min), len(f), f) for chain, f in popped]
             assert all(a < b for a, b in zip(keys, keys[1:]))
             ties += sum(a[0] == b[0] for a, b in zip(keys, keys[1:]))
@@ -467,7 +466,7 @@ def test_render_pattern_runs_only_for_trace_lines(code16, monkeypatch):
     for pi in frames:
         tcgs_decode(code16, pi, cfg)
     assert rendered == []
-    pops = sum(ln.startswith("POP ") for pi in frames for ln in decode_with_trace(code16, pi, cfg)[1])
+    pops = sum(ln.startswith("POP ") for pi in frames for ln in traced(code16, pi, cfg)[1])
     assert len(rendered) == pops > 0
 
 
@@ -538,12 +537,12 @@ def test_budget_exhausted_frame_expands_no_node_after_last_trial(code16, monkeyp
 
 def test_verify_trace_detects_perturbation(code54, example1_pi, example1_trace):
     ok, diag = compare_traces(
-        decode_with_trace(code54, example1_pi, DecoderConfig(max_trials=16))[1], example1_trace)
+        traced(code54, example1_pi, DecoderConfig(max_trials=16))[1], example1_trace)
     assert ok and diag == "ok"
     perturbed = example1_pi.copy()
     perturbed[2, 1] = -1.0  # reorders the atom chain
     ok2, diag2 = compare_traces(
-        decode_with_trace(code54, perturbed, DecoderConfig(max_trials=16))[1], example1_trace)
+        traced(code54, perturbed, DecoderConfig(max_trials=16))[1], example1_trace)
     assert not ok2
     assert "ATOM" in diag2 or "Z " in diag2
     with pytest.raises(ValueError):

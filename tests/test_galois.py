@@ -10,7 +10,6 @@ from treechase.galois import (
     PrimeField,
     lagrange_table,
     make_field,
-    poly_deg,
     poly_str,
     poly_trim,
 )
@@ -107,7 +106,7 @@ def test_poly_divrem_identity(num, den):
     quo, rem = GF5.poly_divrem(num, den)
     back = poly_add(GF5, poly_mul(GF5, quo, den), rem)
     assert poly_trim(back) == poly_trim(num)
-    assert poly_deg(rem) < poly_deg(den) or not rem
+    assert len(rem) < len(poly_trim(list(den)))
 
 
 def test_div_linear_exact_and_inexact():

@@ -30,8 +30,11 @@ def test_encode_is_evaluation(code54):
 
 
 def test_encode_rejects_overlong_message(code54):
-    with pytest.raises(ValueError):
-        encode(code54, [1, 2, 3])
+    """A message has at most k coefficients, trailing zeros included: [1, 0, 0]
+    has degree 0 but three coefficients."""
+    for msg in ([1, 2, 3], [1, 0, 0]):
+        with pytest.raises(ValueError, match="a message has at most k = 2 coefficients, got 3"):
+            encode(code54, msg)
 
 
 @given(st.lists(st.integers(0, 4), min_size=2, max_size=2))

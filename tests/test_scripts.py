@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts (each exits 0 and prints one row per
-point), and the line counter on a module of known size."""
+point, and rejects a bad --code as a usage error), and the line counter on a
+module of known size."""
 
 import importlib.util
 from pathlib import Path
@@ -28,6 +29,15 @@ def test_script_prints_one_row_per_point(name, args, rows, capsys):
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
     data = [ln for ln in lines if ln.replace(",", " ").split()[0] not in HEADERS]
     assert len(data) == rows, lines
+
+
+@pytest.mark.parametrize("name", ["run_comparison", "run_ml_bounds", "run_threshold_tradeoff"])
+def test_script_rejects_a_bad_code_spec(name, capsys):
+    """A --code without four fields is a usage error (exit 2), not a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        _load(name).main(["--code", "2,4,15"])
+    assert exc.value.code == 2
+    assert "--code needs p,m,n,k, got '2,4,15'" in capsys.readouterr().err
 
 
 SAMPLE = '''"""Module docstring,

@@ -14,7 +14,6 @@ from treechase.sim import (
     rows_to_csv,
     run_point,
     run_sweep,
-    validate_config,
 )
 from treechase.stats import wilson_interval
 
@@ -64,34 +63,34 @@ def test_parse_snr_spec_reversed_overflowing_range_is_empty():
 
 def test_validate_config_rejections():
     with pytest.raises(ValueError):
-        validate_config(small_cfg(algorithms=("magic",)))
+        small_cfg(algorithms=("magic",))
     with pytest.raises(ValueError):
-        validate_config(small_cfg(algorithms=()))
+        small_cfg(algorithms=())
     with pytest.raises(ValueError):
-        validate_config(small_cfg(snr_db=()))
+        small_cfg(snr_db=())
     with pytest.raises(ValueError):
-        validate_config(small_cfg(L=0))
+        small_cfg(L=0)
     with pytest.raises(ValueError, match="L must be"):  # lcc builds no DecoderConfig to check L
-        validate_config(small_cfg(algorithms=("lcc",), L=0))
+        small_cfg(algorithms=("lcc",), L=0)
     with pytest.raises(ValueError):
-        validate_config(small_cfg(algorithms=("lcc",), eta=-1))  # the [0, n] check, low side
+        small_cfg(algorithms=("lcc",), eta=-1)  # the [0, n] check, low side
     with pytest.raises(ValueError):
-        validate_config(small_cfg(algorithms=("lcc",), eta=16))
+        small_cfg(algorithms=("lcc",), eta=16)
     with pytest.raises(ValueError):
-        validate_config(small_cfg(workers=0))
+        small_cfg(workers=0)
     with pytest.raises(ValueError):
-        validate_config(small_cfg(p=5, m=1, n=4, k=2, threshold_eps=0.01))
+        small_cfg(p=5, m=1, n=4, k=2, threshold_eps=0.01)
     with pytest.raises(ValueError):
-        validate_config(small_cfg(threshold_eps=2.0))
+        small_cfg(threshold_eps=2.0)
     with pytest.raises(ValueError):
-        validate_config(small_cfg(max_frames=0))
+        small_cfg(max_frames=0)
 
 
 def test_run_point_rejects_unknown_algorithm():
     """A sweep point picks its decoder config by name; an unknown name raises
-    validate_config's error instead of running some other decoder."""
+    SweepConfig's error instead of running some other decoder."""
     with pytest.raises(ValueError) as checked:
-        validate_config(small_cfg(algorithms=("magic",)))
+        small_cfg(algorithms=("magic",))
     with pytest.raises(ValueError) as ran:
         run_point(small_cfg(), "magic", 5.0)
     assert str(ran.value) == str(checked.value)
@@ -102,7 +101,7 @@ def test_validate_config_rejects_snr_without_finite_noise_variance(snr_db):
     """An SNR whose noise variance is not a finite positive float is rejected
     before any frame is drawn, naming the SNR, at any position in the list."""
     with pytest.raises(ValueError, match=re.escape(f"SNR {snr_db} dB")):
-        validate_config(small_cfg(snr_db=(5.0, snr_db)))
+        small_cfg(snr_db=(5.0, snr_db))
     with pytest.raises(ValueError, match="SNR"):
         run_sweep(small_cfg(snr_db=(snr_db,), max_frames=20))
 
@@ -111,8 +110,8 @@ def test_validate_config_requires_a_binary_field():
     """Sweeps send each symbol as m BPSK bits, which cannot carry a GF(p) symbol
     for odd p; GF(2) itself (p = 2, m = 1) stays valid."""
     with pytest.raises(ValueError, match="binary field"):
-        validate_config(small_cfg(p=5, m=1, n=4, k=2))
-    assert validate_config(small_cfg(p=2, m=1, n=2, k=1)).field.q == 2
+        small_cfg(p=5, m=1, n=4, k=2)
+    assert small_cfg(p=2, m=1, n=2, k=1).m == 1  # GF(2) builds
 
 
 def test_csv_layout_and_self_consistency():
