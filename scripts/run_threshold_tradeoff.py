@@ -17,37 +17,30 @@ a fixed SNR so both effects are visible in one table.
 import argparse
 import sys
 
-from treechase.sim import SweepConfig, parse_code_spec, run_sweep
+from treechase.cli import sweep_config, sweep_flags
+from treechase.sim import run_sweep
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--code", default="2,4,15,11")
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0],
+                                 parents=[sweep_flags(frames=10000)])
     ap.add_argument("--snr", type=float, default=5.0)
     ap.add_argument("--L", type=int, default=64)
-    ap.add_argument("--frames", type=int, default=10000)
     ap.add_argument("--eps", default="0,1e-4,1e-3,1e-2,1e-1",
                     help="comma list; 0 disables the sphere test")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args(argv)
 
     try:
-        p, m, n, k = parse_code_spec(args.code)
+        cfgs = [sweep_config(args, snr_db=(args.snr,), algorithms=("tcgs",), L=args.L,
+                             min_errors=0, threshold_eps=float(tok) or None)
+                for tok in args.eps.split(",")]
+        print(f"{'epsilon':>10} {'FER':>10} {'avg trials':>11} {'frame errors':>13}")
+        for cfg in cfgs:
+            row = run_sweep(cfg)[0]
+            label = f"{cfg.threshold_eps:g}" if cfg.threshold_eps else "off"
+            print(f"{label:>10} {row.fer:10.3e} {row.avg_trials:11.4f} {row.frame_errors:13d}")
     except ValueError as exc:
         ap.error(str(exc))
-
-    print(f"{'epsilon':>10} {'FER':>10} {'avg trials':>11} {'frame errors':>13}")
-    for tok in args.eps.split(","):
-        eps = float(tok)
-        cfg = SweepConfig(p=p, m=m, n=n, k=k, snr_db=(args.snr,),
-                          algorithms=("tcgs",), L=args.L,
-                          max_frames=args.frames, min_errors=0,
-                          seed=args.seed, workers=args.workers,
-                          threshold_eps=eps if eps > 0 else None)
-        row = run_sweep(cfg)[0]
-        label = "off" if eps == 0 else f"{eps:g}"
-        print(f"{label:>10} {row.fer:10.3e} {row.avg_trials:11.4f} {row.frame_errors:13d}")
     return 0
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import check_pi
 from .decoder import EXIT_BUDGET, DecodeResult, _Search
 from .rscode import CodeParams, check_word
 
@@ -77,14 +78,15 @@ def classify_ml(code: CodeParams, pi: np.ndarray, result: DecodeResult,
     uncertified frames might be (1, 0); wrong outputs that strictly out-score
     the transmitted word definitely are (1, 1); other wrong outputs,
     including score ties, count only toward the upper bound (1, 0).
+    pi must pass the decoders' entry check (a real (q, n) array) and
     transmitted must be a word of the code's shape: n symbols in [0, q).
     """
+    pi = check_pi(pi, code.field.q, code.n)  # as the decoder reads it
     tx = check_word(code, transmitted)
     if result.codeword is not None and tuple(result.codeword) == tx:
         return (0, 0) if result.certified else (1, 0)
     if result.codeword is None:
         return (1, 0)
-    pi = np.asarray(pi, dtype=np.float64)  # as the decoder reads it
     z = map(code.field.add, result.codeword, result.best_error)  # the decoder's e* is z - c*
     # the soft weight of e_tx = z - tx, one correctly rounded sum as pattern_weight takes it
     w_tx = math.fsum([pi[zj, j] - pi[tj, j] for j, (zj, tj) in enumerate(zip(z, tx)) if zj != tj])

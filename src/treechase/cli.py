@@ -7,6 +7,9 @@ Subcommands:
   chi2    print the chi-square sphere-radius quantile used by threshold mode
 
 Exit codes: 0 success, 1 configuration/usage error, 2 trace mismatch.
+
+sweep_flags and sweep_config are the flags and the SweepConfig builder that
+`sweep` shares with the experiment scripts in scripts/.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from importlib import resources
 from .channel import load_pi
 from .decoder import DecoderConfig, compare_traces, tcgs_decode
 from .rscode import make_code
-from .sim import SweepConfig, parse_code_spec, parse_snr_spec, rows_to_csv, run_sweep
+from .sim import SweepConfig, parse_snr_spec, rows_to_csv, run_sweep
 from .stats import chi2_threshold
 
 
@@ -31,24 +34,47 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _parse_code_spec(spec: str) -> tuple[int, ...]:
+    """'p,m,n,k' as four integers."""
+    parts = spec.split(",")
+    if len(parts) != 4:
+        raise ValueError(f"--code needs p,m,n,k, got {spec!r}")
+    return tuple(int(t) for t in parts)
+
+
+def sweep_flags(**defaults) -> argparse.ArgumentParser:
+    """The flags every sweep front end shares (--code, --frames, --seed,
+    --workers), as a parent parser; defaults overrides their values."""
+    ap = argparse.ArgumentParser(add_help=False)
+    ap.add_argument("--code", default="2,4,15,11", metavar="p,m,n,k",
+                    help="field characteristic, extension degree, length, dimension")
+    ap.add_argument("--frames", type=int, default=20000, help="max frames per point")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--workers", type=int, default=1)
+    ap.set_defaults(**defaults)
+    return ap
+
+
+def sweep_config(args, **fields) -> SweepConfig:
+    """The SweepConfig of sweep_flags' values in args and the front end's own
+    fields; ValueError for a bad --code or a config that cannot run."""
+    return SweepConfig(*_parse_code_spec(args.code), max_frames=args.frames, seed=args.seed,
+                       workers=args.workers, **fields)
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="treechase")
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sw = sub.add_parser("sweep", help="Monte-Carlo FER sweep")
-    sw.add_argument("--code", default="2,4,15,11", metavar="p,m,n,k",
-                    help="field characteristic, extension degree, length, dimension")
+    sw = sub.add_parser("sweep", parents=[sweep_flags()], help="Monte-Carlo FER sweep")
     sw.add_argument("--snr", default="5.0", metavar="a:b:step|v1,v2,...")
     sw.add_argument("--alg", default="tcgs", metavar="tcgs,lcc,hdd")
     sw.add_argument("--L", type=int, default=16, help="trial budget for tcgs")
     sw.add_argument("--eta", type=int, default=4, help="low-reliability positions for lcc")
-    sw.add_argument("--frames", type=int, default=20000, help="max frames per point")
     sw.add_argument("--min-errors", type=int, default=100,
                     help="stop a point after this many frame errors (0 = never)")
-    sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--threshold-eps", type=float, default=None)
     sw.add_argument("--genie", action="store_true")
-    sw.add_argument("--workers", type=int, default=1)
     sw.add_argument("--out", default=None, help="CSV path (default stdout)")
     sw.add_argument("--timing", action="store_true",
                     help="report measured wall seconds (breaks byte reproducibility)")
@@ -67,14 +93,10 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_sweep(args) -> int:
-    p, m, n, k = parse_code_spec(args.code)
-    cfg = SweepConfig(p=p, m=m, n=n, k=k,
-                      snr_db=parse_snr_spec(args.snr),
-                      algorithms=tuple(t.strip() for t in args.alg.split(",") if t.strip()),
-                      L=args.L, eta=args.eta, max_frames=args.frames,
-                      min_errors=args.min_errors, seed=args.seed,
-                      threshold_eps=args.threshold_eps, genie=args.genie,
-                      workers=args.workers)
+    cfg = sweep_config(args, snr_db=parse_snr_spec(args.snr),
+                       algorithms=tuple(t.strip() for t in args.alg.split(",") if t.strip()),
+                       L=args.L, eta=args.eta, min_errors=args.min_errors,
+                       threshold_eps=args.threshold_eps, genie=args.genie)
     rows = run_sweep(cfg)
     text = rows_to_csv(rows, timing=args.timing)
     if args.out:

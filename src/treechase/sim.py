@@ -204,15 +204,6 @@ def rows_to_csv(rows: list[SweepRow], timing: bool = False) -> str:
     return out.getvalue()
 
 
-def parse_code_spec(spec: str) -> tuple[int, int, int, int]:
-    """'p,m,n,k' as four integers."""
-    parts = spec.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"--code needs p,m,n,k, got {spec!r}")
-    p, m, n, k = (int(t) for t in parts)
-    return p, m, n, k
-
-
 def parse_snr_spec(spec: str) -> tuple[float, ...]:
     """Either 'a:b:step' (finite inclusive endpoints, finite positive step, at
     most MAX_SNR_STEPS steps) or 'v1,v2,...'."""

@@ -9,7 +9,7 @@ from treechase.decoder import DecoderConfig, tcgs_decode
 from treechase.galois import PrimeField
 from treechase.interp import factorize
 from treechase.rscode import encode
-from treechase.sim import SweepRow
+from treechase.sim import SweepRow, draw_frame
 
 from conftest import pam_pi
 from reference import interpolate_points
@@ -126,6 +126,20 @@ def test_classify_ml_none_output_counts_upper_only(code54, example1_pi):
     res = DecodeResult(message=None, codeword=None, best_error=(1, 0, 2, 0),
                        best_weight=1.39, trials=1, steps=0, exit_reason=EXIT_BUDGET)
     assert classify_ml(code54, example1_pi, res, (1, 3, 0, 2)) == (1, 0)
+
+
+def test_classify_ml_checks_pi_as_the_decoders_do(code16):
+    """A pi the decoders reject is rejected on every path: also where the output
+    is wrong and classify_ml weighs the transmitted word off pi itself, which
+    a matrix of the wrong shape could silently score or index out of range."""
+    tx, pi = draw_frame(code16, 0.4, 0, 0)
+    res = tcgs_decode(code16, pi)
+    other = encode(code16, [0] * 11)
+    assert res.codeword == tx != other and classify_ml(code16, pi, res, other)[0] == 1
+    for bad in (pi[:, :14], np.hstack([pi, pi[:, :1]]), pi[:15, :15], pi.astype(object)):
+        for sent in (tx, other):
+            with pytest.raises(ValueError, match="pi"):
+                classify_ml(code16, bad, res, sent)
 
 
 def test_classify_ml_score_tie_counts_upper_only(code54):

@@ -1,8 +1,9 @@
 """Smoke runs of the experiment scripts (each exits 0 and prints one row per
-point, and rejects a bad --code as a usage error), and the line counter on a
-module of known size."""
+point, and reports a bad --code or any other bad value as a usage error), and
+the line counter on a module of known size."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,33 @@ def test_script_rejects_a_bad_code_spec(name, capsys):
         _load(name).main(["--code", "2,4,15"])
     assert exc.value.code == 2
     assert "--code needs p,m,n,k, got '2,4,15'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, args, cause", [
+    ("run_ml_bounds", ["--workers", "0"], "workers must be >= 1"),
+    ("run_ml_bounds", ["--budgets", "1,x"], "invalid literal for int() with base 10: 'x'"),
+    ("run_comparison", ["--snr", "abc"], "could not convert string to float: 'abc'"),
+    ("run_threshold_tradeoff", ["--eps", "x"], "could not convert string to float: 'x'"),
+    ("run_threshold_tradeoff", ["--eps", "2"], "threshold_eps must be in (0, 1)"),
+    ("run_threshold_tradeoff", ["--eps", "-0.1"], "threshold_eps must be in (0, 1)"),
+    ("run_threshold_tradeoff", ["--snr", "1e9"],
+     "SNR 1000000000.0 dB gives no finite positive noise variance"),
+    # a config that passes its checks can still fail in run_sweep: at 3070 dB the
+    # noise variance is positive, but the likelihoods overflow
+    pytest.param("run_ml_bounds", ["--snr", "3070"],
+                 "pi has non-finite entries, or entries too large to weigh",
+                 marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")),
+])
+def test_script_reports_a_bad_value_as_a_usage_error(name, args, cause, capsys, monkeypatch):
+    """Every bad value, not only --code, ends in one usage error naming its cause
+    (exit 2) before any table row, not in a traceback."""
+    monkeypatch.setattr(sys, "argv", [str(SCRIPTS / f"{name}.py")])  # argparse's prog
+    with pytest.raises(SystemExit) as exc:
+        _load(name).main(args + ["--frames", "20"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert all(ln.split()[0] in HEADERS for ln in out.splitlines()), out
+    assert err.splitlines()[-1] == f"{name}.py: error: {cause}"
 
 
 SAMPLE = '''"""Module docstring,

@@ -61,7 +61,7 @@ def test_parse_snr_spec_reversed_overflowing_range_is_empty():
         parse_snr_spec("1e308:-1e308:1")
 
 
-def test_validate_config_rejections():
+def test_sweep_config_rejections():
     with pytest.raises(ValueError):
         small_cfg(algorithms=("magic",))
     with pytest.raises(ValueError):
@@ -97,16 +97,14 @@ def test_run_point_rejects_unknown_algorithm():
 
 
 @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), float("-inf"), 1e308, -1e308])
-def test_validate_config_rejects_snr_without_finite_noise_variance(snr_db):
+def test_sweep_config_rejects_snr_without_finite_noise_variance(snr_db):
     """An SNR whose noise variance is not a finite positive float is rejected
     before any frame is drawn, naming the SNR, at any position in the list."""
     with pytest.raises(ValueError, match=re.escape(f"SNR {snr_db} dB")):
         small_cfg(snr_db=(5.0, snr_db))
-    with pytest.raises(ValueError, match="SNR"):
-        run_sweep(small_cfg(snr_db=(snr_db,), max_frames=20))
 
 
-def test_validate_config_requires_a_binary_field():
+def test_sweep_config_requires_a_binary_field():
     """Sweeps send each symbol as m BPSK bits, which cannot carry a GF(p) symbol
     for odd p; GF(2) itself (p = 2, m = 1) stays valid."""
     with pytest.raises(ValueError, match="binary field"):
