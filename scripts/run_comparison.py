@@ -12,6 +12,7 @@ Typical run (a few minutes single-core):
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from treechase.cli import sweep_config, sweep_flags
 from treechase.sim import parse_snr_spec, rows_to_csv, run_sweep
@@ -29,19 +30,18 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     try:
-        rows = run_sweep(sweep_config(args, snr_db=parse_snr_spec(args.snr),
-                                      algorithms=("tcgs", "lcc", "hdd"), L=args.L,
-                                      eta=args.eta, min_errors=args.min_errors))
-    except ValueError as exc:
+        cfg = sweep_config(args, snr_db=parse_snr_spec(args.snr), algorithms=("tcgs", "lcc", "hdd"),
+                           L=args.L, eta=args.eta, min_errors=args.min_errors)
+        # --out opens before the sweep runs, so an unwritable path costs no decoding
+        out = open(args.out, "w") if args.out else nullcontext(sys.stdout)
+    except (ValueError, OSError) as exc:
         ap.error(str(exc))
 
-    csv_text = rows_to_csv(rows, timing=True)
+    with out as fh:
+        rows = run_sweep(cfg)
+        fh.write(rows_to_csv(rows, timing=True))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
         print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        print(csv_text)
 
     print()
     print(f"{'SNR':>5}  {'alg':<5} {'FER':>10}  {'99% interval':>22}  {'avg trials':>10}")

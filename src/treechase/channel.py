@@ -8,7 +8,10 @@ column per code coordinate:
     pi[i][j] = sum_b log N(r[j][b]; sign of bit b of value i, sigma^2)
 
 Everything downstream works on pi alone; noise variance follows the
-Eb/N0 convention sigma^2 = 1 / (2 * rate * 10^(snr_db / 10)).
+Eb/N0 convention sigma^2 = 1 / (2 * rate * 10^(snr_db / 10)).  Threshold
+mode's sphere reaches the decoder the same way, as loglik_floor: the least
+log-likelihood sum_j pi[c_j][j] of a codeword whose samples lie within the
+chi-square radius of the received ones.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .galois import Field
+from .stats import chi2_threshold
 
 
 def sigma_from_snr_db(snr_db: float, rate: float) -> float:
@@ -66,6 +70,15 @@ def likelihoods(field: Field, n: int, samples: np.ndarray, sigma2: float) -> np.
     signs = modulate(field, range(field.q)).reshape(field.q, m)
     d = r[None, :, :] - signs[:, None, :]
     return -(d * d).sum(axis=2) / (2.0 * sigma2) - 0.5 * m * math.log(2.0 * math.pi * sigma2)
+
+
+def loglik_floor(dof: int, sigma2: float, eps: float) -> float:
+    """Threshold mode's floor for dof real Gaussian samples of variance sigma2:
+    the least total log-likelihood of a word whose squared distance to the
+    received samples is at most sigma2 * chi2_threshold(eps, dof), the radius
+    that noise exceeds with probability eps / 2.  It inverts likelihoods'
+    normalization; scipy loads on the first call."""
+    return -chi2_threshold(eps, dof) / 2 - dof / 2 * math.log(2.0 * math.pi * sigma2)
 
 
 def check_pi(pi, q: int, n: int) -> np.ndarray:

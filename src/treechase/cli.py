@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from importlib import resources
 
 from .channel import load_pi
@@ -97,13 +98,9 @@ def _cmd_sweep(args) -> int:
                        algorithms=tuple(t.strip() for t in args.alg.split(",") if t.strip()),
                        L=args.L, eta=args.eta, min_errors=args.min_errors,
                        threshold_eps=args.threshold_eps, genie=args.genie)
-    rows = run_sweep(cfg)
-    text = rows_to_csv(rows, timing=args.timing)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # --out opens before the sweep runs, so an unwritable path costs no decoding
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+        fh.write(rows_to_csv(run_sweep(cfg), timing=args.timing))
     return 0
 
 

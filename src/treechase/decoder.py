@@ -26,7 +26,12 @@ positions.  Certificates:
 A result is maximum-likelihood exactly when one of the two certificates
 fired.  Without a certificate the search stops on the trial budget, on the
 likelihood-sphere threshold (threshold mode), or on matching a supplied
-transmitted codeword (genie mode, simulation shortcut).
+transmitted codeword (genie mode, simulation shortcut).  Threshold mode reads
+the sphere as DecoderConfig.loglik_floor, the least total log-likelihood
+sum_j pi[c_j][j] of a codeword inside it: a pop whose bound reaches
+T_z = (the log-likelihood of z) - loglik_floor exits, since every pattern left
+lands outside.  The decoder reads pi and nothing about the channel, so every
+mode runs over any field.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from .chase import bound_B, kaneko_B0, leftmost_child, next_sibling, render_patt
 from .galois import poly_str
 from .interp import GroebnerBasis, backward_remove, factorize, forward_add, interpolate
 from .rscode import CodeParams, check_word
-from .stats import chi2_threshold
 
 # Unused here: the benchmark tracer (perfbench/tracing.py) wraps these names in this module.
 from .channel import hard_decision  # noqa: F401
@@ -63,23 +67,20 @@ CERTIFIED_EXITS = frozenset({EXIT_CERTIFIED_TREE, EXIT_CERTIFIED_KANEKO})
 class DecoderConfig:
     """max_trials is the hard-decision decode budget L (>= 1).
 
-    threshold_eps switches on threshold termination; it needs sigma2 and a
-    characteristic-2 field, and it replaces the tree certificate test at each
-    pop by the sphere-exit test bound >= T_z.
+    loglik_floor switches on threshold termination: it is the least total
+    log-likelihood sum_j pi[c_j][j] a codeword c inside the sphere can have
+    (channel.loglik_floor gives it for the BPSK/AWGN channel), and it replaces
+    the tree certificate test at each pop by the sphere-exit test bound >= T_z.
     """
 
     max_trials: int = 16
-    threshold_eps: float | None = None
-    sigma2: float | None = None
+    loglik_floor: float | None = None
 
     def __post_init__(self):
         if self.max_trials < 1:
             raise ValueError("max_trials must be >= 1")
-        if self.threshold_eps is not None:
-            if not 0.0 < self.threshold_eps < 1.0:
-                raise ValueError("threshold_eps must be in (0, 1)")
-            if self.sigma2 is None or self.sigma2 <= 0:
-                raise ValueError("threshold mode needs sigma2 > 0")
+        if self.loglik_floor is not None and not math.isfinite(self.loglik_floor):
+            raise ValueError("loglik_floor must be finite")
 
 
 @dataclass
@@ -209,30 +210,23 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
     """Decode a likelihood matrix pi (one row per field value, one column per
     coordinate) into the most plausible message found within the budget."""
     cfg = cfg or DecoderConfig()
-    field = code.field
-    if cfg.threshold_eps is not None and field.p != 2:
-        raise ValueError("threshold mode requires a characteristic-2 field")
     s = _Search(code, pi, genie_codeword, trace)
     sw, z, sub = s.sw, s.sw.z, s.sub
     t_min, L = code.t_min, cfg.max_trials
 
     def tree_order(basis):
         # threshold setup, only for frames that reach the tree: T_z in soft-weight
-        # units, from the Euclidean sphere test
+        # units, how far below z's log-likelihood the sphere reaches
         T_z = None
-        if cfg.threshold_eps is not None:
-            pi, s2 = s.pi, cfg.sigma2  # pi as float64
-            T = s2 * chi2_threshold(cfg.threshold_eps, code.n * field.m)
-            log_norm = 0.5 * field.m * math.log(2.0 * math.pi * s2)
+        if cfg.loglik_floor is not None:
             # plain float adds in coordinate order (no numpy overflow warning; sum()
             # compensates from Python 3.12 on, which would change the bits)
             top = 0.0
-            for v in pi[z, range(code.n)].tolist():
+            for v in s.pi[z, range(code.n)].tolist():
                 top += v
-            resid_z = -2.0 * s2 * (top + code.n * log_norm)
-            if not math.isfinite(resid_z):
+            T_z = top - cfg.loglik_floor
+            if not math.isfinite(T_z):
                 raise ValueError("pi is too large for the threshold residual of z")
-            T_z = (T - resid_z) / (2.0 * s2)
         # A heap of (bound, len(f), f, parent basis): bound, then Hamming weight,
         # then leftmost ranks.  The keys are unique: f's ranks name the pattern and
         # the tree holds each pattern once, so a comparison never reaches the basis

@@ -10,6 +10,9 @@ min_errors frame errors have accumulated, whichever comes first.
 _decoder is the one place that maps an algorithm name to its decode function
 and config: tcgs is the tree search, lcc the Gray-walk Chase baseline, and
 hdd one hard-decision trial of the tree decoder (it ignores threshold_eps).
+In threshold mode tcgs gets the log-likelihood floor of its point's n*m BPSK
+samples (channel.loglik_floor), so the decoder itself never sees the noise
+variance.
 A SweepConfig checks every name through it when it is built, and run_point
 stores the point's context (cfg, code, sigma, decode, config) in _CTX once,
 in the parent, then maps _run_frame over each chunk's frame indices, in
@@ -33,10 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import LccConfig, classify_ml, lcc_decode
-from .channel import frame_rng, likelihoods, modulate, sigma_from_snr_db, transmit
+from .channel import (_WEIGHT_TOTAL_MAX, frame_rng, likelihoods, loglik_floor, modulate,
+                      sigma_from_snr_db, transmit)
 from .decoder import DecoderConfig, tcgs_decode
 from .rscode import CodeParams, encode, make_code
-from .stats import chi2_threshold
 
 ALGORITHMS = ("tcgs", "lcc", "hdd")
 CHUNK = 1000
@@ -81,12 +84,18 @@ class SweepConfig:
             raise ValueError("min_errors must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.threshold_eps is not None and not 0.0 < self.threshold_eps < 1.0:
+            raise ValueError("threshold_eps must be in (0, 1)")
         for snr_db in self.snr_db:  # every point's noise and decoder, as run_point builds them
             sigma = sigma_from_snr_db(snr_db, self.k / self.n)
-            for alg in self.algorithms:
+            # a noiseless frame's soft weights total n*m*q / sigma^2; twice that
+            # leaves room for the noise
+            if 2 * self.n * self.m * 2**self.m / (sigma * sigma) > _WEIGHT_TOTAL_MAX:
+                raise ValueError(f"SNR {snr_db} dB gives likelihoods too large to weigh")
+            for alg in self.algorithms:  # a threshold floor loads scipy before any worker forks
                 _decoder(self, alg, sigma * sigma)
-        if self.threshold_eps is not None:  # checks eps, and loads scipy before any worker forks
-            chi2_threshold(self.threshold_eps, self.n * self.m)
 
 
 @dataclass
@@ -144,8 +153,9 @@ def _decoder(cfg: SweepConfig, alg: str,
     sigma2.  The decoders are looked up in this module's globals at each call,
     so wrappers that perfbench/tracing.py swaps in are the ones that run."""
     if alg == "tcgs":
-        return tcgs_decode, DecoderConfig(max_trials=cfg.L, threshold_eps=cfg.threshold_eps,
-                                          sigma2=sigma2)
+        eps = cfg.threshold_eps
+        floor = None if eps is None else loglik_floor(cfg.n * cfg.m, sigma2, eps)
+        return tcgs_decode, DecoderConfig(max_trials=cfg.L, loglik_floor=floor)
     if alg == "hdd":
         return tcgs_decode, DecoderConfig(max_trials=1)
     if alg == "lcc":

@@ -1,9 +1,10 @@
-"""Small statistical helpers shared by the decoder and the simulation driver.
+"""Small statistical helpers shared by the channel model and the simulation driver.
 
 scipy is imported inside chi2_threshold, the one caller of it, so importing
-the package does not load scipy: only threshold mode and `treechase chi2` do.
-The quantile is cached per (epsilon, dof), so a threshold-mode decode looks it
-up instead of recomputing it.
+the package does not load scipy: only threshold mode's floor
+(channel.loglik_floor) and `treechase chi2` do.  The quantile is cached per
+(epsilon, dof), so the floor of each sweep point, built when its config is
+checked and again when it runs, looks it up instead of recomputing it.
 """
 
 from __future__ import annotations

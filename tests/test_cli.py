@@ -2,6 +2,7 @@ from importlib import resources
 
 import pytest
 
+from treechase import cli
 from treechase.cli import main
 from treechase.sim import CSV_HEADER
 
@@ -109,6 +110,28 @@ def test_sweep_rejects_snr_without_finite_noise_variance(snr, capsys):
     assert not out
     want = f"error: SNR {float(snr)} dB gives no finite positive noise variance"
     assert err.splitlines() == [want]
+
+
+@pytest.mark.parametrize("flag, cause", [
+    ("--seed=-1", "seed must be >= 0"),
+    ("--snr=3050", "SNR 3050.0 dB gives likelihoods too large to weigh"),
+])
+def test_sweep_rejects_a_config_that_cannot_run(flag, cause, tmp_path, capsys):
+    """A negative seed, or an SNR whose likelihoods overflow, is one error line
+    (exit 1) before --out is written, not a failure inside the sweep."""
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", flag, "--frames", "20", "--min-errors", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {cause}"]
+    assert not out.exists()
+
+
+def test_sweep_opens_out_before_the_sweep_runs(tmp_path, monkeypatch, capsys):
+    """An unwritable --out is reported before any frame is decoded."""
+    monkeypatch.setattr(cli, "run_sweep", lambda cfg: pytest.fail("the sweep ran"))
+    path = tmp_path / "missing" / "rows.csv"
+    assert main(["sweep", "--frames", "20", "--out", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: [Errno 2] No such file or directory: {str(path)!r}"]
 
 
 @pytest.mark.parametrize("snr", ["0:inf:1", "nan:1:1", "0:1:nan", "-1e308:1e308:1", "0:100:1e-9"])

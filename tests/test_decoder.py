@@ -6,7 +6,8 @@ import pytest
 
 from treechase import decoder
 from treechase.baselines import LccConfig, classify_ml, lcc_decode
-from treechase.channel import hard_decision, likelihoods, modulate, sigma_from_snr_db, transmit
+from treechase.channel import (hard_decision, likelihoods, loglik_floor, modulate,
+                               sigma_from_snr_db, transmit)
 from treechase.chase import bound_B
 from treechase.decoder import (
     EXIT_BUDGET,
@@ -272,8 +273,8 @@ def test_threshold_mode_terminates_with_valid_reason(code16):
         r = transmit(modulate(code16.field, tx), sigma, rng)
         pi = likelihoods(code16.field, 15, r, sigma * sigma)
         res = tcgs_decode(code16, pi,
-                          DecoderConfig(max_trials=64, threshold_eps=0.3,
-                                        sigma2=sigma * sigma))
+                          DecoderConfig(max_trials=64,
+                                        loglik_floor=loglik_floor(60, sigma * sigma, 0.3)))
         reasons.add(res.exit_reason)
         assert res.exit_reason in {EXIT_THRESHOLD, EXIT_CERTIFIED_KANEKO, EXIT_BUDGET}
     assert EXIT_THRESHOLD in reasons
@@ -289,8 +290,8 @@ def test_threshold_fires_immediately_outside_sphere(code16):
     r = transmit(modulate(code16.field, tx), 2.5 * sigma, rng)
     pi = likelihoods(code16.field, 15, r, sigma * sigma)
     res = tcgs_decode(code16, pi,
-                      DecoderConfig(max_trials=64, threshold_eps=0.01,
-                                    sigma2=sigma * sigma))
+                      DecoderConfig(max_trials=64,
+                                    loglik_floor=loglik_floor(60, sigma * sigma, 0.01)))
     assert res.exit_reason == EXIT_THRESHOLD
     assert res.trials == 1
 
@@ -301,26 +302,32 @@ def test_threshold_residual_that_overflows_is_rejected(code16):
     ValueError, and no numpy overflow warning or budget run behind it."""
     rng = np.random.default_rng(0)
     pi = 1e308 + 1e300 * rng.normal(0.0, 5.0, size=(16, 15))
-    cfg = DecoderConfig(max_trials=16, threshold_eps=0.01, sigma2=0.3)
+    cfg = DecoderConfig(max_trials=16, loglik_floor=loglik_floor(60, 0.3, 0.01))
     with pytest.raises(ValueError, match="threshold residual"):
         tcgs_decode(code16, pi, cfg)
 
 
-def test_threshold_mode_rejects_prime_field(code54, example1_pi):
-    cfg = DecoderConfig(max_trials=16, threshold_eps=0.1, sigma2=1.0)
-    with pytest.raises(ValueError):
-        tcgs_decode(code54, example1_pi, cfg)
-    with pytest.raises(ValueError, match="characteristic-2"):  # before the front end reads pi
-        tcgs_decode(code54, np.full((5, 4), np.nan), cfg)
+def test_threshold_mode_decodes_a_prime_field(code54, example1_pi):
+    """The sphere reaches the decoder as a log-likelihood floor, which holds for
+    any field.  On the worked example over GF(5), a floor at z's own
+    log-likelihood (T_z = 0) exits at the first pop, and one 0.5 below it
+    finds the ML codeword (weight 0.48) inside the sphere before exiting."""
+    z = hard_decision(example1_pi)
+    top = float(example1_pi[z, range(4)].sum())
+    res = tcgs_decode(code54, example1_pi, DecoderConfig(max_trials=16, loglik_floor=top))
+    assert (res.exit_reason, res.trials) == (EXIT_THRESHOLD, 1)
+    res = tcgs_decode(code54, example1_pi, DecoderConfig(max_trials=16, loglik_floor=top - 0.5))
+    assert (res.exit_reason, res.message, res.codeword) == (EXIT_THRESHOLD, [1, 2], (1, 3, 0, 2))
+    with pytest.raises(ValueError, match="non-finite"):
+        tcgs_decode(code54, np.full((5, 4), np.nan), DecoderConfig(loglik_floor=top))
 
 
 def test_decoder_config_validation():
     with pytest.raises(ValueError):
         DecoderConfig(max_trials=0)
-    with pytest.raises(ValueError):
-        DecoderConfig(threshold_eps=1.5, sigma2=1.0)
-    with pytest.raises(ValueError):
-        DecoderConfig(threshold_eps=0.1)  # sigma2 missing
+    for floor in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="loglik_floor must be finite"):
+            DecoderConfig(loglik_floor=floor)
 
 
 def test_pi_shape_check(code54):
@@ -417,8 +424,9 @@ def test_narrow_dtypes_decode_as_float64(dtype):
     cases = [(make_code(2, 2, 3, 1), example)]
     for code in (make_code(2, 2, 3, 1), make_code(2, 3, 7, 3)):
         cases += [(code, rng.integers(0, 256, size=(code.field.q, code.n))) for _ in range(25)]
-    thr, lcc = DecoderConfig(threshold_eps=0.3, sigma2=2.0), LccConfig(eta=3)
+    lcc = LccConfig(eta=3)
     for code, raw in cases:
+        thr = DecoderConfig(loglik_floor=loglik_floor(code.n * code.field.m, 2.0, 0.3))
         pi = _narrow(raw, dtype)
         ref = pi.astype(np.float64)
         for decode in (tcgs_decode, lambda c, p: tcgs_decode(c, p, thr),

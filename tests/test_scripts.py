@@ -50,11 +50,11 @@ def test_script_rejects_a_bad_code_spec(name, capsys):
     ("run_threshold_tradeoff", ["--eps", "-0.1"], "threshold_eps must be in (0, 1)"),
     ("run_threshold_tradeoff", ["--snr", "1e9"],
      "SNR 1000000000.0 dB gives no finite positive noise variance"),
-    # a config that passes its checks can still fail in run_sweep: at 3070 dB the
-    # noise variance is positive, but the likelihoods overflow
-    pytest.param("run_ml_bounds", ["--snr", "3070"],
-                 "pi has non-finite entries, or entries too large to weigh",
-                 marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")),
+    # at 3050 dB the noise variance is positive, but the likelihoods would overflow
+    ("run_ml_bounds", ["--snr", "3050"], "SNR 3050.0 dB gives likelihoods too large to weigh"),
+    ("run_comparison", ["--seed", "-1"], "seed must be >= 0"),
+    ("run_threshold_tradeoff", ["--snr", "3050"],
+     "SNR 3050.0 dB gives likelihoods too large to weigh"),
 ])
 def test_script_reports_a_bad_value_as_a_usage_error(name, args, cause, capsys, monkeypatch):
     """Every bad value, not only --code, ends in one usage error naming its cause
@@ -66,6 +66,19 @@ def test_script_reports_a_bad_value_as_a_usage_error(name, args, cause, capsys, 
     out, err = capsys.readouterr()
     assert all(ln.split()[0] in HEADERS for ln in out.splitlines()), out
     assert err.splitlines()[-1] == f"{name}.py: error: {cause}"
+
+
+def test_run_comparison_opens_out_before_the_sweep(tmp_path, monkeypatch, capsys):
+    """An unwritable --out is a usage error (exit 2) before any frame is decoded."""
+    mod = _load("run_comparison")
+    monkeypatch.setattr(mod, "run_sweep", lambda cfg: pytest.fail("the sweep ran"))
+    monkeypatch.setattr(sys, "argv", [str(SCRIPTS / "run_comparison.py")])
+    path = tmp_path / "missing" / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        mod.main(["--frames", "20", "--out", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"run_comparison.py: error: [Errno 2] No such file or directory: {str(path)!r}")
 
 
 SAMPLE = '''"""Module docstring,

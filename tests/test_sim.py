@@ -104,6 +104,33 @@ def test_sweep_config_rejects_snr_without_finite_noise_variance(snr_db):
         small_cfg(snr_db=(5.0, snr_db))
 
 
+@pytest.mark.parametrize("kw, cause", [
+    (dict(seed=-1), "seed must be >= 0"),
+    (dict(snr_db=(5.0, 3050.0)), "SNR 3050.0 dB gives likelihoods too large to weigh"),
+])
+def test_sweep_config_rejects_what_run_sweep_cannot_run(kw, cause):
+    """A negative seed (numpy's frame streams take none), or an SNR whose
+    likelihoods overflow the soft-weight check, is rejected when the config is
+    built, not inside run_sweep."""
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        small_cfg(**kw)
+
+
+def test_every_snr_a_sweep_config_accepts_runs():
+    """Around the SNR where [15,11] likelihoods overflow (about 3049 dB), every
+    point either is rejected by SweepConfig or runs, in every mode."""
+    ran = []
+    for snr_db in parse_snr_spec("3040:3090:0.5"):
+        try:
+            cfg = small_cfg(snr_db=(snr_db,), algorithms=ALGORITHMS, max_frames=2,
+                            threshold_eps=0.01)
+        except ValueError:
+            continue
+        assert [row.frame_errors for row in run_sweep(cfg)] == [0, 0, 0]
+        ran.append(snr_db)
+    assert ran and max(ran) < 3049.0
+
+
 def test_sweep_config_requires_a_binary_field():
     """Sweeps send each symbol as m BPSK bits, which cannot carry a GF(p) symbol
     for odd p; GF(2) itself (p = 2, m = 1) stays valid."""
