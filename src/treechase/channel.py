@@ -112,34 +112,50 @@ _WEIGHT_TOTAL_MAX = sys.float_info.max / 2
 @dataclass
 class SoftWeights:
     """The front end of one decode: the hard decision z of pi and the weights
-    lam[d-1][j] = pi[z_j][j] - pi[z_j - d][j] >= 0 for d in 1..q-1 about it.
+    about it in symbol layout: W[v][j] = pi[z_j][j] - pi[v][j] >= 0 is the
+    weight of changing z_j to v, and W[z_j][j] = +inf marks no change.
 
-    mins[j] is the lightest weight of coordinate j, the cost of its cheapest
+    zv is z as the argmax array, z the same symbols as a tuple.  mins[j] is
+    the lightest weight of coordinate j off z_j, the cost of its cheapest
     single-symbol change; z_weight is pattern_weight(z), the weight of the
-    hypothesis that the zero codeword was sent.
+    hypothesis that the zero codeword was sent.  A decode that trial 1
+    settles reads nothing else.
 
-    The atom (j, d) is the change of z_j by d, of weight lam[d-1][j].  The
-    atom chain is the sorted view of the table: coords and weights are
-    parallel tuples indexed by 0-based rank, ascending by (weight, coord,
-    delta), and atom(rank) is (coord, delta).  The one stable argsort behind
-    them runs the first time one of them is read, so a decode that never
-    reads a rank (trial 1 settles it, or lcc) never sorts.
+    The atom (j, d) is the change of z_j by d, to v = z_j - d, of weight
+    lam[d-1][j] = W[z_j - d][j], the same float64; lam is the delta-layout
+    table, gathered from W on first read.  The atom chain is its sorted view:
+    coords and weights are parallel tuples indexed by 0-based rank, ascending
+    by (weight, coord, delta), and atom(rank) is (coord, delta).  The one
+    stable argsort behind them runs the first time one of them is read.  So
+    the gather runs only for the tree's pops, lcc's second-best symbols or a
+    trace, and the sort only for the pops or a trace.
     """
 
-    lam: np.ndarray  # shape (q-1, n)
+    field: Field
+    W: np.ndarray  # shape (q, n)
+    zv: np.ndarray  # shape (n,), integer
     z: tuple[int, ...]
-    mins: tuple[float, ...]  # lam.min(axis=0)
+    mins: tuple[float, ...]
     z_weight: float
 
     def pattern_weight(self, e) -> float:
-        """Total weight of an error vector (0 entries contribute nothing),
-        correctly rounded (math.fsum) as every weight a certificate compares."""
-        item = self.lam.item  # a Python float per entry, no numpy scalar
-        return math.fsum([item(ej - 1, j) for j, ej in enumerate(e) if ej])
+        """Total weight of an error vector, sum_j W[z_j - e_j][j] (0 entries of
+        e contribute nothing), correctly rounded (math.fsum) as every weight a
+        certificate compares."""
+        item, sub, z = self.W.item, self.field.sub, self.z  # item: a Python float, no numpy scalar
+        return math.fsum([item(sub(z[j], ej), j) for j, ej in enumerate(e) if ej])
 
     @property
     def size(self) -> int:
-        return self.lam.size
+        return self.W.size - self.zv.size
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """lam[d-1][j] = W[z_j - d][j], shape (q-1, n); z_j - d in the field:
+        XOR in characteristic 2, integers mod p otherwise."""
+        p, zv = self.field.p, self.zv
+        d = np.arange(1, self.field.q)[:, None]
+        return self.W[zv ^ d if p == 2 else (zv - d) % p, np.arange(zv.size)]
 
     @cached_property
     def _order(self) -> np.ndarray:
@@ -164,25 +180,24 @@ class SoftWeights:
 def soft_weights(field: Field, pi: np.ndarray) -> SoftWeights:
     """The front end of pi (float64, one row per field value): z by columnwise
     argmax (ties to the smallest value), the weights about it, their minima
-    per coordinate and the weight of z, in one pass.
+    per coordinate and the weight of z, in one pass with no field arithmetic.
 
     ValueError unless the total of all weights is at most half the largest
     float: a NaN or infinite entry of pi makes some weight NaN or infinite,
     and a huge finite one could make a sum of weights overflow.
     """
     zv = pi.argmax(axis=0)
-    # rows[d][j] = pi[z_j - d][j], z_j - d in the field: XOR in characteristic 2,
-    # integers mod p otherwise; row 0 holds the top entries pi[z_j][j]
-    idx = zv ^ field.deltas if field.p == 2 else (zv - field.deltas) % field.p
-    rows = pi[idx, np.arange(zv.size)]
-    top = rows[0]
-    lam = top - rows[1:]
-    if not lam.sum() <= _WEIGHT_TOTAL_MAX:  # also False for a NaN total
+    cols = np.arange(zv.size)
+    top = pi[zv, cols]
+    tops = top.tolist()
+    # an infinite top entry is rejected before it is subtracted from itself (NaN,
+    # and a numpy warning); a NaN total, from a NaN entry, fails the comparison
+    if math.inf in tops or -math.inf in tops or not (W := top - pi).sum() <= _WEIGHT_TOTAL_MAX:
         raise ValueError("pi has non-finite entries, or entries too large to weigh")
-    # weight of z: for z_j != 0, top_j - pi[0][j] is the weight lam[z_j - 1][j],
-    # the same float64 difference; for z_j = 0 it is 0
-    return SoftWeights(lam, tuple(zv.tolist()), tuple(lam.min(axis=0).tolist()),
-                       math.fsum((top - pi[0]).tolist()))
+    # weight of z: for z_j != 0, W[0][j] is the weight of changing z_j to 0; for z_j = 0 it is 0
+    z_weight = math.fsum(W[0].tolist())
+    W[zv, cols] = np.inf  # no change: each column's minimum is its lightest change
+    return SoftWeights(field, W, zv, tuple(zv.tolist()), tuple(W.min(axis=0).tolist()), z_weight)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ releases the old one, forward_add(basis, x, y) constrains the new one.
 factorize(basis, xs) returns None or the message and its codeword (u, c) in
 one call.  _Search is the engine every decoder shares.  It owns the front
 end (one soft_weights pass over pi gives the hard decision z, the soft
-weights, their per-coordinate minima and the weight of z; the atom chain
-is its sorted view) and the running hypothesis (the lightest error pattern
+weights in symbol layout, their per-coordinate minima and the weight of z;
+the delta-layout table and its sorted view, the atom chain, are built from
+them only when the tree, lcc or a trace reads them) and the running
+hypothesis (the lightest error pattern
 e* whose subtraction from z gives a codeword), and it runs every trial: run
 makes the first (z interpolated in closed form), hands that basis to a
 pattern order, and assembles the DecodeResult from the exit reason the
@@ -147,7 +149,7 @@ class _Search:
         """Interpolate z in closed form and attempt it; unless that exits, order
         runs the later trials from its basis and returns the exit reason."""
         code = self.code
-        basis = interpolate(code.field, code.k, code.eval_points, self.sw.z)
+        basis = interpolate(code.field, code.k, code.eval_points, self.sw.zv)
         self.trials = 1
         exit_reason = self.attempt(basis, "0") or order(basis)
         if exit_reason in CERTIFIED_EXITS and self.u_star is None:

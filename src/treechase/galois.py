@@ -29,14 +29,21 @@ for zero operands too.
 Univariate polynomials are plain lists of ints, lowest degree first, with no
 trailing zeros (the zero polynomial is the empty list).  The kernels on the
 decoder's per-frame path (poly_eval, poly_evals, poly_scale, poly_submul,
-poly_mul_linear, poly_div_linear, poly_divrem) are Field methods that loop
-over local table lookups, so no coefficient costs a method call.  poly_scale
-only multiplies and is shared; the others add, so each field kind has its
-own: XOR in GF(2^m), integer arithmetic mod p in GF(p).  A difference a - b
-is poly_submul(a, b, [1]).  The linear-factor kernels are shared calls of
-those two: a*(x - beta) is poly_submul([0, *a], a, [beta]), and a/(x - beta)
-is poly_divrem(a, [-beta, 1]).  GF(2^m) keeps its own table-driven pair,
-since every later trial's point swap runs them.
+poly_mul_linear, poly_div_linear, poly_synth_div, poly_divrem) are Field
+methods that loop over local table lookups, so no coefficient costs a method
+call.  poly_scale only multiplies and is shared; the others add, so each
+field kind has its own: XOR in GF(2^m), integer arithmetic mod p in GF(p).
+A difference a - b is poly_submul(a, b, [1]).  The linear-factor kernels are
+shared calls of those two: a*(x - beta) is poly_submul([0, *a], a, [beta]),
+a/(x - beta) is poly_divrem(a, [-beta, 1]), and poly_synth_div (the
+quotient, the remainder a(beta) and the quotient's value at beta, which
+factorize reads at each root of the error locator) adds one poly_eval.
+GF(2^m) keeps its own table-driven three, since every later trial's point
+swap runs the first two and every attempt the third, whose second Horner
+accumulator gives the quotient's value in the division loop itself.  In
+characteristic 2, quadratic_roots reads a quadratic's two roots off a table
+of t^2 + t, built at its first call, so factorize need not scan the nodes
+for them.
 
 lagrange_table caches, per field and node tuple, the Lagrange basis of the
 nodes in the log domain, and poly_combine applies it: the interpolant of
@@ -146,6 +153,35 @@ class Field:
             raise RuntimeError("inexact division by linear factor")
         return quo
 
+    def quadratic_roots(self, a: list[int]) -> tuple[int, int] | None:
+        """The two distinct roots of a[0] + a[1]*x + a[2]*x^2 (a[2] != 0) in
+        characteristic 2, or None.  x = h*t, h = a[1]/a[2] the roots' sum,
+        turns it into t^2 + t = a[0]*a[2]/a[1]^2, whose roots t and t + 1 the
+        table of t^2 + t holds; a[1] = 0 leaves one double root."""
+        a0, a1, a2 = a
+        if not a1:
+            return None
+        h = self.mul(a1, self.inv(a2))
+        t = self._half_roots[self.mul(self.mul(a0, a2), self.inv(self.mul(a1, a1)))]
+        if t < 0:
+            return None
+        r = self.mul(h, t)
+        return r, self.add(r, h)
+
+    @cached_property
+    def _half_roots(self) -> list[int]:
+        """Characteristic 2: a root t of t^2 + t = s at index s, -1 if none."""
+        roots = [-1] * self.q
+        for t in range(self.q):
+            roots[self.add(self.mul(t, t), t)] = t
+        return roots
+
+    def poly_synth_div(self, a: list[int], beta: int) -> tuple[list[int], int, int]:
+        """Synthetic division by (x - beta): the quotient b, the remainder a(beta)
+        and b(beta), a = b*(x - beta) + a(beta)."""
+        quo, rem = self.poly_divrem(a, [self.sub(0, beta), 1])
+        return quo, rem[0] if rem else 0, self.poly_eval(quo, beta)
+
     def poly_divrem(self, num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
         """Quotient and remainder with deg rem < deg den.
 
@@ -160,12 +196,6 @@ class Field:
         raise NotImplementedError
 
     @cached_property
-    def deltas(self) -> np.ndarray:
-        """The column of deltas 0..q-1, built on first use, as
-        channel.soft_weights gathers the rows z - d (row 0 is z itself)."""
-        return np.arange(self.q, dtype=np.int64)[:, None]
-
-    @cached_property
     def _np_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """exp and log as int64 arrays, built on first use."""
         return np.array(self._exp, dtype=np.int64), np.array(self._log, dtype=np.int64)
@@ -174,7 +204,7 @@ class Field:
         """sum_j ys[j] * row_j(x), with row j given by the logs of its
         coefficients (log[0] for a zero one), as lagrange_table stores them."""
         exp, log = self._np_tables
-        return poly_trim(self._sum_rows(exp[log[np.array(ys)][:, None] + log_rows]).tolist())
+        return poly_trim(self._sum_rows(exp[log[np.asarray(ys)][:, None] + log_rows]).tolist())
 
     def _sum_rows(self, terms: np.ndarray) -> np.ndarray:
         """Column sums of a 2-D array of field elements."""
@@ -298,6 +328,16 @@ class BinaryField(Field):
             raise RuntimeError("inexact division by linear factor")
         return poly_trim(out)
 
+    def poly_synth_div(self, a, beta):
+        exp, log = self._exp, self._log
+        lb = log[beta]
+        out = [0] * (len(a) - 1)
+        acc = val = 0  # the quotient's coefficients, high to low, and its Horner value
+        for i in range(len(a) - 1, 0, -1):
+            acc = out[i - 1] = exp[log[acc] + lb] ^ a[i]
+            val = exp[log[val] + lb] ^ acc
+        return poly_trim(out), (exp[log[acc] + lb] ^ a[0]) if a else 0, val
+
     def poly_divrem(self, num, den):
         den, rem = _divrem_operands(num, den)
         dd = len(den) - 1
@@ -400,6 +440,6 @@ def lagrange_table(field: Field, xs: tuple[int, ...]) -> tuple[np.ndarray, tuple
     log = field._log
     rows = []
     for x in xs:
-        Nj = field.poly_div_linear(N, x)
-        rows.append([log[v] for v in field.poly_scale(Nj, field.inv(field.poly_eval(Nj, x)))])
+        Nj, _, Nj_x = field.poly_synth_div(N, x)
+        rows.append([log[v] for v in field.poly_scale(Nj, field.inv(Nj_x))])
     return np.array(rows, dtype=np.int64), tuple(N)

@@ -17,7 +17,9 @@ Three point operations keep the basis updated in O(n) per call:
   forward_add     adjoin one interpolation point (Koetter's update)
   backward_remove delete one interpolation point (division update)
   factorize       read a degree-< k message and its codeword off the
-                  minimal basis element
+                  minimal basis element: the error locator q1's roots among
+                  the nodes, one synthetic division of q0 per root, and
+                  Forney's formula for the codeword at each root
 
 Both point updates are one elimination step (_eliminate) over the elements'
 discrepancies at x_j: forward_add multiplies the lower-order element by
@@ -33,7 +35,9 @@ poly_divrem per pass, and one poly_submul for the y-parts' co-factor.  Its
 minimal element equals that of the fold of forward_add from {1, y} up to a
 nonzero scalar, so factorize reads the same message off it, and off every
 basis the point updates derive from it; factorize also reads the codeword
-off that element instead of re-encoding the message.
+off that element instead of re-encoding the message.  interpolate takes the
+hard decision as the front end's argmax array, which poly_combine indexes
+as it is.
 
 A basis owns its point set, the mapping x -> y of the word it interpolates:
 a point swap names only the x it releases and the new y it constrains.
@@ -48,6 +52,8 @@ constructor costs about twice as much.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .galois import Field, lagrange_table
 
@@ -135,42 +141,65 @@ def backward_remove(basis: GroebnerBasis, x: int) -> GroebnerBasis:
 
 def factorize(basis: GroebnerBasis, xs) -> tuple[list[int], tuple[int, ...]] | None:
     """Message u = -q0/q1 of the minimal basis element, and its codeword at
-    the interpolated nodes xs, if the message exists.
+    the interpolated nodes xs (every x of basis.points), if the message exists.
 
     The minimal element is the one of least (1, k-1)-weighted degree (element
     0 on ties).  It yields u (a coefficient list, possibly empty, meaning the
     zero message) when q1 divides q0 exactly and the quotient has degree < k;
-    otherwise factorize returns None.  A quotient of degree >= k is rejected
-    from the degrees alone, before dividing, and the division is by -q1, so
-    the quotient is u itself.  Element 0 leads y-free, so its degree check
-    always rejects it: only element 1 is read, and only when it is minimal.
+    otherwise factorize returns None.  Element 0 leads y-free, so its degree
+    check always rejects it: only element 1 is read, and only when it is
+    minimal; a quotient of degree >= k is rejected from the degrees alone.
 
-    The codeword is read off the same element instead of encoding u: q0 =
-    -u*q1 and the element vanishes at every point (x_j, y_j), so q1(x_j) *
-    (y_j - u(x_j)) = 0.  c_j is y_j wherever q1(x_j) != 0, and u is evaluated
-    only at the roots of q1, which are at most deg q1.  A constant q1 has
-    none, so then c is the interpolated word; a linear one has the one root
-    -q1[0]/q1[1], read in closed form and kept only when it is a node; a
-    longer one is scanned at every node (poly_evals).
+    q1 is the error locator.  If u exists, Lambda*(y - u), with Lambda the
+    product of (x - x_j) over the nodes where y_j != u(x_j), lies in the
+    module, and every a*(y - u) in it has Lambda | a; element 1 is minimal, so
+    q1 = lead*Lambda: it has deg q1 distinct roots r_1..r_e among the nodes.
+    A linear q1's root is read in closed form, and so are a quadratic q1's
+    roots in characteristic 2 (Field.quadratic_roots); any other q1 is
+    evaluated at every node (one poly_evals pass).  Fewer distinct node roots
+    than deg q1 mean no message.  Q_0 = -q0/lead is then
+    divided by each (x - r_i) in turn (Field.poly_synth_div), every remainder
+    0, else no message: Q_i = u*prod_{j>i} (x - r_j), so Q_e = u with no
+    general division, and the quotient's value Q_i(r_i), the kernel's second
+    Horner accumulator, gives the codeword at the root as in Forney's
+    formula, u(r_i) = Q_i(r_i) / prod_{j>i} (r_i - r_j), with no evaluation
+    of u.  Elsewhere c_j is y_j, since q1(x_j)*(y_j - u(x_j)) = 0.
     """
     field, k, (P0, P) = basis.field, basis.k, basis.polys
     q1 = P.q1
-    if len(P0.q0) < len(q1) + k or len(P.q0) - len(q1) >= k:
+    e = len(q1) - 1
+    if len(P0.q0) <= e + k or len(P.q0) - e > k:
         return None
-    minus_one = field.sub(0, 1)  # 1 in characteristic 2, where -q1 is q1
-    u, rem = field.poly_divrem(P.q0, q1 if minus_one == 1 else field.poly_scale(q1, minus_one))
-    if rem:
-        return None
-    c = list(map(basis.points.__getitem__, xs))
-    if len(q1) == 2:
+    if e == 1:
         r = field.mul(field.sub(0, q1[0]), field.inv(q1[1]))
-        if r in basis.points:
-            c[xs.index(r)] = field.poly_eval(u, r)
-    elif len(q1) > 2:
-        for j, v in enumerate(field.poly_evals(q1, xs)):
-            if not v:
-                c[j] = field.poly_eval(u, xs[j])
-    return u, tuple(c)
+        if r not in basis.points:
+            return None
+        roots = [xs.index(r)]
+    elif e == 2 and field.p == 2:
+        pair = field.quadratic_roots(q1)
+        if pair is None or pair[0] not in basis.points or pair[1] not in basis.points:
+            return None
+        roots = [xs.index(pair[0]), xs.index(pair[1])]
+    elif e:
+        roots = [j for j, v in enumerate(field.poly_evals(q1, xs)) if not v]
+        if len(roots) < e:
+            return None
+    else:
+        roots = []
+    # -q0/lead = u * prod_i (x - r_i); after the division by (x - r_i), u times
+    # the later roots' factors, whose value at r_i the Forney step divides out
+    quo = field.poly_scale(P.q0, field.sub(0, field.inv(q1[-1])))
+    c = list(map(basis.points.__getitem__, xs))
+    for j in roots:
+        quo, rem, c[j] = field.poly_synth_div(quo, xs[j])
+        if rem:
+            return None
+    for i, j in enumerate(roots[:-1]):
+        den = 1
+        for later in roots[i + 1:]:
+            den = field.mul(den, field.sub(xs[j], xs[later]))
+        c[j] = field.mul(c[j], field.inv(den))
+    return quo, tuple(c)
 
 
 def interpolate(field: Field, k: int, xs: tuple[int, ...], ys) -> GroebnerBasis:
@@ -188,10 +217,11 @@ def interpolate(field: Field, k: int, xs: tuple[int, ...], ys) -> GroebnerBasis:
     if not xs or len(xs) != len(ys):
         raise ValueError("interpolation needs at least one node and one value per node")
     log_rows, N = lagrange_table(field, xs)  # ValueError for duplicate xs
+    ys = np.asarray(ys)  # the decoder's argmax array as it is; a sequence is copied
     # R - y, the interpolant's element up to the unit -1, saves negating R
     r0, s0, r1, s1 = N, [], field.poly_combine(log_rows, ys), [field.sub(0, 1)]
     while len(r1) > len(s1) + k - 1:  # deg r1 > deg s1 + k - 1: r1 + s1*y leads y-free
         quo, rem = field.poly_divrem(r0, r1)
         r0, s0, r1, s1 = r1, s1, rem, field.poly_submul(s0, quo, s1)
     return GroebnerBasis(field, k, (BivarPoly(tuple(r0), tuple(s0)),
-                                    BivarPoly(tuple(r1), tuple(s1))), dict(zip(xs, ys)))
+                                    BivarPoly(tuple(r1), tuple(s1))), dict(zip(xs, ys.tolist())))

@@ -1,6 +1,8 @@
+from importlib import resources
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from importlib import resources
 
 from treechase import CodeParams, SoftWeights, load_pi, make_code, make_field
 from treechase.rscode import encode
@@ -59,6 +61,13 @@ def random_lam(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def weights_of(lam: np.ndarray) -> SoftWeights:
-    """SoftWeights of a hand-made table lam, read as the weights about the
-    all-zero hard decision, whose own weight is then 0."""
-    return SoftWeights(lam, (0,) * lam.shape[1], tuple(lam.min(axis=0).tolist()), 0.0)
+    """SoftWeights of a hand-made delta-layout table lam, shape (q-1, n), read
+    as the weights about the all-zero hard decision, whose own weight is then
+    0.  Symbols are integers mod q, any q >= 2 (the chain needs no field), so
+    W[-d mod q][j] = lam[d-1][j], W[0][j] = +inf, and sw.lam is lam itself."""
+    q, n = lam.shape[0] + 1, lam.shape[1]
+    ring = SimpleNamespace(p=q, q=q, sub=lambda a, b: (a - b) % q)
+    W = np.full((q, n), np.inf)
+    W[[ring.sub(0, d) for d in range(1, q)]] = lam
+    return SoftWeights(ring, W, np.zeros(n, dtype=np.int64), (0,) * n,
+                       tuple(lam.min(axis=0).tolist()), 0.0)

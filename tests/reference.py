@@ -11,6 +11,8 @@ because no decode, sweep or CLI path calls it:
                         completeness argument
   interpolate_points    the fold of forward_add from {1, y}, which
                         interp.interpolate reduces to in closed form
+  factorize_by_division interp.factorize by one general division of q0 by
+                        q1 and a Horner pass of u at each root of q1
   wdeg_key              a bivariate polynomial's (1, k-1)-weighted degree
                         and leading-monomial y-degree, read off both parts
   minimal               a basis's element of least weighted degree
@@ -105,6 +107,23 @@ def interpolate_points(field: Field, k: int, points) -> GroebnerBasis:
     for x, y in points:
         basis = forward_add(basis, x, y)
     return basis
+
+
+def factorize_by_division(basis: GroebnerBasis, xs) -> tuple[list[int], tuple[int, ...]] | None:
+    """interp.factorize's (u, c) or None, read without the error locator's
+    structure: u = q0/(-q1) by poly_divrem when element 1 is minimal and the
+    quotient has degree < k, and c_j = u(x_j) at each node root of q1, y_j
+    elsewhere."""
+    field, k, (P0, P) = basis.field, basis.k, basis.polys
+    q1 = P.q1
+    if len(P0.q0) < len(q1) + k or len(P.q0) - len(q1) >= k:
+        return None
+    u, rem = field.poly_divrem(P.q0, field.poly_scale(list(q1), field.sub(0, 1)))
+    if rem:
+        return None
+    c = [y if v else field.poly_eval(u, x)
+         for x, y, v in zip(xs, map(basis.points.__getitem__, xs), field.poly_evals(q1, xs))]
+    return u, tuple(c)
 
 
 _NEG = -(10**9)  # stand-in for the weighted degree of a zero part

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,17 +132,28 @@ def fields_and_pis(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(fields_and_pis())
-def test_soft_weights_equal_the_separate_steps(case):
+@given(fields_and_pis(), st.data())
+def test_soft_weights_equal_the_separate_steps(case, data):
     """The one-pass front end gives the z, weights, minima and weight of z of
-    the separate steps, bit for bit."""
+    the separate steps, bit for bit: W in symbol layout is top - pi (+inf at
+    z itself), its gathered delta layout is lam, its column minima are the
+    minima, and the weight of any error vector read off W is the fsum of the
+    separate steps' weights."""
     field, pi = case
     sw = soft_weights(field, pi)
     z, lam, mins, z_weight = front_end(field, pi)
-    assert sw.z == z == hard_decision(pi)
+    assert sw.z == z == hard_decision(pi) == tuple(sw.zv.tolist())
+    n = pi.shape[1]
+    W = pi[list(z), range(n)] - pi
+    W[list(z), range(n)] = np.inf  # no change at z itself
+    assert sw.W.tobytes() == W.tobytes()
+    assert "lam" not in vars(sw)  # gathered on first read only
     assert sw.lam.tobytes() == lam.tobytes()
     assert np.array(sw.mins).tobytes() == np.array(mins).tobytes()
     assert sw.z_weight.hex() == z_weight.hex() == sw.pattern_weight(z).hex()
+    e = data.draw(st.lists(st.integers(0, field.q - 1), min_size=n, max_size=n))
+    want = math.fsum([float(lam[ej - 1, j]) for j, ej in enumerate(e) if ej])
+    assert sw.pattern_weight(e).hex() == want.hex()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -159,6 +171,20 @@ def test_soft_weights_reject_weights_that_could_overflow(entry, rest, ok):
     if ok:
         assert soft_weights(PrimeField(5), pi).z == hard_decision(pi)
     else:
+        with pytest.raises(ValueError, match="non-finite entries, or entries too large"):
+            soft_weights(PrimeField(5), pi)
+
+
+@pytest.mark.parametrize("column", [[-np.inf] * 5, [np.inf, 0.0, np.inf, 0.0, 0.0],
+                                    [np.inf, np.nan, 0.0, 0.0, 0.0]])
+def test_soft_weights_reject_infinite_columns_without_a_warning(column):
+    """A column whose top entry is infinite (all -inf, or +inf twice) is a
+    ValueError and no numpy warning: the top entry is never subtracted from
+    itself, which would give NaN."""
+    pi = np.zeros((5, 3))
+    pi[:, 1] = column
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ValueError, match="non-finite entries, or entries too large"):
             soft_weights(PrimeField(5), pi)
 

@@ -309,8 +309,9 @@ def test_scalar_table_ops_match_independent_arithmetic(f, data):
 # --- the trial-1 kernels against tests/reference.py's poly_mul and poly_add ---
 #
 # poly_submul (Euclid's co-factor update and every elimination step),
-# poly_divrem (the Euclid step and factorize) and poly_evals (read_codeword's
-# root scan and encode) over prime and binary fields, small and large.
+# poly_divrem (the Euclid step), poly_evals (factorize's root scan and encode)
+# and poly_synth_div (factorize's division at each root) over prime and binary
+# fields, small and large.
 
 TRIAL_FIELDS = [make_field(p) for p in (2, 5, 7, 257)] + [make_field(2, m) for m in (4, 8)]
 
@@ -341,7 +342,7 @@ def test_divrem_reassembles_the_dividend(case):
     quo, rem = f.poly_divrem(num, den)
     assert poly_add(f, poly_mul(f, quo, den), rem) == num
     assert len(rem) < len(den) and quo == poly_trim(list(quo)) and rem == poly_trim(list(rem))
-    assert f.poly_divrem(poly_mul(f, num, den), den) == (num, [])  # exact: q1 | q0 in factorize
+    assert f.poly_divrem(poly_mul(f, num, den), den) == (num, [])  # an exact division
     assert f.poly_divrem(tuple(num), tuple(den) + (0, 0)) == (quo, rem)  # tuples, untrimmed den
 
 
@@ -359,3 +360,46 @@ def test_evals_is_pointwise_and_finds_the_roots(case, data):
         locator = poly_mul(f, locator, [f.sub(0, r), 1])
     assert ([x for x, v in zip(xs, f.poly_evals(locator, xs)) if not v]
             == [x for x in xs if x in roots])
+
+
+SYNTH_DIV_EDGES = [([], 0), ([], 3), ([5], 0), ([5], 2), ([1, 2, 3], 0), ([0, 0, 1], 0)]
+
+
+@pytest.mark.parametrize("a, beta", SYNTH_DIV_EDGES)
+@pytest.mark.parametrize("f", TRIAL_FIELDS, ids=repr)
+def test_synth_div_edge_cases(f, a, beta):
+    """a = [], a constant, and beta = 0, on each field kind."""
+    check_synth_div(f, poly_trim([v % f.q for v in a]), beta % f.q)
+
+
+@given(trial_field_and_polys(count=1), st.data())
+def test_synth_div_is_divrem_and_eval(case, data):
+    f, (a,) = case
+    check_synth_div(f, a, data.draw(st.one_of(st.just(0), st.integers(0, f.q - 1))))
+
+
+def check_synth_div(f, a, beta):
+    """poly_synth_div's quotient, remainder and quotient value equal
+    poly_divrem(a, [-beta, 1]) and poly_eval of that quotient at beta; GF(2^m)'s
+    table-driven kernel also equals the shared Field form."""
+    quo, rem = f.poly_divrem(a, [f.sub(0, beta), 1])
+    want = (quo, rem[0] if rem else 0, f.poly_eval(quo, beta))
+    assert f.poly_synth_div(a, beta) == want
+    assert Field.poly_synth_div(f, a, beta) == want
+    assert f.poly_synth_div(tuple(a), beta) == want  # factorize divides q0, a tuple
+
+
+@given(st.sampled_from([make_field(2), make_field(2, 2), BinaryField(3), GF16, BinaryField(8)]),
+       st.data())
+def test_quadratic_roots_are_the_distinct_roots(f, data):
+    """In characteristic 2, quadratic_roots gives both roots of a quadratic
+    with two distinct roots in the field, and None for a double root (a1 = 0)
+    or no root, as a scan of the whole field finds them."""
+    elem = st.integers(0, f.q - 1)
+    a = [data.draw(elem), data.draw(elem), data.draw(st.integers(1, f.q - 1))]
+    roots = [x for x, v in zip(range(f.q), f.poly_evals(a, range(f.q))) if not v]
+    got = f.quadratic_roots(a)
+    if len(roots) == 2:
+        assert got is not None and sorted(got) == roots
+    else:
+        assert got is None

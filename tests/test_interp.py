@@ -12,7 +12,7 @@ from treechase.interp import (
     interpolate,
 )
 
-from reference import interpolate_points, minimal, wdeg_key
+from reference import factorize_by_division, interpolate_points, minimal, wdeg_key
 
 GF5 = PrimeField(5)
 GF7 = PrimeField(7)
@@ -326,3 +326,86 @@ def test_interpolate_rejects_bad_points():
     for _ in range(2):  # the Lagrange table's cache keeps no exception: each call raises
         with pytest.raises(ValueError):
             interpolate(GF16, 1, (5, 5), (1, 1))
+
+
+# --- factorize: the error locator's roots against one general division ---
+
+REFERENCE_FIELDS = [GF5, GF7, BinaryField(3), GF16, BinaryField(8)]
+
+
+@st.composite
+def decoding_problems(draw):
+    """(field, k, xs, word): n distinct nodes, a codeword of a message of
+    degree < k (often the zero message) and 0..n-k symbol errors."""
+    field = draw(st.sampled_from(REFERENCE_FIELDS))
+    value = st.integers(0, field.q - 1)
+    n = draw(st.integers(2, min(field.q, 16)))
+    xs = tuple(draw(st.lists(value, min_size=n, max_size=n, unique=True)))
+    k = draw(st.integers(1, n - 1))
+    u = draw(st.one_of(st.just([]), st.lists(value, min_size=k, max_size=k)))
+    word = field.poly_evals(u, xs)
+    for j in draw(st.permutations(range(n)))[:draw(st.integers(0, n - k))]:
+        word[j] = field.add(word[j], draw(st.integers(1, field.q - 1)))
+    return field, k, xs, word
+
+
+@settings(max_examples=300, deadline=None)
+@given(decoding_problems(), st.data())
+def test_factorize_equals_the_division(problem, data):
+    """factorize returns exactly the (u, c) of one general division of q0 by
+    q1, or None where it finds none: on the closed-form basis of a word with
+    0..n-k errors and on every basis of a random walk of point swaps from it."""
+    field, k, xs, word = problem
+    basis = interpolate(field, k, xs, word)
+    assert factorize(basis, xs) == factorize_by_division(basis, xs)
+    for _ in range(data.draw(st.integers(0, 8))):
+        x = data.draw(st.sampled_from(xs))
+        basis = forward_add(backward_remove(basis, x), x, data.draw(st.integers(0, field.q - 1)))
+        assert factorize(basis, xs) == factorize_by_division(basis, xs)
+
+
+def locator_cases(basis, xs) -> set[str]:
+    """The cases of factorize's root logic a basis reaches (none when the
+    degree checks reject it first)."""
+    field, k, (P0, P) = basis.field, basis.k, basis.polys
+    q1 = P.q1
+    if len(P0.q0) < len(q1) + k or len(P.q0) - len(q1) >= k:
+        return set()
+    cases = {"zero q0"} if not P.q0 else set()
+    node_roots = sum(not v for v in field.poly_evals(q1, xs))
+    if len(q1) == 1:
+        cases.add("constant q1")
+    elif len(q1) == 2 and not node_roots:
+        cases.add("linear q1, root not a node")
+    elif len(q1) == 3 and field.p == 2 and not q1[1]:
+        cases.add("repeated root")
+    if node_roots < len(q1) - 1:
+        cases.add("fewer node roots than deg q1")
+    return cases
+
+
+def test_factorize_covers_every_locator_case():
+    """Seeded words with 0..n-k errors, and swap walks from them, reach each
+    case of the root logic (the zero message, a constant q1, a linear q1 whose
+    root is no node, a repeated root in characteristic 2, fewer node roots than
+    deg q1), and factorize agrees with the division on every basis."""
+    from treechase.rscode import make_code
+    seen: set[str] = set()
+    for p, m, n, k in [(7, 1, 6, 2), (2, 3, 7, 3), (2, 4, 15, 11), (2, 4, 12, 4)]:
+        code = make_code(p, m, n, k)
+        field, xs = code.field, code.eval_points
+        rng = np.random.default_rng(n * 10 + k)
+        for _ in range(300):
+            u = [] if rng.random() < 0.3 else rng.integers(0, field.q, size=k).tolist()
+            word = field.poly_evals(u, xs)
+            for j in rng.permutation(n)[:rng.integers(0, n - k + 1)].tolist():
+                word[j] = field.add(word[j], int(rng.integers(1, field.q)))
+            basis = interpolate(field, k, xs, word)
+            for step in range(4):
+                if step:
+                    x = xs[int(rng.integers(0, n))]
+                    basis = forward_add(backward_remove(basis, x), x, int(rng.integers(0, field.q)))
+                assert factorize(basis, xs) == factorize_by_division(basis, xs)
+                seen |= locator_cases(basis, xs)
+    assert seen == {"zero q0", "constant q1", "linear q1, root not a node", "repeated root",
+                    "fewer node roots than deg q1"}
