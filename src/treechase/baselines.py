@@ -54,8 +54,11 @@ def lcc_decode(code: CodeParams, pi: np.ndarray, cfg: LccConfig | None = None,
     def gray_walk(basis):
         # reliability of a coordinate = weight of its cheapest single-symbol change,
         # ties to the lower coordinate; built only for frames trial 1 did not settle
-        lrps = np.argsort(s.sw.mins, kind="stable")[:cfg.eta].tolist()
-        second = [sub(z[j], int(s.sw.lam[:, j].argmin()) + 1) for j in lrps]
+        lrps = np.argsort(s.sw.mins, kind="stable")[:cfg.eta]
+        # the cheapest change of each, ties to the smallest delta, off its own column of lam
+        deltas = (s.sw.lam_columns(lrps).argmin(axis=0) + 1).tolist()
+        lrps = lrps.tolist()
+        second = [sub(z[j], d) for j, d in zip(lrps, deltas)]
         for i in range(1, 1 << cfg.eta):
             # Gray code i flips bit b = ctz(i): lrps[b] holds its second-best
             # symbol exactly when bit b of the Gray word i ^ (i >> 1) is set

@@ -123,12 +123,13 @@ class SoftWeights:
 
     The atom (j, d) is the change of z_j by d, to v = z_j - d, of weight
     lam[d-1][j] = W[z_j - d][j], the same float64; lam is the delta-layout
-    table, gathered from W on first read.  The atom chain is its sorted view:
-    coords and weights are parallel tuples indexed by 0-based rank, ascending
-    by (weight, coord, delta), and atom(rank) is (coord, delta).  The one
-    stable argsort behind them runs the first time one of them is read.  So
-    the gather runs only for the tree's pops, lcc's second-best symbols or a
-    trace, and the sort only for the pops or a trace.
+    table, gathered from W on first read, and lam_columns gathers some of its
+    columns.  The atom chain is its sorted view: coords and weights are
+    parallel tuples indexed by 0-based rank, ascending by (weight, coord,
+    delta), and atom(rank) is (coord, delta).  The one stable argsort behind
+    them runs the first time one of them is read.  So the whole gather and
+    the sort run only for the tree's pops or a trace; lcc's second-best
+    symbols read only their own columns.
     """
 
     field: Field
@@ -149,13 +150,17 @@ class SoftWeights:
     def size(self) -> int:
         return self.W.size - self.zv.size
 
+    def lam_columns(self, cols: np.ndarray) -> np.ndarray:
+        """lam[:, cols]: lam[d-1][j] = W[z_j - d][j], z_j - d in the field:
+        XOR in characteristic 2, integers mod p otherwise."""
+        p, zv = self.field.p, self.zv[cols]
+        d = np.arange(1, self.field.q)[:, None]
+        return self.W[zv ^ d if p == 2 else (zv - d) % p, cols]
+
     @cached_property
     def lam(self) -> np.ndarray:
-        """lam[d-1][j] = W[z_j - d][j], shape (q-1, n); z_j - d in the field:
-        XOR in characteristic 2, integers mod p otherwise."""
-        p, zv = self.field.p, self.zv
-        d = np.arange(1, self.field.q)[:, None]
-        return self.W[zv ^ d if p == 2 else (zv - d) % p, np.arange(zv.size)]
+        """The delta-layout table, shape (q-1, n)."""
+        return self.lam_columns(np.arange(self.zv.size))
 
     @cached_property
     def _order(self) -> np.ndarray:

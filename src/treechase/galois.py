@@ -29,21 +29,19 @@ for zero operands too.
 Univariate polynomials are plain lists of ints, lowest degree first, with no
 trailing zeros (the zero polynomial is the empty list).  The kernels on the
 decoder's per-frame path (poly_eval, poly_evals, poly_scale, poly_submul,
-poly_mul_linear, poly_div_linear, poly_synth_div, poly_divrem) are Field
-methods that loop over local table lookups, so no coefficient costs a method
-call.  poly_scale only multiplies and is shared; the others add, so each
-field kind has its own: XOR in GF(2^m), integer arithmetic mod p in GF(p).
-A difference a - b is poly_submul(a, b, [1]).  The linear-factor kernels are
-shared calls of those two: a*(x - beta) is poly_submul([0, *a], a, [beta]),
-a/(x - beta) is poly_divrem(a, [-beta, 1]), and poly_synth_div (the
-quotient, the remainder a(beta) and the quotient's value at beta, which
-factorize reads at each root of the error locator) adds one poly_eval.
-GF(2^m) keeps its own table-driven three, since every later trial's point
-swap runs the first two and every attempt the third, whose second Horner
-accumulator gives the quotient's value in the division loop itself.  In
-characteristic 2, quadratic_roots reads a quadratic's two roots off a table
-of t^2 + t, built at its first call, so factorize need not scan the nodes
-for them.
+poly_mul_linear, poly_synth_div, poly_divrem) are Field methods that loop
+over local table lookups, so no coefficient costs a method call.  poly_scale
+only multiplies and is shared; the others add, so each field kind has its
+own: XOR in GF(2^m), integer arithmetic mod p in GF(p).  A difference a - b
+is poly_submul(a, b, [1]).  The linear-factor kernels are shared calls of
+those two: a*(x - beta) is poly_submul([0, *a], a, [beta]), and the
+synthetic division by (x - beta), poly_synth_div, is poly_divrem(a, [-beta,
+1]) plus one poly_eval: the quotient, the remainder a(beta) and the
+quotient's value at beta, which factorize reads at each root of the error
+locator; a point removal checks that its remainder is 0.  GF(2^m) keeps its
+own table-driven pair, since every later trial's point swap runs them, and
+its division's second Horner accumulator gives the quotient's value in the
+division loop itself.
 
 lagrange_table caches, per field and node tuple, the Lagrange basis of the
 nodes in the log domain, and poly_combine applies it: the interpolant of
@@ -145,36 +143,6 @@ class Field:
     def poly_mul_linear(self, a: list[int], beta: int) -> list[int]:
         """a(x) * (x - beta), as x*a(x) - a(x)*beta."""
         return self.poly_submul([0, *a], a, [beta])
-
-    def poly_div_linear(self, a: list[int], beta: int) -> list[int]:
-        """a(x) / (x - beta); RuntimeError if the division is inexact."""
-        quo, rem = self.poly_divrem(a, [self.sub(0, beta), 1])
-        if rem:
-            raise RuntimeError("inexact division by linear factor")
-        return quo
-
-    def quadratic_roots(self, a: list[int]) -> tuple[int, int] | None:
-        """The two distinct roots of a[0] + a[1]*x + a[2]*x^2 (a[2] != 0) in
-        characteristic 2, or None.  x = h*t, h = a[1]/a[2] the roots' sum,
-        turns it into t^2 + t = a[0]*a[2]/a[1]^2, whose roots t and t + 1 the
-        table of t^2 + t holds; a[1] = 0 leaves one double root."""
-        a0, a1, a2 = a
-        if not a1:
-            return None
-        h = self.mul(a1, self.inv(a2))
-        t = self._half_roots[self.mul(self.mul(a0, a2), self.inv(self.mul(a1, a1)))]
-        if t < 0:
-            return None
-        r = self.mul(h, t)
-        return r, self.add(r, h)
-
-    @cached_property
-    def _half_roots(self) -> list[int]:
-        """Characteristic 2: a root t of t^2 + t = s at index s, -1 if none."""
-        roots = [-1] * self.q
-        for t in range(self.q):
-            roots[self.add(self.mul(t, t), t)] = t
-        return roots
 
     def poly_synth_div(self, a: list[int], beta: int) -> tuple[list[int], int, int]:
         """Synthetic division by (x - beta): the quotient b, the remainder a(beta)
@@ -314,18 +282,6 @@ class BinaryField(Field):
         out = [0, *a]
         for i, v in enumerate(a):
             out[i] ^= exp[lb + log[v]]
-        return poly_trim(out)
-
-    def poly_div_linear(self, a, beta):
-        exp, log = self._exp, self._log
-        lb = log[beta]
-        out = [0] * (len(a) - 1)
-        acc = 0
-        for i in range(len(a) - 1, 0, -1):
-            acc = exp[log[acc] + lb] ^ a[i]
-            out[i - 1] = acc
-        if a and exp[log[acc] + lb] != a[0]:
-            raise RuntimeError("inexact division by linear factor")
         return poly_trim(out)
 
     def poly_synth_div(self, a, beta):

@@ -123,7 +123,10 @@ def backward_remove(basis: GroebnerBasis, x: int) -> GroebnerBasis:
     The y-parts (P0.q1(x), P1.q1(x)) are never both zero at an interpolated x:
     y - R_S, with R_S the interpolant of the points S, lies in the module and
     has q1 = 1, so 1 is an F[x]-combination of P0.q1 and P1.q1.  The
-    RuntimeError below therefore flags a basis that is not a basis of the module.
+    eliminated element has q1(x) = 0, and q0(x) = 0 since it vanishes at
+    (x, y), so both its parts divide by the linear factor at x with
+    remainder 0 (Field.poly_synth_div).  Both RuntimeErrors below therefore
+    flag a basis that is not a basis of the module.
     """
     field, k = basis.field, basis.k
     if x not in basis.points:
@@ -133,7 +136,10 @@ def backward_remove(basis: GroebnerBasis, x: int) -> GroebnerBasis:
     if e == (0, 0):
         raise RuntimeError("degenerate basis: no y-part is nonzero at the removed x")
     mu, R = _eliminate(basis, e)
-    R = BivarPoly(tuple(field.poly_div_linear(R.q0, x)), tuple(field.poly_div_linear(R.q1, x)))
+    (q0, rem0, _), (q1, rem1, _) = field.poly_synth_div(R.q0, x), field.poly_synth_div(R.q1, x)
+    if rem0 or rem1:
+        raise RuntimeError("inexact division by linear factor")
+    R = BivarPoly(tuple(q0), tuple(q1))
     points = basis.points.copy()
     del points[x]
     return GroebnerBasis(field, k, (P[mu], R) if mu == 0 else (R, P[mu]), points)
@@ -154,16 +160,15 @@ def factorize(basis: GroebnerBasis, xs) -> tuple[list[int], tuple[int, ...]] | N
     product of (x - x_j) over the nodes where y_j != u(x_j), lies in the
     module, and every a*(y - u) in it has Lambda | a; element 1 is minimal, so
     q1 = lead*Lambda: it has deg q1 distinct roots r_1..r_e among the nodes.
-    A linear q1's root is read in closed form, and so are a quadratic q1's
-    roots in characteristic 2 (Field.quadratic_roots); any other q1 is
-    evaluated at every node (one poly_evals pass).  Fewer distinct node roots
-    than deg q1 mean no message.  Q_0 = -q0/lead is then
-    divided by each (x - r_i) in turn (Field.poly_synth_div), every remainder
-    0, else no message: Q_i = u*prod_{j>i} (x - r_j), so Q_e = u with no
-    general division, and the quotient's value Q_i(r_i), the kernel's second
-    Horner accumulator, gives the codeword at the root as in Forney's
-    formula, u(r_i) = Q_i(r_i) / prod_{j>i} (r_i - r_j), with no evaluation
-    of u.  Elsewhere c_j is y_j, since q1(x_j)*(y_j - u(x_j)) = 0.
+    A linear q1's root is read in closed form; any other q1 is evaluated at
+    every node (one poly_evals pass).  Fewer distinct node roots than deg q1
+    mean no message.  Q_0 = -q0/lead is then divided by each (x - r_i) in
+    turn (Field.poly_synth_div), every remainder 0, else no message:
+    Q_i = u*prod_{j>i} (x - r_j), so Q_e = u with no general division, and
+    the quotient's value Q_i(r_i), the kernel's second Horner accumulator,
+    gives the codeword at the root as in Forney's formula,
+    u(r_i) = Q_i(r_i) / prod_{j>i} (r_i - r_j), with no evaluation of u.
+    Elsewhere c_j is y_j, since q1(x_j)*(y_j - u(x_j)) = 0.
     """
     field, k, (P0, P) = basis.field, basis.k, basis.polys
     q1 = P.q1
@@ -175,11 +180,6 @@ def factorize(basis: GroebnerBasis, xs) -> tuple[list[int], tuple[int, ...]] | N
         if r not in basis.points:
             return None
         roots = [xs.index(r)]
-    elif e == 2 and field.p == 2:
-        pair = field.quadratic_roots(q1)
-        if pair is None or pair[0] not in basis.points or pair[1] not in basis.points:
-            return None
-        roots = [xs.index(pair[0]), xs.index(pair[1])]
     elif e:
         roots = [j for j, v in enumerate(field.poly_evals(q1, xs)) if not v]
         if len(roots) < e:

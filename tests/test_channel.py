@@ -136,7 +136,8 @@ def fields_and_pis(draw):
 def test_soft_weights_equal_the_separate_steps(case, data):
     """The one-pass front end gives the z, weights, minima and weight of z of
     the separate steps, bit for bit: W in symbol layout is top - pi (+inf at
-    z itself), its gathered delta layout is lam, its column minima are the
+    z itself), its gathered delta layout is lam (and any of its columns, as
+    gathered alone), its column minima are the
     minima, and the weight of any error vector read off W is the fsum of the
     separate steps' weights."""
     field, pi = case
@@ -148,6 +149,9 @@ def test_soft_weights_equal_the_separate_steps(case, data):
     W[list(z), range(n)] = np.inf  # no change at z itself
     assert sw.W.tobytes() == W.tobytes()
     assert "lam" not in vars(sw)  # gathered on first read only
+    cols = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n)), dtype=np.int64)
+    assert sw.lam_columns(cols).tobytes() == lam[:, cols].tobytes()  # lcc's columns
+    assert "lam" not in vars(sw)
     assert sw.lam.tobytes() == lam.tobytes()
     assert np.array(sw.mins).tobytes() == np.array(mins).tobytes()
     assert sw.z_weight.hex() == z_weight.hex() == sw.pattern_weight(z).hex()

@@ -527,26 +527,26 @@ def test_chain_is_sorted_only_when_the_tree_reads_it(code16, monkeypatch):
     assert len(records) == 600 and sorted_frames > 0 and unsorted_frames > 0
 
 
-def test_delta_layout_is_gathered_only_when_the_chain_or_lcc_reads_it(code16, monkeypatch):
+def test_delta_layout_is_gathered_only_when_the_chain_reads_it(code16, monkeypatch):
     """The front end weighs pi in symbol layout (W); the delta-layout table lam
-    is gathered from W on first read, by the chain of a tree search or by lcc's
-    second-best symbols.  A tcgs frame that a Kaneko certificate settles at
-    trial 1, and an lcc frame that exits at trial 1, never gather it."""
+    is gathered from W on first read, by the chain of a tree search.  A tcgs
+    frame that a Kaneko certificate settles at trial 1 never gathers it, and
+    no lcc frame does: lcc's second-best symbols read only their own columns."""
     records = []
     real = decoder.soft_weights
     monkeypatch.setattr(decoder, "soft_weights",
                         lambda field, pi: records.append(real(field, pi)) or records[-1])
     tcgs, lcc = DecoderConfig(max_trials=16), LccConfig(eta=4)
-    gathered = {"tcgs": set(), "lcc": set()}
+    reached = {"tcgs": set(), "lcc": set()}
     for pi in _rs15_4db_frames(code16, 300):
         res = tcgs_decode(code16, pi, tcgs)
         reached_tree = res.trials > 1 or res.exit_reason != EXIT_CERTIFIED_KANEKO
         assert ("lam" in vars(records[-1])) == reached_tree
-        gathered["tcgs"].add(reached_tree)
+        reached["tcgs"].add(reached_tree)
         res = lcc_decode(code16, pi, lcc)
-        assert ("lam" in vars(records[-1])) == (res.trials > 1)
-        gathered["lcc"].add(res.trials > 1)
-    assert gathered == {"tcgs": {False, True}, "lcc": {False, True}}
+        assert "lam" not in vars(records[-1])
+        reached["lcc"].add(res.trials > 1)
+    assert reached == {"tcgs": {False, True}, "lcc": {False, True}}
 
 
 def test_budget_exhausted_frame_expands_no_node_after_last_trial(code16, monkeypatch):

@@ -112,16 +112,15 @@ def test_poly_divrem_identity(num, den):
 def test_div_linear_exact_and_inexact():
     f = GF5
     a = f.poly_mul_linear([1, 2, 3], 4)    # (1+2x+3x^2)(x-4)
-    assert poly_trim(f.poly_div_linear(a, 4)) == [1, 2, 3]
-    with pytest.raises(RuntimeError):
-        f.poly_div_linear([1, 1], 3)       # 1+x does not vanish at 3
+    assert f.poly_synth_div(a, 4)[:2] == ([1, 2, 3], 0)
+    assert f.poly_synth_div([1, 1], 3)[:2] == ([1], 4)  # 1+x does not vanish at 3
 
 
 @pytest.mark.parametrize("m", [4, 8])
 def test_binary_linear_factor_kernels_match_generic_forms(m):
-    """GF(2^m)'s table-driven poly_mul_linear and poly_div_linear return what
-    the shared Field forms (poly_submul, poly_divrem) return, and raise where
-    they raise: on every inexact division."""
+    """GF(2^m)'s table-driven poly_mul_linear and poly_synth_div return what
+    the shared Field forms (poly_submul, poly_divrem and poly_eval) return:
+    an exact division leaves remainder 0, and every inexact one a(beta)."""
     f = BinaryField(m)
     rng = random.Random(m)
     inexact = 0
@@ -130,14 +129,11 @@ def test_binary_linear_factor_kernels_match_generic_forms(m):
         beta = rng.randrange(f.q)
         prod = f.poly_mul_linear(a, beta)
         assert prod == Field.poly_mul_linear(f, a, beta)
-        assert f.poly_div_linear(prod, beta) == Field.poly_div_linear(f, prod, beta) == a
-        if a and f.poly_eval(a, beta):
-            inexact += 1
-            for div in (f.poly_div_linear, lambda a, b: Field.poly_div_linear(f, a, b)):
-                with pytest.raises(RuntimeError, match="inexact"):
-                    div(a, beta)
-        else:
-            assert f.poly_div_linear(a, beta) == Field.poly_div_linear(f, a, beta)
+        got = f.poly_synth_div(prod, beta)
+        assert got == Field.poly_synth_div(f, prod, beta) and got[:2] == (a, 0)
+        got = f.poly_synth_div(a, beta)
+        assert got == Field.poly_synth_div(f, a, beta) and got[1] == f.poly_eval(a, beta)
+        inexact += got[1] != 0
     assert inexact > 100
 
 
@@ -273,13 +269,9 @@ def test_kernel_linear_factor_match_reference(case):
     f, (a,), beta = case
     prod = f.poly_mul_linear(a, beta)
     assert prod == ref_mul_linear(f, a, beta)
-    assert f.poly_div_linear(prod, beta) == a
+    assert f.poly_synth_div(prod, beta)[:2] == (a, 0)
     quo, rem = ref_divrem(f, a, [f.sub(0, beta), 1]) if a else ([], [])
-    if rem:
-        with pytest.raises(RuntimeError):
-            f.poly_div_linear(a, beta)
-    else:
-        assert f.poly_div_linear(a, beta) == quo
+    assert f.poly_synth_div(a, beta)[:2] == (quo, rem[0] if rem else 0)
 
 
 @given(field_and_polys())
@@ -387,19 +379,3 @@ def check_synth_div(f, a, beta):
     assert f.poly_synth_div(a, beta) == want
     assert Field.poly_synth_div(f, a, beta) == want
     assert f.poly_synth_div(tuple(a), beta) == want  # factorize divides q0, a tuple
-
-
-@given(st.sampled_from([make_field(2), make_field(2, 2), BinaryField(3), GF16, BinaryField(8)]),
-       st.data())
-def test_quadratic_roots_are_the_distinct_roots(f, data):
-    """In characteristic 2, quadratic_roots gives both roots of a quadratic
-    with two distinct roots in the field, and None for a double root (a1 = 0)
-    or no root, as a scan of the whole field finds them."""
-    elem = st.integers(0, f.q - 1)
-    a = [data.draw(elem), data.draw(elem), data.draw(st.integers(1, f.q - 1))]
-    roots = [x for x, v in zip(range(f.q), f.poly_evals(a, range(f.q))) if not v]
-    got = f.quadratic_roots(a)
-    if len(roots) == 2:
-        assert got is not None and sorted(got) == roots
-    else:
-        assert got is None

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from treechase.galois import BinaryField, PrimeField, make_field, poly_trim
 from treechase.interp import (
     BivarPoly,
+    GroebnerBasis,
     backward_remove,
     bivar_eval,
     factorize,
@@ -84,6 +85,18 @@ def test_backward_remove_unknown_point():
     basis = interpolate_points(GF5, 2, [(0, 1), (1, 0)])
     assert_rejected(backward_remove, basis, 2)
     assert_rejected(backward_remove, backward_remove(basis, 0), 0)  # removed already
+
+
+def test_backward_remove_rejects_a_basis_that_misses_its_points():
+    """Element 1 shifted by a constant no longer vanishes at the points, so
+    the eliminated element's division by (x - x_j) leaves a remainder."""
+    basis = interpolate_points(GF5, 2, [(0, 1), (1, 0), (2, 3)])
+    P0, P1 = basis.polys
+    shifted = BivarPoly(tuple(GF5.poly_submul(list(P1.q0), [1], [1])), P1.q1)
+    broken = GroebnerBasis(GF5, 2, (P0, shifted), dict(basis.points))
+    for x in basis.points:
+        with pytest.raises(RuntimeError, match="inexact"):
+            backward_remove(broken, x)
 
 
 def test_backward_then_forward_restores_factorization():
