@@ -47,10 +47,14 @@ def modulate(field: Field, codeword) -> np.ndarray:
     """Codeword -> n*m array of +-1 samples, LSB-first within each symbol.
 
     Binary fields only: m bits carry a GF(2^m) symbol, but not a GF(p) one.
+    ValueError for a symbol outside [0, q), whose bits past the m-th would
+    be dropped or would wrap onto those of a field element.
     """
     if field.p != 2:
         raise ValueError(f"BPSK carries GF(2^m) symbols only, not GF({field.p}^{field.m})")
     c = np.asarray(codeword, dtype=np.int64)
+    if c.size and (c.min() < 0 or c.max() >= field.q):
+        raise ValueError(f"GF({field.q}) symbols lie in [0, {field.q})")
     bits = (c[:, None] >> np.arange(field.m)[None, :]) & 1
     return (1.0 - 2.0 * bits).reshape(-1)
 
@@ -125,11 +129,12 @@ class SoftWeights:
     lam[d-1][j] = W[z_j - d][j], the same float64; lam is the delta-layout
     table, gathered from W on first read, and lam_columns gathers some of its
     columns.  The atom chain is its sorted view: coords and weights are
-    parallel tuples indexed by 0-based rank, ascending by (weight, coord,
-    delta), and atom(rank) is (coord, delta).  The one stable argsort behind
-    them runs the first time one of them is read.  So the whole gather and
-    the sort run only for the tree's pops or a trace; lcc's second-best
-    symbols read only their own columns.
+    parallel lists indexed by 0-based rank, ascending by (weight, coord,
+    delta), and atom(rank) is (coord, delta).  They are the sorted arrays'
+    .tolist() results, uncopied, which no reader mutates.  The one stable
+    argsort behind them runs the first time one of them is read.  So the
+    whole gather and the sort run only for the tree's pops or a trace; lcc's
+    second-best symbols read only their own columns.
     """
 
     field: Field
@@ -169,12 +174,12 @@ class SoftWeights:
         return np.argsort(self.lam.T.ravel(), kind="stable")
 
     @cached_property
-    def coords(self) -> tuple[int, ...]:
-        return tuple((self._order // self.lam.shape[0]).tolist())
+    def coords(self) -> list[int]:
+        return (self._order // self.lam.shape[0]).tolist()
 
     @cached_property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(self.lam.T.ravel()[self._order].tolist())
+    def weights(self) -> list[float]:
+        return self.lam.T.ravel()[self._order].tolist()
 
     def atom(self, rank: int) -> tuple[int, int]:
         """(coordinate, delta) of the atom at rank."""

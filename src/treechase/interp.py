@@ -46,7 +46,9 @@ All operations are pure: they return new objects and never mutate their
 inputs, so bases branched across search-tree nodes may share structure.
 That is the operations' contract, not enforced: every trial builds the
 records, so they are slotted dataclasses and not frozen ones, whose
-constructor costs about twice as much.
+constructor costs about twice as much, and they hold the lists the galois
+kernels return, uncopied, the same list often in several bases.  A caller
+that mutated one would change every basis that shares it.
 """
 
 from __future__ import annotations
@@ -60,10 +62,11 @@ from .galois import Field, lagrange_table
 
 @dataclass(slots=True)
 class BivarPoly:
-    """q0(x) + q1(x) * y with list coefficients, low degree first."""
+    """q0(x) + q1(x) * y: coefficient lists, low degree first, trimmed (no
+    trailing zeros), as the galois kernels return them."""
 
-    q0: tuple[int, ...]
-    q1: tuple[int, ...]
+    q0: list[int]
+    q1: list[int]
 
 
 def bivar_eval(field: Field, P: BivarPoly, x: int, y: int) -> int:
@@ -96,8 +99,7 @@ def _eliminate(basis: GroebnerBasis, d: tuple[int, int]) -> tuple[int, BivarPoly
         return mu, P[nu]
     ratio = [field.mul(d[nu], field.inv(d[mu]))]
     submul = field.poly_submul
-    return mu, BivarPoly(tuple(submul(P[nu].q0, P[mu].q0, ratio)),
-                         tuple(submul(P[nu].q1, P[mu].q1, ratio)))
+    return mu, BivarPoly(submul(P[nu].q0, P[mu].q0, ratio), submul(P[nu].q1, P[mu].q1, ratio))
 
 
 def forward_add(basis: GroebnerBasis, x: int, y: int) -> GroebnerBasis:
@@ -112,8 +114,7 @@ def forward_add(basis: GroebnerBasis, x: int, y: int) -> GroebnerBasis:
         raise ValueError(f"x = {x} already interpolated")
     P = basis.polys
     mu, R = _eliminate(basis, (bivar_eval(field, P[0], x, y), bivar_eval(field, P[1], x, y)))
-    M = BivarPoly(tuple(field.poly_mul_linear(P[mu].q0, x)),
-                  tuple(field.poly_mul_linear(P[mu].q1, x)))
+    M = BivarPoly(field.poly_mul_linear(P[mu].q0, x), field.poly_mul_linear(P[mu].q1, x))
     return GroebnerBasis(field, k, (M, R) if mu == 0 else (R, M), {**basis.points, x: y})
 
 
@@ -139,7 +140,7 @@ def backward_remove(basis: GroebnerBasis, x: int) -> GroebnerBasis:
     (q0, rem0, _), (q1, rem1, _) = field.poly_synth_div(R.q0, x), field.poly_synth_div(R.q1, x)
     if rem0 or rem1:
         raise RuntimeError("inexact division by linear factor")
-    R = BivarPoly(tuple(q0), tuple(q1))
+    R = BivarPoly(q0, q1)
     points = basis.points.copy()
     del points[x]
     return GroebnerBasis(field, k, (P[mu], R) if mu == 0 else (R, P[mu]), points)
@@ -219,9 +220,8 @@ def interpolate(field: Field, k: int, xs: tuple[int, ...], ys) -> GroebnerBasis:
     log_rows, N = lagrange_table(field, xs)  # ValueError for duplicate xs
     ys = np.asarray(ys)  # the decoder's argmax array as it is; a sequence is copied
     # R - y, the interpolant's element up to the unit -1, saves negating R
-    r0, s0, r1, s1 = N, [], field.poly_combine(log_rows, ys), [field.sub(0, 1)]
+    r0, s0, r1, s1 = list(N), [], field.poly_combine(log_rows, ys), [field.sub(0, 1)]
     while len(r1) > len(s1) + k - 1:  # deg r1 > deg s1 + k - 1: r1 + s1*y leads y-free
         quo, rem = field.poly_divrem(r0, r1)
         r0, s0, r1, s1 = r1, s1, rem, field.poly_submul(s0, quo, s1)
-    return GroebnerBasis(field, k, (BivarPoly(tuple(r0), tuple(s0)),
-                                    BivarPoly(tuple(r1), tuple(s1))), dict(zip(xs, ys.tolist())))
+    return GroebnerBasis(field, k, (BivarPoly(r0, s0), BivarPoly(r1, s1)), dict(zip(xs, ys.tolist())))

@@ -103,7 +103,7 @@ def interpolate_points(field: Field, k: int, points) -> GroebnerBasis:
     of all q0 + q1*y (no points)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    basis = GroebnerBasis(field, k, (BivarPoly((1,), ()), BivarPoly((), (1,))), {})
+    basis = GroebnerBasis(field, k, (BivarPoly([1], []), BivarPoly([], [1])), {})
     for x, y in points:
         basis = forward_add(basis, x, y)
     return basis

@@ -37,6 +37,26 @@ def test_modulate_lsb_first():
     assert out.tolist() == [-1.0, 1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0]
 
 
+def test_modulate_rejects_symbols_outside_the_field():
+    """16 and -1 are no GF(16) symbols: their low four bits would pass for
+    the symbols 0 and 15."""
+    for bad in ([16], [-1], (3, 16, 0), np.array([2, -1])):
+        with pytest.raises(ValueError, match=r"GF\(16\) symbols lie in \[0, 16\)"):
+            modulate(GF16, bad)
+    assert modulate(GF16, []).size == 0
+
+
+def test_likelihoods_weigh_each_value_by_its_bits():
+    """pi[i][j] sums the Gaussian log-densities of sample j's bits about the
+    signs 1 - 2*(bit b of i), in the order likelihoods adds them."""
+    rng = np.random.default_rng(3)
+    r, sigma2 = rng.standard_normal(15 * 4), 0.6
+    bits = (np.arange(16)[:, None] >> np.arange(4)[None, :]) & 1
+    d = r.reshape(15, 4)[None, :, :] - (1.0 - 2.0 * bits)[:, None, :]
+    want = -(d * d).sum(axis=2) / (2.0 * sigma2) - 0.5 * 4 * math.log(2.0 * math.pi * sigma2)
+    assert np.array_equal(likelihoods(GF16, 15, r, sigma2), want)
+
+
 def test_transmit_deterministic_per_frame_stream():
     sig = modulate(GF16, (3, 0, 9))
     a = transmit(sig, 0.7, frame_rng(42, 5))

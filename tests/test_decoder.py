@@ -24,7 +24,7 @@ from treechase.rscode import encode, make_code
 from treechase.sim import draw_frame
 
 from conftest import pam_pi
-from reference import _codebook_scores_setup, mld_oracle, traced
+from reference import _codebook_scores_setup, front_end, mld_oracle, traced
 
 
 def test_worked_example_end_to_end(code54, example1_pi):
@@ -509,7 +509,10 @@ def test_one_trial_budget_builds_no_tree(code16, monkeypatch):
 def test_chain_is_sorted_only_when_the_tree_reads_it(code16, monkeypatch):
     """The atom chain's one sort runs on the first read of a rank.  A frame that
     a Kaneko certificate settles at trial 1, and every lcc frame, never sorts;
-    every tcgs frame that goes on to the tree search does."""
+    every tcgs frame that goes on to the tree search does.  The chain's coords
+    and weights are the lists .tolist() returns, read in place by every scan:
+    after the search they still equal a fresh sort of the atoms by (weight,
+    coord, delta)."""
     records = []
     real = decoder.soft_weights
     monkeypatch.setattr(decoder, "soft_weights",
@@ -520,6 +523,12 @@ def test_chain_is_sorted_only_when_the_tree_reads_it(code16, monkeypatch):
         res = tcgs_decode(code16, pi, tcgs)
         reached_tree = res.trials > 1 or res.exit_reason != EXIT_CERTIFIED_KANEKO
         assert ("_order" in vars(records[-1])) == reached_tree
+        if reached_tree:
+            lam = front_end(code16.field, pi)[1]
+            atoms = sorted((float(lam[d - 1, j]), j, d)
+                           for j in range(code16.n) for d in range(1, code16.field.q))
+            assert records[-1].coords == [j for _, j, _ in atoms]
+            assert records[-1].weights == [w for w, _, _ in atoms]
         sorted_frames += reached_tree
         unsorted_frames += not reached_tree
         lcc_decode(code16, pi, lcc)

@@ -378,4 +378,4 @@ def check_synth_div(f, a, beta):
     want = (quo, rem[0] if rem else 0, f.poly_eval(quo, beta))
     assert f.poly_synth_div(a, beta) == want
     assert Field.poly_synth_div(f, a, beta) == want
-    assert f.poly_synth_div(tuple(a), beta) == want  # factorize divides q0, a tuple
+    assert f.poly_synth_div(tuple(a), beta) == want  # any sequence, not only a list

@@ -1,8 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treechase.galois import BinaryField, PrimeField, make_field, poly_trim
+from treechase.galois import BinaryField, PrimeField, lagrange_table, make_field, poly_trim
 from treechase.interp import (
     BivarPoly,
     GroebnerBasis,
@@ -48,17 +50,17 @@ def leading_terms_split(basis) -> bool:
 
 def test_wdeg_key_orders_by_weighted_degree():
     k = 2
-    assert wdeg_key(k, BivarPoly((1,), ())) == (0, 0)          # 1
-    assert wdeg_key(k, BivarPoly((), (1,))) == (1, 1)          # y, weight k-1
-    assert wdeg_key(k, BivarPoly((0, 0, 1), ())) == (2, 0)     # x^2
+    assert wdeg_key(k, BivarPoly([1], [])) == (0, 0)           # 1
+    assert wdeg_key(k, BivarPoly([], [1])) == (1, 1)           # y, weight k-1
+    assert wdeg_key(k, BivarPoly([0, 0, 1], [])) == (2, 0)     # x^2
     # tie deg q0 = deg q1 + k - 1 resolves to the y-bearing monomial
-    assert wdeg_key(k, BivarPoly((0, 1), (1,))) == (1, 1)
+    assert wdeg_key(k, BivarPoly([0, 1], [1])) == (1, 1)
 
 
 def test_empty_interpolation_is_unit_module():
     b = interpolate_points(GF5, 2, ())
-    assert b.polys[0].q0 == (1,) and not b.polys[0].q1
-    assert not b.polys[1].q0 and b.polys[1].q1 == (1,)
+    assert b.polys[0].q0 == [1] and not b.polys[0].q1
+    assert not b.polys[1].q0 and b.polys[1].q1 == [1]
     with pytest.raises(ValueError):
         interpolate_points(GF5, 0, ())
 
@@ -92,7 +94,7 @@ def test_backward_remove_rejects_a_basis_that_misses_its_points():
     the eliminated element's division by (x - x_j) leaves a remainder."""
     basis = interpolate_points(GF5, 2, [(0, 1), (1, 0), (2, 3)])
     P0, P1 = basis.polys
-    shifted = BivarPoly(tuple(GF5.poly_submul(list(P1.q0), [1], [1])), P1.q1)
+    shifted = BivarPoly(GF5.poly_submul(P1.q0, [1], [1]), P1.q1)
     broken = GroebnerBasis(GF5, 2, (P0, shifted), dict(basis.points))
     for x in basis.points:
         with pytest.raises(RuntimeError, match="inexact"):
@@ -251,8 +253,7 @@ CLOSED_FORM_FIELDS = [GF5, GF7, GF16, BinaryField(8)]
 def proportional(field, P, Q) -> bool:
     """P = c*Q for some nonzero c."""
     c = field.mul((P.q1 or P.q0)[-1], field.inv((Q.q1 or Q.q0)[-1]))
-    scaled = (tuple(field.poly_scale(list(Q.q0), c)), tuple(field.poly_scale(list(Q.q1), c)))
-    return c != 0 and scaled == (P.q0, P.q1)
+    return c != 0 and [field.poly_scale(Q.q0, c), field.poly_scale(Q.q1, c)] == [P.q0, P.q1]
 
 
 def assert_same_module(got, ref):
@@ -339,6 +340,50 @@ def test_interpolate_rejects_bad_points():
     for _ in range(2):  # the Lagrange table's cache keeps no exception: each call raises
         with pytest.raises(ValueError):
             interpolate(GF16, 1, (5, 5), (1, 1))
+
+
+# --- purity: bases share their coefficient lists, so no operation mutates them ---
+
+def assert_holds_trimmed_lists(basis, N):
+    """Every part of every element is a trimmed list, and none is N."""
+    for part in (part for P in basis.polys for part in (P.q0, P.q1)):
+        assert type(part) is list and part == poly_trim(list(part)) and part is not N
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([GF5, GF16, BinaryField(8)]), st.data())
+def test_no_operation_mutates_its_inputs(field, data):
+    """The records hold the lists the kernels return, and a basis shares them
+    with the bases derived from it, across search-tree branches.  interpolate
+    never hands out lagrange_table's cached N and leaves it as it was; along
+    a walk of point swaps, factorize, backward_remove and forward_add each
+    leave their input basis equal to a deep copy taken before the call; every
+    polynomial a basis holds is a trimmed list; and factorize's message, which
+    a decode result hands to its caller, is none of them."""
+    value = st.integers(0, field.q - 1)
+    xs = tuple(data.draw(st.lists(value, min_size=2, max_size=min(field.q, 16), unique=True)))
+    k = data.draw(st.integers(1, len(xs) - 1))
+    ys = data.draw(st.lists(value, min_size=len(xs), max_size=len(xs)))
+    N = lagrange_table(field, xs)[1]
+    N_before, ys_before = copy.deepcopy(N), list(ys)
+    basis = interpolate(field, k, xs, ys)
+    assert ys == ys_before
+    for _ in range(data.draw(st.integers(1, 8))):
+        assert_holds_trimmed_lists(basis, N)
+        before = copy.deepcopy((basis.polys, basis.points))
+        found = factorize(basis, xs)
+        assert (basis.polys, basis.points) == before
+        if found is not None:
+            assert all(found[0] is not part for P in basis.polys for part in (P.q0, P.q1))
+        x = data.draw(st.sampled_from(xs))
+        removed = backward_remove(basis, x)
+        assert (basis.polys, basis.points) == before
+        assert_holds_trimmed_lists(removed, N)
+        before = copy.deepcopy((removed.polys, removed.points))
+        basis = forward_add(removed, x, data.draw(value))
+        assert (removed.polys, removed.points) == before
+    assert_holds_trimmed_lists(basis, N)
+    assert lagrange_table(field, xs)[1] is N and N == N_before
 
 
 # --- factorize: the error locator's roots against one general division ---

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -35,6 +36,29 @@ def test_encode_rejects_overlong_message(code54):
     for msg in ([1, 2, 3], [1, 0, 0]):
         with pytest.raises(ValueError, match="a message has at most k = 2 coefficients, got 3"):
             encode(code54, msg)
+
+
+@pytest.mark.parametrize("code_args, message", [
+    ((2, 4, 15, 11), [16]),
+    ((2, 4, 15, 11), [1, -1]),
+    ((2, 4, 15, 11), [1, 16]),
+    ((2, 4, 15, 11), [1.0, 2]),
+    ((5, 1, 4, 2), [7, 1]),
+    ((5, 1, 4, 2), [-3, 1]),
+])
+def test_encode_rejects_coefficients_outside_the_field(code_args, message):
+    """A coefficient is a field element, an integer in [0, q).  Unchecked, the
+    GF(16) kernels would carry 16 through as a symbol of its own, read -1 as
+    15, index past their tables at [1, 16] and fail on a float at [1.0, 2];
+    GF(5) arithmetic would reduce [7, 1] and [-3, 1] alike to [2, 1]."""
+    with pytest.raises(ValueError, match=r"coefficients are integers in \[0, "):
+        encode(make_code(*code_args), message)
+
+
+def test_encode_takes_numpy_integers_and_the_zero_message(code16):
+    assert encode(code16, [np.int64(1), np.uint8(2)]) == encode(code16, [1, 2])
+    assert encode(code16, [np.uint8(15)]) == (15,) * 15
+    assert encode(code16, []) == (0,) * 15
 
 
 @given(st.lists(st.integers(0, 4), min_size=2, max_size=2))

@@ -110,3 +110,54 @@ def test_count_lines_skips_docstrings_comments_and_blanks(tmp_path, capsys):
     paths = [str(tmp_path / "a.py"), str(tmp_path / "b.py")]
     assert count_lines.main(paths) == 0
     assert [ln.split()[0] for ln in capsys.readouterr().out.splitlines()] == ["7", "1", "8"]
+
+
+def test_bench_pairs_summary_applies_the_gain_and_bound_rules():
+    """Synthetic pairs: a gain needs ten pairs or more, nine tenths of them won
+    (ties count for neither side), and medians further apart than the base's
+    interquartile range; a median worse by more than bound times the base
+    median is flagged, in either direction of better."""
+    summarize = _load("bench_pairs").summarize
+    base = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.01]  # IQR 0.0225
+    faster = [b - 0.1 for b in base]
+    s = summarize(base, faster, "lower", 0.25)
+    assert (s["wins"], s["pairs"], s["gain"], s["worse"]) == (10, 10, True, False)
+    assert s["base"][1] == 1.0 and abs(s["change"][1] - 0.9) < 1e-12
+    s = summarize(base, faster[:9] + base[9:], "lower", 0.25)  # nine wins and a tie
+    assert (s["wins"], s["gain"]) == (9, True)
+    s = summarize(base, faster[:8] + base[8:], "lower", 0.25)  # eight wins and two ties
+    assert (s["wins"], s["gain"]) == (8, False)
+    slower = faster[:8] + [b + 0.1 for b in base[8:]]  # eight wins, two losses
+    assert summarize(base, slower, "lower", 0.25)["wins"] == 8
+    assert not summarize(base, slower, "lower", 0.25)["gain"]
+    within_iqr = [b - 0.01 for b in base]  # ten wins, gap inside the base's IQR
+    assert not summarize(base, within_iqr, "lower", 0.25)["gain"]
+    assert not summarize(base[:9], faster[:9], "lower", 0.25)["gain"]  # under ten pairs
+    assert summarize([1.0], [1.3], "lower", 0.25)["worse"]
+    assert not summarize([1.0], [1.2], "lower", 0.25)["worse"]
+    assert summarize([0.9], [0.8], "higher", 0.1)["worse"]
+    assert not summarize([0.9], [0.82], "higher", 0.1)["worse"]
+    higher = summarize(base, [b + 0.1 for b in base], "higher", 0.1)
+    assert (higher["wins"], higher["gain"], higher["worse"]) == (10, True, False)
+    with pytest.raises(ValueError):
+        summarize(base, faster[:9], "lower", 0.25)
+
+
+GOOD_RUN = 'print(\'{"correct": true, "metrics": {"decode_ms.p50": {"value": 0.05}}}\')'
+
+
+@pytest.mark.parametrize("body", [
+    GOOD_RUN.replace("true", "false"),
+    "import sys; " + GOOD_RUN + "; sys.exit(1)",
+])
+def test_bench_pairs_refuses_a_failed_run(tmp_path, body):
+    """A run that reports correct: false, or exits non-zero, stops the pairs;
+    a correct one gives its metric values."""
+    run_once = _load("bench_pairs").run_once
+    (tmp_path / "perfbench").mkdir()
+    script = tmp_path / "perfbench" / "run.py"
+    script.write_text(GOOD_RUN + "\n")
+    assert run_once(str(tmp_path), "w", 0, 1.0) == {"decode_ms.p50": 0.05}
+    script.write_text(body + "\n")
+    with pytest.raises(SystemExit, match="refused"):
+        run_once(str(tmp_path), "w", 0, 1.0)
