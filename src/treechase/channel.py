@@ -47,14 +47,15 @@ def modulate(field: Field, codeword) -> np.ndarray:
     """Codeword -> n*m array of +-1 samples, LSB-first within each symbol.
 
     Binary fields only: m bits carry a GF(2^m) symbol, but not a GF(p) one.
-    ValueError for a symbol outside [0, q), whose bits past the m-th would
-    be dropped or would wrap onto those of a field element.
+    ValueError for a symbol that is no field element: one outside [0, q),
+    whose bits past the m-th would be dropped or would wrap onto those of a
+    field element, or a non-integer, which the int64 cast would truncate.
     """
     if field.p != 2:
         raise ValueError(f"BPSK carries GF(2^m) symbols only, not GF({field.p}^{field.m})")
+    if not field.are_elements(codeword):
+        raise ValueError(f"GF({field.q}) symbols are integers in [0, {field.q})")
     c = np.asarray(codeword, dtype=np.int64)
-    if c.size and (c.min() < 0 or c.max() >= field.q):
-        raise ValueError(f"GF({field.q}) symbols lie in [0, {field.q})")
     bits = (c[:, None] >> np.arange(field.m)[None, :]) & 1
     return (1.0 - 2.0 * bits).reshape(-1)
 

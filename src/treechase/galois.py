@@ -121,6 +121,12 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         return self._exp[self._order - self._log[a]]
 
+    def are_elements(self, values) -> bool:
+        """Whether every value is an element of this field: an integer (Python
+        or numpy) in [0, q).  The one rule for messages, words and symbols."""
+        q = self.q
+        return all(isinstance(v, (int, np.integer)) and 0 <= v < q for v in values)
+
     def exp_order(self) -> list[int]:
         """Nonzero elements as powers of the table generator: 1, g, g^2, ..."""
         return self._exp[: self._order]

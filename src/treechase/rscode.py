@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
 
 from .galois import Field, make_field
 
@@ -59,19 +58,13 @@ def make_code(p: int, m: int, n: int, k: int) -> CodeParams:
     return CodeParams(make_field(p, m), n, k)
 
 
-def _are_symbols(code: CodeParams, values) -> bool:
-    """Whether every value is a field element: an integer (Python or numpy) in
-    [0, q).  The one rule for message coefficients and word symbols."""
-    q = code.field.q
-    return all(isinstance(v, (int, np.integer)) and 0 <= v < q for v in values)
-
-
 def encode(code: CodeParams, message: list[int]) -> tuple[int, ...]:
     """Evaluate the message polynomial at the code's points; ValueError unless
     the message has at most k coefficients, each a field element."""
+    message = list(message)
     if len(message) > code.k:
         raise ValueError(f"a message has at most k = {code.k} coefficients, got {len(message)}")
-    if not _are_symbols(code, message):
+    if not code.field.are_elements(message):
         raise ValueError(f"a message's coefficients are integers in [0, {code.field.q})")
     return tuple(code.field.poly_evals(message, code.eval_points))
 
@@ -80,7 +73,7 @@ def check_word(code: CodeParams, word) -> tuple[int, ...]:
     """word as a tuple; ValueError unless it has n symbols, each a field
     element."""
     w = tuple(word)
-    if len(w) != code.n or not _are_symbols(code, w):
+    if len(w) != code.n or not code.field.are_elements(w):
         raise ValueError(f"a word of the code has {code.n} symbols in [0, {code.field.q}), "
                          "each an integer")
     return w

@@ -39,9 +39,9 @@ def test_modulate_lsb_first():
 
 def test_modulate_rejects_symbols_outside_the_field():
     """16 and -1 are no GF(16) symbols: their low four bits would pass for
-    the symbols 0 and 15."""
-    for bad in ([16], [-1], (3, 16, 0), np.array([2, -1])):
-        with pytest.raises(ValueError, match=r"GF\(16\) symbols lie in \[0, 16\)"):
+    the symbols 0 and 15.  Nor is 1.5, which an integer cast would send as 1."""
+    for bad in ([16], [-1], (3, 16, 0), np.array([2, -1]), [1.5], np.array([1.5])):
+        with pytest.raises(ValueError, match=r"GF\(16\) symbols are integers in \[0, 16\)"):
             modulate(GF16, bad)
     assert modulate(GF16, []).size == 0
 

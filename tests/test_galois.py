@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -81,6 +82,15 @@ def test_make_field_validation():
     for p, m in ((2, 17), (3, 20), (65537, 1)):  # too large: m > 12, or p > 257
         with pytest.raises(ValueError):
             make_field(p, m)
+
+
+def test_are_elements_takes_integers_in_range_only():
+    f16, f5 = make_field(2, 4), make_field(5, 1)
+    assert f16.are_elements([0, 15, np.int64(3), np.uint8(7)]) and f16.are_elements([])
+    assert f16.are_elements(np.array([1, 2])) and f5.are_elements(range(5))
+    for bad in ([16], [-1], [1.0], [1.5], np.array([1.5]), ["1"], [None]):
+        assert not f16.are_elements(bad)
+    assert not f5.are_elements([5]) and not f5.are_elements([-3])
 
 
 # --- polynomial helpers (coefficient lists, low degree first) ---

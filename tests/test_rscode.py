@@ -57,6 +57,7 @@ def test_encode_rejects_coefficients_outside_the_field(code_args, message):
 
 def test_encode_takes_numpy_integers_and_the_zero_message(code16):
     assert encode(code16, [np.int64(1), np.uint8(2)]) == encode(code16, [1, 2])
+    assert encode(code16, np.array([1, 2])) == encode(code16, [1, 2])
     assert encode(code16, [np.uint8(15)]) == (15,) * 15
     assert encode(code16, []) == (0,) * 15
 

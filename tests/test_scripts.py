@@ -116,9 +116,10 @@ def test_bench_pairs_summary_applies_the_gain_and_bound_rules():
     """Synthetic pairs: a gain needs ten pairs or more, nine tenths of them won
     (ties count for neither side), and medians further apart than the base's
     interquartile range; a median worse by more than bound times the base
-    median is flagged, in either direction of better."""
+    median is flagged, in either direction of better, and so is a spread too
+    wide to judge that bound."""
     summarize = _load("bench_pairs").summarize
-    base = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.01]  # IQR 0.0225
+    base = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.01]  # IQR 0.0175
     faster = [b - 0.1 for b in base]
     s = summarize(base, faster, "lower", 0.25)
     assert (s["wins"], s["pairs"], s["gain"], s["worse"]) == (10, 10, True, False)
@@ -139,6 +140,17 @@ def test_bench_pairs_summary_applies_the_gain_and_bound_rules():
     assert not summarize([0.9], [0.82], "higher", 0.1)["worse"]
     higher = summarize(base, [b + 0.1 for b in base], "higher", 0.1)
     assert (higher["wins"], higher["gain"], higher["worse"]) == (10, True, False)
+    # unresolved: an IQR wider than bound times the base median, on either
+    # side, unless every change run beats every base run
+    assert not any(summarize(base, c, "lower", 0.25)["unresolved"] for c in (faster, slower))
+    assert summarize(base, within_iqr, "lower", 0.015)["unresolved"]  # IQR 0.0175 > 0.015
+    assert not summarize(base, faster, "lower", 0.015)["unresolved"]  # every run beats every one
+    wide = [1.0, 1.5, 0.5, 1.2, 0.8, 1.0, 1.4, 0.6, 1.1, 0.9]  # IQR 0.35, median 1.0
+    s = summarize(base, wide, "lower", 0.25)
+    assert (s["worse"], s["unresolved"]) == (False, True)
+    apart = [0.5, 0.8, 0.6, 0.7, 0.9, 0.5, 0.8, 0.6, 0.7, 0.9]  # all below min(base)
+    assert not summarize(base, apart, "lower", 0.1)["unresolved"]  # IQR 0.2 > 0.1
+    assert summarize(base, apart, "higher", 0.1)["unresolved"]
     with pytest.raises(ValueError):
         summarize(base, faster[:9], "lower", 0.25)
 
