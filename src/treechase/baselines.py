@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import check_pi
-from .decoder import EXIT_BUDGET, DecodeResult, _Search
+from .decoder import EXIT_BUDGET, DecodeResult, _Search, check_count
 from .rscode import CodeParams, check_word
 
 # Unused here: the benchmark tracer (perfbench/tracing.py) wraps these names in this module.
@@ -34,13 +34,12 @@ from .rscode import encode  # noqa: F401
 
 @dataclass(frozen=True)
 class LccConfig:
-    """eta least reliable positions; 2^eta test vectors; 0 <= eta <= n."""
+    """eta least reliable positions; 2^eta test vectors; eta an integer in [0, n]."""
 
     eta: int = 4
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError("eta must be >= 0")
+        check_count("eta", self.eta, 0)
 
 
 def lcc_decode(code: CodeParams, pi: np.ndarray, cfg: LccConfig | None = None,
@@ -49,16 +48,15 @@ def lcc_decode(code: CodeParams, pi: np.ndarray, cfg: LccConfig | None = None,
     if cfg.eta > code.n:
         raise ValueError("eta must be <= n")
     s = _Search(code, pi, genie_codeword, None)
-    z, sub = s.sw.z, s.sub
+    z = s.sw.z
 
     def gray_walk(basis):
         # reliability of a coordinate = weight of its cheapest single-symbol change,
         # ties to the lower coordinate; built only for frames trial 1 did not settle
         lrps = np.argsort(s.sw.mins, kind="stable")[:cfg.eta]
-        # the cheapest change of each, ties to the smallest delta, off its own column of lam
-        deltas = (s.sw.lam_columns(lrps).argmin(axis=0) + 1).tolist()
+        # the cheapest change of each, ties to the smallest symbol: W[z_j][j] = +inf
+        second = s.sw.W[:, lrps].argmin(axis=0).tolist()
         lrps = lrps.tolist()
-        second = [sub(z[j], d) for j, d in zip(lrps, deltas)]
         for i in range(1, 1 << cfg.eta):
             # Gray code i flips bit b = ctz(i): lrps[b] holds its second-best
             # symbol exactly when bit b of the Gray word i ^ (i >> 1) is set

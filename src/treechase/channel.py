@@ -127,15 +127,13 @@ class SoftWeights:
     settles reads nothing else.
 
     The atom (j, d) is the change of z_j by d, to v = z_j - d, of weight
-    lam[d-1][j] = W[z_j - d][j], the same float64; lam is the delta-layout
-    table, gathered from W on first read, and lam_columns gathers some of its
-    columns.  The atom chain is its sorted view: coords and weights are
-    parallel lists indexed by 0-based rank, ascending by (weight, coord,
-    delta), and atom(rank) is (coord, delta).  They are the sorted arrays'
-    .tolist() results, uncopied, which no reader mutates.  The one stable
-    argsort behind them runs the first time one of them is read.  So the
-    whole gather and the sort run only for the tree's pops or a trace; lcc's
-    second-best symbols read only their own columns.
+    W[v][j].  The atom chain is the sorted view of W itself: coords and
+    weights are parallel lists indexed by 0-based rank, ascending by (weight,
+    coord, symbol v), and atom(rank) is (coord, d).  They are the sorted
+    arrays' .tolist() results, uncopied, which no reader mutates.  The one
+    stable argsort behind them runs the first time one of them is read, so
+    only the tree's pops or a trace pay for it; lcc's second-best symbols are
+    the argmin of their own columns of W.
     """
 
     field: Field
@@ -156,36 +154,25 @@ class SoftWeights:
     def size(self) -> int:
         return self.W.size - self.zv.size
 
-    def lam_columns(self, cols: np.ndarray) -> np.ndarray:
-        """lam[:, cols]: lam[d-1][j] = W[z_j - d][j], z_j - d in the field:
-        XOR in characteristic 2, integers mod p otherwise."""
-        p, zv = self.field.p, self.zv[cols]
-        d = np.arange(1, self.field.q)[:, None]
-        return self.W[zv ^ d if p == 2 else (zv - d) % p, cols]
-
-    @cached_property
-    def lam(self) -> np.ndarray:
-        """The delta-layout table, shape (q-1, n)."""
-        return self.lam_columns(np.arange(self.zv.size))
-
     @cached_property
     def _order(self) -> np.ndarray:
-        """Atom indices j*(q-1) + d-1 by (weight, coord, delta): the sort is
-        stable, so atoms of equal weight keep index order, (coord, delta)."""
-        return np.argsort(self.lam.T.ravel(), kind="stable")
+        """Indices j*q + v of W.T by (weight, coord, symbol), cut to the atoms:
+        the sort is stable, so entries of equal weight keep index order, and
+        the n +inf entries (no change) sort after every atom."""
+        return np.argsort(self.W.T.ravel(), kind="stable")[:self.size]
 
     @cached_property
     def coords(self) -> list[int]:
-        return (self._order // self.lam.shape[0]).tolist()
+        return (self._order // self.field.q).tolist()
 
     @cached_property
     def weights(self) -> list[float]:
-        return self.lam.T.ravel()[self._order].tolist()
+        return self.W.T.ravel()[self._order].tolist()
 
     def atom(self, rank: int) -> tuple[int, int]:
         """(coordinate, delta) of the atom at rank."""
-        j, d = divmod(int(self._order[rank]), self.lam.shape[0])
-        return (j, d + 1)
+        j, v = divmod(int(self._order[rank]), self.field.q)
+        return (j, self.field.sub(self.z[j], v))
 
 
 def soft_weights(field: Field, pi: np.ndarray) -> SoftWeights:

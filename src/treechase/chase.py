@@ -1,10 +1,11 @@
 """Ordered error-pattern search space for soft-decision Chase decoding.
 
 An atom is a single-coordinate modification (j, delta): subtract delta from
-the hard decision at coordinate j.  Atoms carry the nonnegative soft weight
-lam_j(delta) and are totally ordered by (weight, coordinate, delta); the
-sorted sequence is the atom chain, and every error hypothesis is a
-rank-increasing sub-chain with distinct coordinates (a flipping pattern).
+the hard decision at coordinate j, giving the symbol v = z_j - delta.  Atoms
+carry the nonnegative soft weight W[v][j] and are totally ordered by (weight,
+coordinate, v); the sorted sequence is the atom chain, and every error
+hypothesis is a rank-increasing sub-chain with distinct coordinates (a
+flipping pattern).
 A pattern is the plain tuple of its strictly increasing ranks; the root is ().
 
 For a code with half-distance radius t_min, a pattern f opens the candidate
@@ -26,7 +27,7 @@ codeword has a smaller rounded weight.
 
 The chain is the sorted view of the weight table (channel.SoftWeights:
 coords, weights and atom(rank), one stable argsort of the coordinate-major
-weights on first read, whose index order is (coordinate, delta), so ties need
+weights W.T on first read, whose index order is (coordinate, v), so ties need
 no second key).  bound_B and both tree moves are one greedy scan of the chain
 past the pattern.  The Kaneko floor kaneko_B0 needs no chain and no sort at
 all: the first atom a scan of the sorted chain meets on each coordinate is

@@ -9,9 +9,8 @@ factorize(basis, xs) returns None or the message and its codeword (u, c) in
 one call.  _Search is the engine every decoder shares.  It owns the front
 end (one soft_weights pass over pi gives the hard decision z, the soft
 weights in symbol layout, their per-coordinate minima and the weight of z;
-the delta-layout table and its sorted view, the atom chain, are built from
-them only when the tree, lcc or a trace reads them) and the running
-hypothesis (the lightest error pattern
+the sorted view of those weights, the atom chain, is built only when the tree
+or a trace reads it) and the running hypothesis (the lightest error pattern
 e* whose subtraction from z gives a codeword), and it runs every trial: run
 makes the first (z interpolated in closed form), hands that basis to a
 pattern order, and assembles the DecodeResult from the exit reason the
@@ -65,9 +64,18 @@ EXIT_GENIE = "genie_found"
 CERTIFIED_EXITS = frozenset({EXIT_CERTIFIED_TREE, EXIT_CERTIFIED_KANEKO})
 
 
+def check_count(name: str, value, least: int) -> None:
+    """ValueError unless value is an integer, Python's or numpy's (not a float
+    such as 2.0), of at least least."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 @dataclass(frozen=True)
 class DecoderConfig:
-    """max_trials is the hard-decision decode budget L (>= 1).
+    """max_trials is the hard-decision decode budget L, an integer >= 1.
 
     loglik_floor switches on threshold termination: it is the least total
     log-likelihood sum_j pi[c_j][j] a codeword c inside the sphere can have
@@ -79,8 +87,7 @@ class DecoderConfig:
     loglik_floor: float | None = None
 
     def __post_init__(self):
-        if self.max_trials < 1:
-            raise ValueError("max_trials must be >= 1")
+        check_count("max_trials", self.max_trials, 1)
         if self.loglik_floor is not None and not math.isfinite(self.loglik_floor):
             raise ValueError("loglik_floor must be finite")
 

@@ -38,7 +38,7 @@ import numpy as np
 from .baselines import LccConfig, classify_ml, lcc_decode
 from .channel import (_WEIGHT_TOTAL_MAX, frame_rng, likelihoods, loglik_floor, modulate,
                       sigma_from_snr_db, transmit)
-from .decoder import DecoderConfig, tcgs_decode
+from .decoder import DecoderConfig, check_count, tcgs_decode
 from .rscode import CodeParams, encode, make_code
 
 ALGORITHMS = ("tcgs", "lcc", "hdd")
@@ -74,18 +74,11 @@ class SweepConfig:
             raise ValueError("no algorithms selected")
         if not self.snr_db:
             raise ValueError("no SNR points")
-        if self.L < 1:
-            raise ValueError("L must be >= 1")
+        for name, least in (("L", 1), ("max_frames", 1), ("min_errors", 0), ("workers", 1),
+                            ("seed", 0)):
+            check_count(name, getattr(self, name), least)
         if "lcc" in self.algorithms and not 0 <= self.eta <= self.n:
             raise ValueError("eta must be in [0, n]")
-        if self.max_frames < 1:
-            raise ValueError("max_frames must be >= 1")
-        if self.min_errors < 0:
-            raise ValueError("min_errors must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         if self.threshold_eps is not None and not 0.0 < self.threshold_eps < 1.0:
             raise ValueError("threshold_eps must be in (0, 1)")
         for snr_db in self.snr_db:  # every point's noise and decoder, as run_point builds them

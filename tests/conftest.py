@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from treechase import CodeParams, SoftWeights, load_pi, make_code, make_field
 from treechase.rscode import encode
@@ -55,16 +57,28 @@ def pam_pi(code: CodeParams, rng: np.random.Generator,
     return pi, cw
 
 
+@st.composite
+def fields_and_pis(draw):
+    """(field, pi) over GF(5), GF(7) or GF(16): pi real, or on a few levels so
+    that entries of a column tie."""
+    field = draw(st.sampled_from([make_field(5), make_field(7), make_field(2, 4)]))
+    levels = draw(st.sampled_from([st.floats(-40.0, 5.0), st.integers(-3, 0).map(float)]))
+    return field, draw(hnp.arrays(np.float64, (field.q, draw(st.integers(1, 15))),
+                                  elements=levels))
+
+
 def random_lam(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
     """Random positive soft-weight table, shape (q-1, n), no ties in practice."""
     return rng.uniform(0.01, 3.0, size=(q - 1, n))
 
 
 def weights_of(lam: np.ndarray) -> SoftWeights:
-    """SoftWeights of a hand-made delta-layout table lam, shape (q-1, n), read
-    as the weights about the all-zero hard decision, whose own weight is then
-    0.  Symbols are integers mod q, any q >= 2 (the chain needs no field), so
-    W[-d mod q][j] = lam[d-1][j], W[0][j] = +inf, and sw.lam is lam itself."""
+    """SoftWeights of a hand-made table lam, shape (q-1, n), read as the weights
+    about the all-zero hard decision, whose own weight is then 0: lam[d-1][j]
+    is the weight of the atom (j, d).  Symbols are integers mod q, any q >= 2
+    (the chain needs no field), so W[-d mod q][j] = lam[d-1][j] and
+    W[0][j] = +inf; among atoms of equal weight on one coordinate the chain
+    puts the smaller symbol -d mod q, so the larger delta, first."""
     q, n = lam.shape[0] + 1, lam.shape[1]
     ring = SimpleNamespace(p=q, q=q, sub=lambda a, b: (a - b) % q)
     W = np.full((q, n), np.inf)

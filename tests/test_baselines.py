@@ -39,7 +39,7 @@ def test_lcc_exhaustive_matches_brute_force(code54, example1_pi):
     f = code54.field
     sw = soft_weights(f, example1_pi)
     z = sw.z
-    second = [f.sub(z[j], int(sw.lam.argmin(axis=0)[j]) + 1) for j in range(4)]
+    second = sw.W.argmin(axis=0).tolist()  # W[z_j][j] = +inf: the cheapest change of z_j
     best_w, best_u = None, None
     for mask in itertools.product((0, 1), repeat=4):
         y = [second[j] if mask[j] else z[j] for j in range(4)]
@@ -54,6 +54,21 @@ def test_lcc_exhaustive_matches_brute_force(code54, example1_pi):
             best_w, best_u = w, u
     assert res.message == best_u
     assert res.best_weight == pytest.approx(best_w)
+
+
+def test_lcc_breaks_a_tie_for_second_best_by_the_smaller_symbol(code54):
+    """Coordinate 0 is the least reliable: z_0 = 3, and symbols 0 and 1 tie for
+    second best.  Symbol 0 is the change of z_0 by delta 3 and symbol 1 the one
+    by delta 2, so the tie-break by symbol and the one by delta differ.  z and
+    (1, 0, 3, 0) are two symbols from every codeword, (0, 0, 3, 0) one from the
+    zero codeword, so lcc at eta = 1 finds a codeword only by trying symbol 0."""
+    z = (3, 0, 3, 0)
+    pi = np.full((5, 4), -2.0)
+    pi[list(z), range(4)] = 0.0
+    pi[[0, 1], 0] = -0.5
+    assert soft_weights(code54.field, pi).W[:, 0].tolist() == [0.5, 0.5, 2.0, np.inf, 2.0]
+    res = lcc_decode(code54, pi, LccConfig(eta=1))
+    assert (res.trials, res.codeword, res.best_weight) == (2, (0, 0, 0, 0), 2.5)
 
 
 def test_lcc_gray_walk_single_swap_per_trial(code16):
@@ -80,6 +95,10 @@ def test_lcc_budget_never_exceeds_tcgs_with_matching_budget(code54):
 def test_lcc_eta_validation(code54, example1_pi):
     with pytest.raises(ValueError):
         LccConfig(eta=-1)
+    for eta in (2.0, 2.5):  # 1 << 2.0 would raise TypeError inside the Gray walk
+        with pytest.raises(ValueError, match="eta must be an integer"):
+            LccConfig(eta=eta)
+    assert LccConfig(eta=np.int64(2)).eta == 2
     with pytest.raises(ValueError):
         lcc_decode(code54, example1_pi, LccConfig(eta=5))
     with pytest.raises(ValueError, match="eta"):  # checked before the front end reads pi

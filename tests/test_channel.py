@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 
 from treechase.channel import (
     SoftWeights,
@@ -19,6 +18,7 @@ from treechase.channel import (
 )
 from treechase.galois import BinaryField, PrimeField
 
+from conftest import fields_and_pis
 from reference import front_end, save_pi
 
 GF16 = BinaryField(4)
@@ -109,9 +109,11 @@ def test_soft_weights_reproduce_worked_matrix(example1_pi):
         [1.12, 0.09, 0.59, 0.11],
         [1.56, 0.46, 1.42, 0.73],
     ]
+    chain = {sw.atom(r): sw.weights[r] for r in range(sw.size)}
+    assert sorted(chain) == [(j, d) for j in range(4) for d in range(1, 5)]
     for d in range(1, 5):
         for j in range(4):
-            assert float(sw.lam[d - 1, j]) == pytest.approx(expected[d - 1][j], abs=5e-3)
+            assert chain[j, d] == pytest.approx(expected[d - 1][j], abs=5e-3)
 
 
 def test_soft_weights_nonnegative_at_hard_decision(code16):
@@ -119,7 +121,8 @@ def test_soft_weights_nonnegative_at_hard_decision(code16):
     sig = transmit(modulate(GF16, (0,) * 15), 1.0, rng)
     pi = likelihoods(GF16, 15, sig, 1.0)
     sw = soft_weights(GF16, pi)
-    assert float(sw.lam.min()) >= 0.0
+    assert len(sw.weights) == sw.size == 15 * 15
+    assert min(sw.weights) >= 0.0
 
 
 def test_pattern_weight_sums_entries(example1_pi):
@@ -136,19 +139,10 @@ def test_char2_weights_use_xor_indexing():
     pi = likelihoods(GF16, 15, sig, 0.64)
     sw = soft_weights(GF16, pi)
     z = sw.z
+    chain = {sw.atom(r): sw.weights[r] for r in range(sw.size)}
     for j in (0, 7, 14):
         for d in (1, 9, 15):
-            assert float(sw.lam[d - 1, j]) == pytest.approx(float(pi[z[j], j] - pi[z[j] ^ d, j]))
-
-
-@st.composite
-def fields_and_pis(draw):
-    """(field, pi) over GF(5), GF(7) or GF(16): pi real, or on a few levels so
-    that entries of a column tie."""
-    field = draw(st.sampled_from([PrimeField(5), PrimeField(7), GF16]))
-    levels = draw(st.sampled_from([st.floats(-40.0, 5.0), st.integers(-3, 0).map(float)]))
-    return field, draw(hnp.arrays(np.float64, (field.q, draw(st.integers(1, 15))),
-                                  elements=levels))
+            assert chain[j, d] == pytest.approx(float(pi[z[j], j] - pi[z[j] ^ d, j]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -156,8 +150,8 @@ def fields_and_pis(draw):
 def test_soft_weights_equal_the_separate_steps(case, data):
     """The one-pass front end gives the z, weights, minima and weight of z of
     the separate steps, bit for bit: W in symbol layout is top - pi (+inf at
-    z itself), its gathered delta layout is lam (and any of its columns, as
-    gathered alone), its column minima are the
+    z itself), the chain's weight of each atom (j, d), read through atom and
+    weights, is lam[d-1][j], its column minima are the
     minima, and the weight of any error vector read off W is the fsum of the
     separate steps' weights."""
     field, pi = case
@@ -168,11 +162,10 @@ def test_soft_weights_equal_the_separate_steps(case, data):
     W = pi[list(z), range(n)] - pi
     W[list(z), range(n)] = np.inf  # no change at z itself
     assert sw.W.tobytes() == W.tobytes()
-    assert "lam" not in vars(sw)  # gathered on first read only
-    cols = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n)), dtype=np.int64)
-    assert sw.lam_columns(cols).tobytes() == lam[:, cols].tobytes()  # lcc's columns
-    assert "lam" not in vars(sw)
-    assert sw.lam.tobytes() == lam.tobytes()
+    assert "_order" not in vars(sw)  # sorted on first read only
+    chain = {sw.atom(r): sw.weights[r].hex() for r in range(sw.size)}
+    assert chain == {(j, d): float(lam[d - 1, j]).hex()
+                     for j in range(n) for d in range(1, field.q)}
     assert np.array(sw.mins).tobytes() == np.array(mins).tobytes()
     assert sw.z_weight.hex() == z_weight.hex() == sw.pattern_weight(z).hex()
     e = data.draw(st.lists(st.integers(0, field.q - 1), min_size=n, max_size=n))

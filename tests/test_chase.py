@@ -17,7 +17,7 @@ from treechase.chase import (
 )
 from treechase.galois import PrimeField
 
-from conftest import random_lam, weights_of
+from conftest import fields_and_pis, random_lam, weights_of
 from reference import codebook, minimal_decompose, pattern_from_ranks, rank_of
 
 GF5 = PrimeField(5)
@@ -55,10 +55,12 @@ def test_chain_matches_printed_order(ex_chain):
 
 
 def lexsort_atoms(lam: np.ndarray) -> list[tuple[int, int, float]]:
-    """Reference chain: (coord, delta, weight) sorted by the three keys weight, coord, delta."""
+    """Reference chain of weights_of(lam): (coord, delta, weight) sorted by the
+    three keys weight, coord, symbol, where the atom (j, d) changes z_j = 0 to
+    the symbol -d mod q."""
     qm1, n = lam.shape
     flat = np.arange(qm1 * n)
-    order = np.lexsort((flat // n, flat % n, lam.ravel()))
+    order = np.lexsort((-(flat // n + 1) % (qm1 + 1), flat % n, lam.ravel()))
     return [(int(i % n), int(i // n) + 1, float(lam.ravel()[i])) for i in order]
 
 
@@ -89,10 +91,28 @@ def test_chain_rejects_negative_weights():
         chain_from_lam(lam)
 
 
-def test_chain_tie_break_is_coordinate_then_delta():
+def test_chain_tie_break_is_coordinate_then_symbol():
+    """About z = 0 in GF(3) the atom (j, 2) changes z_j to 1 and (j, 1) to 2."""
     lam = np.array([[0.5, 0.5], [0.5, 0.5]])
     chain = chain_from_lam(lam)
-    assert [chain.atom(r) for r in range(4)] == [(0, 1), (0, 2), (1, 1), (1, 2)]
+    assert [chain.atom(r) for r in range(4)] == [(0, 2), (0, 1), (1, 2), (1, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields_and_pis())
+def test_chain_is_the_three_key_lexsort_of_W(case):
+    """The chain of soft_weights is W's entries off z sorted by weight, coord,
+    symbol, with real pi and with pi on a few levels, whose columns tie."""
+    field, pi = case
+    sw = soft_weights(field, pi)
+    q, n = sw.W.shape
+    v, j = np.divmod(np.arange(q * n), n)  # W.ravel() is symbol-major
+    w = sw.W.ravel()
+    ref = [i for i in np.lexsort((v, j, w)).tolist() if v[i] != sw.z[j[i]]]
+    assert sw.coords == j[ref].tolist()
+    assert sw.weights == w[ref].tolist()
+    assert [sw.atom(r) for r in range(sw.size)] == [
+        (int(j[i]), field.sub(sw.z[j[i]], int(v[i]))) for i in ref]
 
 
 def test_greedy_examples_from_worked_trace(ex_chain):

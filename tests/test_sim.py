@@ -107,11 +107,19 @@ def test_sweep_config_rejects_snr_without_finite_noise_variance(snr_db):
 @pytest.mark.parametrize("kw, cause", [
     (dict(seed=-1), "seed must be >= 0"),
     (dict(snr_db=(5.0, 3050.0)), "SNR 3050.0 dB gives likelihoods too large to weigh"),
+    (dict(max_frames=20.5), "max_frames must be an integer"),
+    (dict(seed=1.5), "seed must be an integer"),
+    (dict(workers=1.5), "workers must be an integer"),
+    (dict(min_errors=0.5), "min_errors must be an integer"),
+    (dict(L=2.0), "L must be an integer"),
+    (dict(algorithms=("lcc",), L=1.5), "L must be an integer"),
+    (dict(algorithms=("lcc",), eta=2.0), "eta must be an integer"),
 ])
 def test_sweep_config_rejects_what_run_sweep_cannot_run(kw, cause):
-    """A negative seed (numpy's frame streams take none), or an SNR whose
-    likelihoods overflow the soft-weight check, is rejected when the config is
-    built, not inside run_sweep."""
+    """A negative seed (numpy's frame streams take none), an SNR whose
+    likelihoods overflow the soft-weight check, or a count that is no integer
+    (a TypeError inside run_sweep, or a budget the config does not name) is
+    rejected when the config is built, not inside run_sweep."""
     with pytest.raises(ValueError, match=re.escape(cause)):
         small_cfg(**kw)
 
