@@ -1,12 +1,12 @@
 """Gray-coded low-complexity Chase baseline and ML-performance bookkeeping.
 
 The baseline is the second pattern order over the decoder's trial engine
-(decoder._Search), which runs the first trial, every point swap, the Kaneko
-and genie exits and the result.  The order itself ranks coordinates by the
-gap between the two best column log-likelihoods, takes the eta least
-reliable positions, and walks all 2^eta hard-decision test vectors built
-from {best, second-best} symbols in Gray-code order, so consecutive vectors
-differ in a single coordinate and each costs one trial.
+(decoder._Search), which runs the first trial, every point swap and the
+Kaneko and genie exits, and fills in the result.  The order itself ranks
+coordinates by the gap between the two best column log-likelihoods, takes
+the eta least reliable positions, and walks all 2^eta hard-decision test
+vectors built from {best, second-best} symbols in Gray-code order, so
+consecutive vectors differ in a single coordinate and each costs one trial.
 
 classify_ml sandwiches the simulated ML frame-error rate: every frame
 contributes indicator bounds e_lower <= E_ML <= e_upper based on whether the
@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import check_pi
-from .decoder import EXIT_BUDGET, DecodeResult, _Search, check_count
+from .decoder import EXIT_BUDGET, DecodeResult, _Search
+from .galois import check_count
 from .rscode import CodeParams, check_word
 
 # Unused here: the benchmark tracer (perfbench/tracing.py) wraps these names in this module.
@@ -62,7 +63,7 @@ def lcc_decode(code: CodeParams, pi: np.ndarray, cfg: LccConfig | None = None,
             # symbol exactly when bit b of the Gray word i ^ (i >> 1) is set
             b = (i & -i).bit_length() - 1
             j = lrps[b]
-            s.steps += 1
+            s.res.steps += 1
             basis, exit_reason = s.trial(basis, j, second[b] if (i ^ (i >> 1)) >> b & 1 else z[j])
             if exit_reason is not None:
                 return exit_reason

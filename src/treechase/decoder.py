@@ -10,14 +10,17 @@ one call.  _Search is the engine every decoder shares.  It owns the front
 end (one soft_weights pass over pi gives the hard decision z, the soft
 weights in symbol layout, their per-coordinate minima and the weight of z;
 the sorted view of those weights, the atom chain, is built only when the tree
-or a trace reads it) and the running hypothesis (the lightest error pattern
-e* whose subtraction from z gives a codeword), and it runs every trial: run
-makes the first (z interpolated in closed form), hands that basis to a
-pattern order, and assembles the DecodeResult from the exit reason the
-order returns; trial makes each later one.  A decoder is only its pattern
-order: tcgs_decode pops flipping patterns best-first by their bound B, and
-baselines.lcc_decode Gray-walks the test vectors of its least reliable
-positions.  Certificates:
+or a trace reads it) and res, the DecodeResult it returns, which it fills in
+as it runs: the running hypothesis (the lightest error pattern e* whose
+subtraction from z gives a codeword, its weight w*, message u* and codeword
+c*) is res.best_error, res.best_weight, res.message and res.codeword, and
+res.trials and res.steps are the counters the pattern order advances.  The
+engine runs every trial: run makes the first (z interpolated in closed
+form), hands that basis to a pattern order, sets res.exit_reason to the
+reason the order returns and returns res; trial makes each later one.  A
+decoder is only its pattern order: tcgs_decode pops flipping patterns
+best-first by their bound B, and baselines.lcc_decode Gray-walks the test
+vectors of its least reliable positions.  Certificates:
 
   certified_tree    at a pop, weight(e*) <= B(front pattern): nothing lighter
                     can be generated by any unexplored pattern.
@@ -46,7 +49,7 @@ import numpy as np
 
 from .channel import check_pi, soft_weights
 from .chase import bound_B, kaneko_B0, leftmost_child, next_sibling, render_pattern
-from .galois import poly_str
+from .galois import check_count, poly_str
 from .interp import GroebnerBasis, backward_remove, factorize, forward_add, interpolate
 from .rscode import CodeParams, check_word
 
@@ -62,15 +65,6 @@ EXIT_THRESHOLD = "threshold_reached"
 EXIT_GENIE = "genie_found"
 
 CERTIFIED_EXITS = frozenset({EXIT_CERTIFIED_TREE, EXIT_CERTIFIED_KANEKO})
-
-
-def check_count(name: str, value, least: int) -> None:
-    """ValueError unless value is an integer, Python's or numpy's (not a float
-    such as 2.0), of at least least."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass(frozen=True)
@@ -129,47 +123,46 @@ class _Search:
     """The state of one decode, shared by every pattern order.
 
     The order picks which basis to try next; the engine interpolates, swaps
-    points, attempts each basis, counts the trials, and assembles the result.
+    points, attempts each basis and fills in res, the DecodeResult it returns:
+    res.best_error, res.best_weight, res.message and res.codeword are the
+    running hypothesis e*, w*, u*, c*, and res.trials and res.steps count the
+    trials and the order's moves.
     """
 
     def __init__(self, code: CodeParams, pi: np.ndarray,
                  genie_codeword: tuple[int, ...] | None, trace: list[str] | None):
         field = code.field
         self.pi = pi = check_pi(pi, field.q, code.n)
-        self.code, self.sub, self.d_min, self.trace = code, field.sub, code.d_min, trace
+        self.code, self.trace = code, trace
         self.sw = sw = soft_weights(field, pi)  # ValueError for non-finite or huge pi
         self.genie = check_word(code, genie_codeword) if genie_codeword is not None else None
-        # running hypothesis: initially e* = z itself (codeword 0, no message kept yet)
-        self.e_star, self.w_star = sw.z, sw.z_weight
-        self.u_star: list[int] | None = None
-        self.c_star: tuple[int, ...] | None = None
-        self.trials = self.steps = 0
+        # running hypothesis: initially e* = z itself (codeword 0, no message kept yet);
+        # run sets the exit reason
+        self.res = DecodeResult(message=None, codeword=None, best_error=sw.z,
+                                best_weight=sw.z_weight, trials=0, steps=0, exit_reason="")
         if trace is not None:
             trace.append(f"CODE q={field.q} n={code.n} k={code.k}")
             trace.append("Z z=" + ",".join(str(v) for v in sw.z))
             for r in range(sw.size):
                 c, d = sw.atom(r)
                 trace.append(f"ATOM rank={r + 1} coord={c} delta={d} weight={sw.weights[r]:.4f}")
-            trace.append(f"INIT weight={self.w_star:.4f}")
+            trace.append(f"INIT weight={sw.z_weight:.4f}")
 
     def run(self, order: Callable[[GroebnerBasis], str]) -> DecodeResult:
         """Interpolate z in closed form and attempt it; unless that exits, order
         runs the later trials from its basis and returns the exit reason."""
-        code = self.code
+        code, res = self.code, self.res
         basis = interpolate(code.field, code.k, code.eval_points, self.sw.zv)
-        self.trials = 1
-        exit_reason = self.attempt(basis, "0") or order(basis)
-        if exit_reason in CERTIFIED_EXITS and self.u_star is None:
+        res.trials = 1
+        res.exit_reason = self.attempt(basis, "0") or order(basis)
+        if res.exit_reason in CERTIFIED_EXITS and res.message is None:
             # e* is still z itself, so the certified output is the zero codeword
-            self.u_star = []
-            self.c_star = tuple([0] * code.n)
+            res.message, res.codeword = [], tuple([0] * code.n)
         if self.trace is not None:
-            msg = poly_str(self.u_star) if self.u_star is not None else "none"
-            self.trace.append(f"EXIT reason={exit_reason} trials={self.trials} msg={msg} "
-                              f"weight={self.w_star:.4f}")
-        return DecodeResult(message=self.u_star, codeword=self.c_star, best_error=self.e_star,
-                            best_weight=self.w_star, trials=self.trials, steps=self.steps,
-                            exit_reason=exit_reason)
+            msg = poly_str(res.message) if res.message is not None else "none"
+            self.trace.append(f"EXIT reason={res.exit_reason} trials={res.trials} msg={msg} "
+                              f"weight={res.best_weight:.4f}")
+        return res
 
     def trial(self, basis: GroebnerBasis, j: int, y_new: int,
               pattern: str = "") -> tuple[GroebnerBasis, str | None]:
@@ -177,7 +170,7 @@ class _Search:
         backward and one forward update), then the attempt."""
         x = self.code.eval_points[j]
         basis = forward_add(backward_remove(basis, x), x, y_new)
-        self.trials += 1
+        self.res.trials += 1
         return basis, self.attempt(basis, pattern)
 
     def attempt(self, basis: GroebnerBasis, pattern: str) -> str | None:
@@ -185,23 +178,23 @@ class _Search:
 
         pattern labels the trial in the trace.
         """
-        trace = self.trace
-        found = factorize(basis, self.code.eval_points)
+        code, res, trace = self.code, self.res, self.trace
+        found = factorize(basis, code.eval_points)
         if found is None:
             if trace is not None:
-                trace.append(f"HDD trial={self.trials} step={self.steps} pattern={pattern} "
+                trace.append(f"HDD trial={res.trials} step={res.steps} pattern={pattern} "
                              "result=none")
             return None
         u, c = found
-        e = tuple(map(self.sub, self.sw.z, c))
+        e = tuple(map(code.field.sub, self.sw.z, c))
         w = self.sw.pattern_weight(e)
-        improved = w < self.w_star or (self.u_star is None and w == self.w_star)
+        improved = w < res.best_weight or (res.message is None and w == res.best_weight)
         if improved:
-            self.e_star, self.w_star, self.u_star, self.c_star = e, w, u, c
-            b0 = kaneko_B0(self.sw, e, self.d_min)
+            res.best_error, res.best_weight, res.message, res.codeword = e, w, u, c
+            b0 = kaneko_B0(self.sw, e, code.d_min)
         if trace is not None:
             tail = f" b0={b0:.4f}" if improved else ""
-            trace.append(f"HDD trial={self.trials} step={self.steps} pattern={pattern} "
+            trace.append(f"HDD trial={res.trials} step={res.steps} pattern={pattern} "
                          f"result=u msg={poly_str(u)} weight={w:.4f} "
                          f"improved={int(improved)}{tail}")
         if not improved:
@@ -220,7 +213,7 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
     coordinate) into the most plausible message found within the budget."""
     cfg = cfg or DecoderConfig()
     s = _Search(code, pi, genie_codeword, trace)
-    sw, z, sub = s.sw, s.sw.z, s.sub
+    sw, z, sub, res = s.sw, s.sw.z, code.field.sub, s.res
     t_min, L = code.t_min, cfg.max_trials
 
     def tree_order(basis):
@@ -243,31 +236,31 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
         # No cap at the b trials left: each pop spends a trial or exits, so a node
         # with b better nodes ahead of it is never popped and a cap changes nothing.
         frontier: list[tuple] = []
-        if s.trials < L:  # grow the tree only while a pop can follow
+        if res.trials < L:  # grow the tree only while a pop can follow
             # the root's leftmost child is the chain's first atom, which always exists
             first = leftmost_child(sw, ())
             frontier.append((bound_B(sw, first, t_min), 1, first, basis))
-        while s.trials < L:
+        while res.trials < L:
             if not frontier:
                 # frontier exhaustion is always exact: every pattern of the tree was tried
                 return EXIT_CERTIFIED_TREE
             bound, _, f, f_basis = heapq.heappop(frontier)
-            s.steps += 1
+            res.steps += 1
             pat_str = ""  # only trace lines read the rendered pattern
             if trace is not None:
                 pat_str = render_pattern(sw, f)
-                trace.append(f"POP step={s.steps} pattern={pat_str} bound={bound:.4f}")
+                trace.append(f"POP step={res.steps} pattern={pat_str} bound={bound:.4f}")
             if T_z is not None:
                 if bound >= T_z:
                     return EXIT_THRESHOLD
-            elif s.w_star <= bound:
+            elif res.best_weight <= bound:
                 return EXIT_CERTIFIED_TREE
             # the last atom of f replaces z at its coordinate
             j, delta = sw.atom(f[-1])
             nb, exit_reason = s.trial(f_basis, j, sub(z[j], delta), pat_str)
             if exit_reason is not None:
                 return exit_reason
-            if s.trials == L:
+            if res.trials == L:
                 break  # no pop follows, so no child or sibling would be read
             # the child extends the swapped basis; the sibling swaps from the parent's
             for g, g_basis in ((leftmost_child(sw, f), nb), (next_sibling(sw, f), f_basis)):

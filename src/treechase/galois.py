@@ -49,6 +49,9 @@ values ys is one numpy gather exp[log y_j + log L_j[i]] and one reduction over
 j, XOR in GF(2^m) and a sum mod p in GF(p).  interp.interpolate reads both.
 The table is also where duplicate nodes are rejected: lru_cache keeps no
 exception, so a bad node tuple raises on every call.
+
+check_count is the one check of a size or count, here and in every module
+above: an integer, Python's or numpy's, of at least a least value.
 """
 
 from __future__ import annotations
@@ -71,6 +74,16 @@ PRIMITIVE_POLY = {
     11: 0x805,
     12: 0x1053,
 }
+
+
+def check_count(name: str, value, least: int) -> None:
+    """ValueError unless value is an integer, Python's or numpy's (not a float
+    such as 2.0), of at least least."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -335,8 +348,8 @@ class BinaryField(Field):
 
 def make_field(p: int, m: int = 1) -> Field:
     """Construct GF(p^m).  Prime p <= 257 for m = 1; p = 2, 2 <= m <= 12 otherwise."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    check_count("p", p, 2)
+    check_count("m", m, 1)
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if m == 1:

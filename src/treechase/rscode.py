@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-
-from .galois import Field, make_field
+from .galois import Field, check_count, make_field
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,6 +26,8 @@ class CodeParams:
     k: int
 
     def __post_init__(self):
+        check_count("n", self.n, 2)
+        check_count("k", self.k, 1)
         q, prime = self.field.q, self.field.m == 1
         if not (0 < self.k < self.n <= (q if prime else q - 1)):
             raise ValueError(f"need 0 < k < n <= {'q' if prime else 'q - 1'}, "

@@ -38,7 +38,8 @@ import numpy as np
 from .baselines import LccConfig, classify_ml, lcc_decode
 from .channel import (_WEIGHT_TOTAL_MAX, frame_rng, likelihoods, loglik_floor, modulate,
                       sigma_from_snr_db, transmit)
-from .decoder import DecoderConfig, check_count, tcgs_decode
+from .decoder import DecoderConfig, tcgs_decode
+from .galois import check_count
 from .rscode import CodeParams, encode, make_code
 
 ALGORITHMS = ("tcgs", "lcc", "hdd")

@@ -19,6 +19,7 @@ from treechase.decoder import (
     compare_traces,
     tcgs_decode,
 )
+from treechase.galois import poly_str
 from treechase.interp import factorize
 from treechase.rscode import encode, make_code
 from treechase.sim import draw_frame
@@ -513,31 +514,90 @@ def test_one_trial_budget_builds_no_tree(code16, monkeypatch):
 def test_chain_is_sorted_only_when_the_tree_reads_it(code16, monkeypatch):
     """The atom chain's one sort runs on the first read of a rank.  A frame that
     a Kaneko certificate settles at trial 1, and every lcc frame, never sorts;
-    every tcgs frame that goes on to the tree search does.  The chain's coords
-    and weights are the lists .tolist() returns, read in place by every scan:
-    after the search they still equal a fresh sort of the atoms by (weight,
-    coord, delta)."""
+    every tcgs frame that goes on to the tree search does.  The chain's weights
+    are the list .tolist() returns, read in place by every scan: after the
+    search, atom(r) and weights[r] at every rank r still equal a fresh sort of
+    the atoms by (weight, coord, symbol), the symbol being z_j - delta.  The
+    frames: [15,11] 4 dB frames 0..299, then frames 0..49 with pi rounded to
+    0.1, which tie weights on one coordinate, where a sort by (weight, coord,
+    delta) orders some atoms differently."""
     records = []
     real = decoder.soft_weights
     monkeypatch.setattr(decoder, "soft_weights",
                         lambda field, pi: records.append(real(field, pi)) or records[-1])
     tcgs, lcc = DecoderConfig(max_trials=16), LccConfig(eta=4)
-    sorted_frames = unsorted_frames = 0
-    for pi in _rs15_4db_frames(code16, 300):
+    field = code16.field
+    sorted_frames = unsorted_frames = delta_differs = 0
+    frames = [*_rs15_4db_frames(code16, 300),
+              *(np.round(pi, 1) for pi in _rs15_4db_frames(code16, 50))]
+    for pi in frames:
         res = tcgs_decode(code16, pi, tcgs)
         reached_tree = res.trials > 1 or res.exit_reason != EXIT_CERTIFIED_KANEKO
-        assert ("_order" in vars(records[-1])) == reached_tree
+        sw = records[-1]
+        assert ("_order" in vars(sw)) == reached_tree
         if reached_tree:
-            lam = front_end(code16.field, pi)[1]
-            atoms = sorted((float(lam[d - 1, j]), j, d)
-                           for j in range(code16.n) for d in range(1, code16.field.q))
-            assert records[-1].coords == [j for _, j, _ in atoms]
-            assert records[-1].weights == [w for w, _, _ in atoms]
+            z, lam = front_end(field, pi)[:2]
+            atoms = sorted((float(lam[d - 1, j]), j, field.sub(z[j], d), d)
+                           for j in range(code16.n) for d in range(1, field.q))
+            assert [sw.atom(r) for r in range(sw.size)] == [(j, d) for _, j, _, d in atoms]
+            assert sw.weights == [w for w, *_ in atoms]
+            delta_differs += sorted(atoms, key=lambda a: (a[0], a[1], a[3])) != atoms
         sorted_frames += reached_tree
         unsorted_frames += not reached_tree
         lcc_decode(code16, pi, lcc)
         assert "_order" not in vars(records[-1])
-    assert len(records) == 600 and sorted_frames > 0 and unsorted_frames > 0
+    assert len(records) == 2 * len(frames) and sorted_frames > 0 and unsorted_frames > 0
+    assert delta_differs > 0
+
+
+def _fields(line):
+    """The key=value fields of a trace line, after its tag."""
+    return dict(tok.split("=", 1) for tok in line.split()[1:])
+
+
+def _noise_frames(code, count):
+    """count standard-normal (q, n) matrices, seed 0: pi with no channel behind it."""
+    rng = np.random.default_rng(0)
+    return (rng.normal(size=(code.field.q, code.n)) for _ in range(count))
+
+
+@pytest.mark.parametrize("source", ["rs15-4db", "gf4-noise"])
+def test_result_and_trace_agree(code16, source):
+    """The EXIT line repeats the returned DecodeResult's exit reason, trials,
+    message and weight; steps counts the POP lines and trials the HDD lines; and
+    the last HDD line that improved the hypothesis names the result's message
+    and weight.  With no such line, e* is still z: the result keeps INIT's
+    weight and no message, or the zero message when a certificate fired.  The
+    frames: 300 seeded [15,11] 4 dB frames (tcgs, L = 16), and 300 noise
+    matrices on the [3,1] GF(4) code (L = 64), some of which certify before any
+    trial decodes."""
+    if source == "rs15-4db":
+        code, frames, cfg = code16, _rs15_4db_frames(code16, 300), DecoderConfig(max_trials=16)
+    else:
+        code = make_code(2, 2, 3, 1)
+        frames, cfg = _noise_frames(code, 300), DecoderConfig(max_trials=64)
+    reasons, zero_outputs = set(), 0
+    for pi in frames:
+        res, lines = traced(code, pi, cfg)
+        tags = [ln.split()[0] for ln in lines]
+        msg = poly_str(res.message) if res.message is not None else "none"
+        weight = f"{res.best_weight:.4f}"
+        assert tags[-1] == "EXIT" and tags.count("EXIT") == 1
+        assert _fields(lines[-1]) == {"reason": res.exit_reason, "trials": str(res.trials),
+                                      "msg": msg, "weight": weight}
+        assert tags.count("POP") == res.steps and tags.count("HDD") == res.trials
+        improved = [f for f in map(_fields, lines[:-1]) if f.get("improved") == "1"]
+        if improved:
+            assert (improved[-1]["msg"], improved[-1]["weight"]) == (msg, weight)
+        else:
+            assert _fields(lines[tags.index("INIT")])["weight"] == weight
+            assert res.message == ([] if res.certified else None)
+            zero_outputs += res.certified
+        reasons.add(res.exit_reason)
+    if source == "rs15-4db":
+        assert reasons == {EXIT_CERTIFIED_KANEKO, EXIT_CERTIFIED_TREE, EXIT_BUDGET}
+    else:
+        assert zero_outputs > 0
 
 
 def test_budget_exhausted_frame_expands_no_node_after_last_trial(code16, monkeypatch):

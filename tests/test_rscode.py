@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from treechase.galois import PRIMITIVE_POLY, lagrange_table, make_field
 from treechase.rscode import CodeParams, encode, make_code
+from treechase.sim import SweepConfig
 
 from reference import codebook
 
@@ -110,6 +111,25 @@ def test_make_code_validation():
         make_code(5, 1, 4, 5)    # k > n
     with pytest.raises(ValueError):
         make_code(5, 1, 4, 0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_code(2, 4, 15.0, 11), "n must be an integer"),
+    (lambda: make_code(2, 4, 15, 11.0), "k must be an integer"),
+    (lambda: CodeParams(make_field(2, 4), np.int64(15), 11.5), "k must be an integer"),
+    (lambda: SweepConfig(n=15.0, k=11), "n must be an integer"),
+    (lambda: SweepConfig(n=15, k=11.0), "k must be an integer"),
+    (lambda: make_field(2, 4.0), "m must be an integer"),
+    (lambda: make_field(5.0), "p must be an integer"),
+    (lambda: make_field(np.float64(7)), "p must be an integer"),
+], ids=["code-n", "code-k", "codeparams-k", "sweep-n", "sweep-k", "field-m", "field-p",
+        "field-p-numpy"])
+def test_sizes_that_are_not_integers_are_rejected_when_built(build, message):
+    """A field's p and m and a code's n and k are integers, Python's or numpy's:
+    a float such as 15.0 raises ValueError when the field or code is built, not
+    a TypeError deep inside a sweep."""
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("m", sorted(PRIMITIVE_POLY))
