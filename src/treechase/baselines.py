@@ -1,12 +1,13 @@
 """Gray-coded low-complexity Chase baseline and ML-performance bookkeeping.
 
 The baseline is the second pattern order over the decoder's trial engine
-(decoder._Search), which runs the first trial, every point swap and the
-Kaneko and genie exits, and fills in the result.  The order itself ranks
-coordinates by the gap between the two best column log-likelihoods, takes
-the eta least reliable positions, and walks all 2^eta hard-decision test
-vectors built from {best, second-best} symbols in Gray-code order, so
-consecutive vectors differ in a single coordinate and each costs one trial.
+(decoder._Search), which runs the first trial, every point swap, the Kaneko
+and genie exits and the budget of 2^eta trials, and fills in the result.
+The order itself ranks coordinates by the gap between the two best column
+log-likelihoods, takes the eta least reliable positions, and walks all
+2^eta hard-decision test vectors built from {best, second-best} symbols in
+Gray-code order, so consecutive vectors differ in a single coordinate and
+each costs one trial.
 
 classify_ml sandwiches the simulated ML frame-error rate: every frame
 contributes indicator bounds e_lower <= E_ML <= e_upper based on whether the
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import check_pi
-from .decoder import EXIT_BUDGET, DecodeResult, _Search
+from .decoder import DecodeResult, _Search
 from .galois import check_count
 from .rscode import CodeParams, check_word
 
@@ -48,7 +49,7 @@ def lcc_decode(code: CodeParams, pi: np.ndarray, cfg: LccConfig | None = None,
     cfg = cfg or LccConfig()
     if cfg.eta > code.n:
         raise ValueError("eta must be <= n")
-    s = _Search(code, pi, genie_codeword, None)
+    s = _Search(code, pi, 1 << cfg.eta, genie_codeword, None)
     z = s.sw.z
 
     def gray_walk(basis):
@@ -65,9 +66,8 @@ def lcc_decode(code: CodeParams, pi: np.ndarray, cfg: LccConfig | None = None,
             j = lrps[b]
             s.res.steps += 1
             basis, exit_reason = s.trial(basis, j, second[b] if (i ^ (i >> 1)) >> b & 1 else z[j])
-            if exit_reason is not None:
+            if exit_reason is not None:  # the last test vector's trial returns the budget exit
                 return exit_reason
-        return EXIT_BUDGET
 
     return s.run(gray_walk)
 

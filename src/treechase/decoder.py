@@ -15,12 +15,14 @@ as it runs: the running hypothesis (the lightest error pattern e* whose
 subtraction from z gives a codeword, its weight w*, message u* and codeword
 c*) is res.best_error, res.best_weight, res.message and res.codeword, and
 res.trials and res.steps are the counters the pattern order advances.  The
-engine runs every trial: run makes the first (z interpolated in closed
-form), hands that basis to a pattern order, sets res.exit_reason to the
-reason the order returns and returns res; trial makes each later one.  A
-decoder is only its pattern order: tcgs_decode pops flipping patterns
-best-first by their bound B, and baselines.lcc_decode Gray-walks the test
-vectors of its least reliable positions.  Certificates:
+engine runs every trial and holds the trial budget: run makes the first (z
+interpolated in closed form), hands that basis to a pattern order unless
+the budget is one trial, sets res.exit_reason to the reason the order
+returns and returns res; trial makes each later one and returns the budget
+exit when it spends the last trial.  A decoder is only its pattern order,
+which names the trials and never counts them: tcgs_decode pops flipping
+patterns best-first by their bound B, and baselines.lcc_decode Gray-walks
+the test vectors of its least reliable positions.  Certificates:
 
   certified_tree    at a pop, weight(e*) <= B(front pattern): nothing lighter
                     can be generated by any unexplored pattern.
@@ -122,18 +124,19 @@ class DecodeResult:
 class _Search:
     """The state of one decode, shared by every pattern order.
 
-    The order picks which basis to try next; the engine interpolates, swaps
-    points, attempts each basis and fills in res, the DecodeResult it returns:
-    res.best_error, res.best_weight, res.message and res.codeword are the
-    running hypothesis e*, w*, u*, c*, and res.trials and res.steps count the
-    trials and the order's moves.
+    The order only names the basis to try next; the engine interpolates,
+    swaps points, attempts each basis, ends the search once budget trials
+    are spent (it is the only source of EXIT_BUDGET) and fills in res, the
+    DecodeResult it returns: res.best_error, res.best_weight, res.message and
+    res.codeword are the running hypothesis e*, w*, u*, c*, and res.trials
+    and res.steps count the trials and the order's moves.
     """
 
-    def __init__(self, code: CodeParams, pi: np.ndarray,
+    def __init__(self, code: CodeParams, pi: np.ndarray, budget: int,
                  genie_codeword: tuple[int, ...] | None, trace: list[str] | None):
         field = code.field
         self.pi = pi = check_pi(pi, field.q, code.n)
-        self.code, self.trace = code, trace
+        self.code, self.budget, self.trace = code, budget, trace
         self.sw = sw = soft_weights(field, pi)  # ValueError for non-finite or huge pi
         self.genie = check_word(code, genie_codeword) if genie_codeword is not None else None
         # running hypothesis: initially e* = z itself (codeword 0, no message kept yet);
@@ -149,12 +152,13 @@ class _Search:
             trace.append(f"INIT weight={sw.z_weight:.4f}")
 
     def run(self, order: Callable[[GroebnerBasis], str]) -> DecodeResult:
-        """Interpolate z in closed form and attempt it; unless that exits, order
-        runs the later trials from its basis and returns the exit reason."""
+        """Interpolate z in closed form and attempt it; unless that exits or
+        spends the budget, order runs the later trials from its basis and
+        returns the exit reason."""
         code, res = self.code, self.res
         basis = interpolate(code.field, code.k, code.eval_points, self.sw.zv)
         res.trials = 1
-        res.exit_reason = self.attempt(basis, "0") or order(basis)
+        res.exit_reason = self.attempt(basis, "0") or self.spent() or order(basis)
         if res.exit_reason in CERTIFIED_EXITS and res.message is None:
             # e* is still z itself, so the certified output is the zero codeword
             res.message, res.codeword = [], tuple([0] * code.n)
@@ -167,11 +171,16 @@ class _Search:
     def trial(self, basis: GroebnerBasis, j: int, y_new: int,
               pattern: str = "") -> tuple[GroebnerBasis, str | None]:
         """One later trial: y_new replaces the basis's value at coordinate j (one
-        backward and one forward update), then the attempt."""
+        backward and one forward update), then the attempt.  Its exit is the
+        attempt's, else EXIT_BUDGET when this trial spent the budget."""
         x = self.code.eval_points[j]
         basis = forward_add(backward_remove(basis, x), x, y_new)
         self.res.trials += 1
-        return basis, self.attempt(basis, pattern)
+        return basis, self.attempt(basis, pattern) or self.spent()
+
+    def spent(self) -> str | None:
+        """EXIT_BUDGET once the trials made reach the budget, else None."""
+        return EXIT_BUDGET if self.res.trials == self.budget else None
 
     def attempt(self, basis: GroebnerBasis, pattern: str) -> str | None:
         """Factorize, update the running best, fire Kaneko / genie exits.
@@ -212,9 +221,9 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
     """Decode a likelihood matrix pi (one row per field value, one column per
     coordinate) into the most plausible message found within the budget."""
     cfg = cfg or DecoderConfig()
-    s = _Search(code, pi, genie_codeword, trace)
+    s = _Search(code, pi, cfg.max_trials, genie_codeword, trace)
     sw, z, sub, res = s.sw, s.sw.z, code.field.sub, s.res
-    t_min, L = code.t_min, cfg.max_trials
+    t_min = code.t_min
 
     def tree_order(basis):
         # threshold setup, only for frames that reach the tree: T_z in soft-weight
@@ -235,15 +244,10 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
         # (a tie would raise TypeError, not misorder).
         # No cap at the b trials left: each pop spends a trial or exits, so a node
         # with b better nodes ahead of it is never popped and a cap changes nothing.
-        frontier: list[tuple] = []
-        if res.trials < L:  # grow the tree only while a pop can follow
-            # the root's leftmost child is the chain's first atom, which always exists
-            first = leftmost_child(sw, ())
-            frontier.append((bound_B(sw, first, t_min), 1, first, basis))
-        while res.trials < L:
-            if not frontier:
-                # frontier exhaustion is always exact: every pattern of the tree was tried
-                return EXIT_CERTIFIED_TREE
+        # The root's leftmost child is the chain's first atom, which always exists.
+        first = leftmost_child(sw, ())
+        frontier = [(bound_B(sw, first, t_min), 1, first, basis)]
+        while frontier:
             bound, _, f, f_basis = heapq.heappop(frontier)
             res.steps += 1
             pat_str = ""  # only trace lines read the rendered pattern
@@ -258,15 +262,14 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
             # the last atom of f replaces z at its coordinate
             j, delta = sw.atom(f[-1])
             nb, exit_reason = s.trial(f_basis, j, sub(z[j], delta), pat_str)
-            if exit_reason is not None:
+            if exit_reason is not None:  # the budget exit too: no child or sibling is built
                 return exit_reason
-            if res.trials == L:
-                break  # no pop follows, so no child or sibling would be read
             # the child extends the swapped basis; the sibling swaps from the parent's
             for g, g_basis in ((leftmost_child(sw, f), nb), (next_sibling(sw, f), f_basis)):
                 if g is not None:
                     heapq.heappush(frontier, (bound_B(sw, g, t_min), len(g), g, g_basis))
-        return EXIT_BUDGET
+        # frontier exhaustion is always exact: every pattern of the tree was tried
+        return EXIT_CERTIFIED_TREE
 
     return s.run(tree_order)
 

@@ -51,7 +51,9 @@ The table is also where duplicate nodes are rejected: lru_cache keeps no
 exception, so a bad node tuple raises on every call.
 
 check_count is the one check of a size or count, here and in every module
-above: an integer, Python's or numpy's, of at least a least value.
+above: an integer, Python's or numpy's, of at least a least value.  It and
+Field.are_elements share one rule for an integer (_is_integer), which takes
+no bool: True is no count and no symbol.
 """
 
 from __future__ import annotations
@@ -76,10 +78,15 @@ PRIMITIVE_POLY = {
 }
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an integer, Python's or numpy's: not a float such as
+    2.0, and not a bool (Python's or numpy's)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_count(name: str, value, least: int) -> None:
-    """ValueError unless value is an integer, Python's or numpy's (not a float
-    such as 2.0), of at least least."""
-    if not isinstance(value, (int, np.integer)):
+    """ValueError unless value is an integer (_is_integer) of at least least."""
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}")
@@ -135,10 +142,10 @@ class Field:
         return self._exp[self._order - self._log[a]]
 
     def are_elements(self, values) -> bool:
-        """Whether every value is an element of this field: an integer (Python
-        or numpy) in [0, q).  The one rule for messages, words and symbols."""
+        """Whether every value is an element of this field: an integer
+        (_is_integer) in [0, q).  The one rule for messages, words and symbols."""
         q = self.q
-        return all(isinstance(v, (int, np.integer)) and 0 <= v < q for v in values)
+        return all(_is_integer(v) and 0 <= v < q for v in values)
 
     def exp_order(self) -> list[int]:
         """Nonzero elements as powers of the table generator: 1, g, g^2, ..."""

@@ -75,6 +75,9 @@ class SweepConfig:
             raise ValueError("no algorithms selected")
         if not self.snr_db:
             raise ValueError("no SNR points")
+        for what, values in (("algorithm", self.algorithms), ("SNR point", self.snr_db)):
+            if len(set(values)) < len(values):  # a repeated point decodes its frames again
+                raise ValueError(f"repeated {what} in {values}")
         for name, least in (("L", 1), ("max_frames", 1), ("min_errors", 0), ("workers", 1),
                             ("seed", 0)):
             check_count(name, getattr(self, name), least)

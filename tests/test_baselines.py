@@ -5,7 +5,7 @@ import pytest
 
 from treechase.baselines import LccConfig, classify_ml, lcc_decode
 from treechase.channel import soft_weights
-from treechase.decoder import DecoderConfig, tcgs_decode
+from treechase.decoder import EXIT_BUDGET, DecoderConfig, tcgs_decode
 from treechase.galois import PrimeField
 from treechase.interp import factorize
 from treechase.rscode import encode
@@ -82,14 +82,24 @@ def test_lcc_gray_walk_single_swap_per_trial(code16):
 
 
 def test_lcc_budget_never_exceeds_tcgs_with_matching_budget(code54):
+    """lcc's budget is its 2^eta test vectors, held by the engine as tcgs's L
+    is: at most 2^eta trials, and exactly 2^eta on a budget exit, so eta = 0
+    is the one trial of z."""
     rng = np.random.default_rng(41)
-    for _ in range(50):
-        pi, _ = pam_pi(code54, rng)
-        eta = 2
-        lcc = lcc_decode(code54, pi, LccConfig(eta=eta))
-        tcgs = tcgs_decode(code54, pi, DecoderConfig(max_trials=1 << eta))
-        assert lcc.trials <= 1 << eta
-        assert tcgs.trials <= 1 << eta
+    for eta in (0, 1, 2, 3):
+        budget_exits = 0
+        for _ in range(50):
+            pi, _ = pam_pi(code54, rng)
+            lcc = lcc_decode(code54, pi, LccConfig(eta=eta))
+            tcgs = tcgs_decode(code54, pi, DecoderConfig(max_trials=1 << eta))
+            for res in (lcc, tcgs):
+                assert 1 <= res.trials <= 1 << eta
+                if res.exit_reason == EXIT_BUDGET:
+                    assert res.trials == 1 << eta
+                    budget_exits += 1
+            if eta == 0:
+                assert lcc.trials == 1 and lcc.steps == 0
+        assert budget_exits
 
 
 def test_lcc_eta_validation(code54, example1_pi):

@@ -229,12 +229,19 @@ def test_popped_bounds_nondecreasing_and_weight_nonincreasing(code54):
 
 
 def test_trials_never_exceed_budget(code54):
+    """The engine holds the budget: a decode makes at most L trials, and a
+    budget exit comes exactly on the L-th."""
     rng = np.random.default_rng(23)
+    budget_exits = 0
     for L in (1, 2, 3, 7, 16):
         for _ in range(20):
             pi, _ = pam_pi(code54, rng)
             res = tcgs_decode(code54, pi, DecoderConfig(max_trials=L))
             assert 1 <= res.trials <= L
+            if res.exit_reason == EXIT_BUDGET:
+                assert res.trials == L
+                budget_exits += 1
+    assert budget_exits
 
 
 @pytest.mark.parametrize("alg", ["tcgs", "lcc"])
@@ -300,12 +307,16 @@ def test_threshold_fires_immediately_outside_sphere(code16):
 def test_threshold_residual_that_overflows_is_rejected(code16):
     """Entries near 1e308 keep the soft weights small enough to pass their
     total check, but their sum over z, the threshold residual, overflows: a
-    ValueError, and no numpy overflow warning or budget run behind it."""
+    ValueError, and no numpy overflow warning or budget run behind it.  T_z is
+    read only by frames that reach the tree, so with a budget of one trial
+    the frame returns its uncertified trial-1 result instead."""
     rng = np.random.default_rng(0)
     pi = 1e308 + 1e300 * rng.normal(0.0, 5.0, size=(16, 15))
-    cfg = DecoderConfig(max_trials=16, loglik_floor=loglik_floor(60, 0.3, 0.01))
+    floor = loglik_floor(60, 0.3, 0.01)
     with pytest.raises(ValueError, match="threshold residual"):
-        tcgs_decode(code16, pi, cfg)
+        tcgs_decode(code16, pi, DecoderConfig(max_trials=16, loglik_floor=floor))
+    res = tcgs_decode(code16, pi, DecoderConfig(max_trials=1, loglik_floor=floor))
+    assert (res.exit_reason, res.trials, res.certified) == (EXIT_BUDGET, 1, False)
 
 
 def test_threshold_mode_decodes_a_prime_field(code54, example1_pi):

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from treechase.baselines import LccConfig
+from treechase.channel import modulate
+from treechase.decoder import DecoderConfig
 from treechase.galois import PRIMITIVE_POLY, lagrange_table, make_field
-from treechase.rscode import CodeParams, encode, make_code
+from treechase.rscode import CodeParams, check_word, encode, make_code
 from treechase.sim import SweepConfig
 
 from reference import codebook
@@ -61,6 +64,18 @@ def test_encode_takes_numpy_integers_and_the_zero_message(code16):
     assert encode(code16, np.array([1, 2])) == encode(code16, [1, 2])
     assert encode(code16, [np.uint8(15)]) == (15,) * 15
     assert encode(code16, []) == (0,) * 15
+
+
+def test_bool_symbols_are_rejected(code16):
+    """True passes isinstance(v, int) but is no field element: encode, modulate
+    and check_word reject bools, Python's and numpy's, as they reject floats."""
+    for bad in ([True] * 11, [1, False], [np.True_]):
+        with pytest.raises(ValueError, match=r"coefficients are integers in \[0, 16\)"):
+            encode(code16, bad)
+        with pytest.raises(ValueError, match=r"GF\(16\) symbols are integers in \[0, 16\)"):
+            modulate(code16.field, bad)
+    with pytest.raises(ValueError, match="each an integer"):
+        check_word(code16, [True] + [0] * 14)
 
 
 @given(st.lists(st.integers(0, 4), min_size=2, max_size=2))
@@ -122,12 +137,16 @@ def test_make_code_validation():
     (lambda: make_field(2, 4.0), "m must be an integer"),
     (lambda: make_field(5.0), "p must be an integer"),
     (lambda: make_field(np.float64(7)), "p must be an integer"),
+    (lambda: make_code(2, 4, 15, True), "k must be an integer"),
+    (lambda: DecoderConfig(max_trials=True), "max_trials must be an integer"),
+    (lambda: LccConfig(eta=False), "eta must be an integer"),
 ], ids=["code-n", "code-k", "codeparams-k", "sweep-n", "sweep-k", "field-m", "field-p",
-        "field-p-numpy"])
+        "field-p-numpy", "code-k-bool", "max-trials-bool", "eta-bool"])
 def test_sizes_that_are_not_integers_are_rejected_when_built(build, message):
-    """A field's p and m and a code's n and k are integers, Python's or numpy's:
-    a float such as 15.0 raises ValueError when the field or code is built, not
-    a TypeError deep inside a sweep."""
+    """A field's p and m, a code's n and k and the decoders' counts are
+    integers, Python's or numpy's, and no bool: a float such as 15.0 or a
+    True raises ValueError when the field, code or config is built, not a
+    TypeError deep inside a sweep or a code with k = True."""
     with pytest.raises(ValueError, match=message):
         build()
 

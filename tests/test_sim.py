@@ -114,11 +114,17 @@ def test_sweep_config_rejects_snr_without_finite_noise_variance(snr_db):
     (dict(L=2.0), "L must be an integer"),
     (dict(algorithms=("lcc",), L=1.5), "L must be an integer"),
     (dict(algorithms=("lcc",), eta=2.0), "eta must be an integer"),
+    (dict(workers=True), "workers must be an integer"),
+    (dict(seed=False), "seed must be an integer"),
+    (dict(algorithms=("tcgs", "lcc", "tcgs")), "repeated algorithm in ('tcgs', 'lcc', 'tcgs')"),
+    (dict(snr_db=(5.0, 4.0, 5)), "repeated SNR point in (5.0, 4.0, 5)"),
 ])
 def test_sweep_config_rejects_what_run_sweep_cannot_run(kw, cause):
     """A negative seed (numpy's frame streams take none), an SNR whose
-    likelihoods overflow the soft-weight check, or a count that is no integer
-    (a TypeError inside run_sweep, or a budget the config does not name) is
+    likelihoods overflow the soft-weight check, a count that is no integer
+    (a TypeError inside run_sweep, or a budget the config does not name; a
+    bool is no count either), or a repeated algorithm or SNR point (which
+    would decode the same point again and print the same row twice) is
     rejected when the config is built, not inside run_sweep."""
     with pytest.raises(ValueError, match=re.escape(cause)):
         small_cfg(**kw)
