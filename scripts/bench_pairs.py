@@ -4,11 +4,16 @@
     python3 scripts/bench_pairs.py --base DIR --change DIR --workload W \\
         [--seed 0] [--pairs 10]
 
-Each pair runs `python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0` once in each checkout, T being the `run_seconds` of the base's
-BENCHMARK.json, the length the gain and bound rules are judged at.  The base
-runs first in even pairs and the change first in odd ones.  A run that exits
-non-zero or reports `correct: false` stops the script with exit status 1.
+Pair i runs `python3 perfbench/run.py --workload W --seed S --seconds T
+--trace 0` once in each checkout, S being --seed + i and T the `run_seconds`
+of the base's BENCHMARK.json, the length the gain and bound rules are judged
+at.  Both sides of a pair decode the same frames, and each pair new ones:
+counts such as trials_per_frame and certified_frac are exact functions of
+the frames, so at one seed they do not spread at all, and any change to them
+would read as a gain.  Across seeds they spread as a frame sample does, and
+a change is judged against that.  The base runs first in even pairs and the
+change first in odd ones.  A run that exits non-zero or reports `correct:
+false` stops the script with exit status 1.
 
 For every end-to-end metric that the base checkout's BENCHMARK.json declares,
 it prints each side's median and quartiles and the pairs the change won (ties
@@ -89,13 +94,15 @@ def main(argv=None) -> int:
 
     runs: dict[str, list[dict[str, float]]] = {"base": [], "change": []}
     for i in range(args.pairs):
+        seed = args.seed + i
         for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-            runs[side].append(run_once(getattr(args, side), args.workload, args.seed, seconds))
-        print(f"# pair {i + 1}: " + "  ".join(
+            runs[side].append(run_once(getattr(args, side), args.workload, seed, seconds))
+        print(f"# pair {i + 1}, seed {seed}: " + "  ".join(
             f"{m['name']} {runs['base'][-1][m['name']]:.6g} -> {runs['change'][-1][m['name']]:.6g}"
             for m in metrics), flush=True)
 
-    print(f"# {args.workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs; "
+    print(f"# {args.workload} seeds {args.seed}..{args.seed + args.pairs - 1}, "
+          f"{args.pairs} pairs of {seconds:g} s runs; "
           "each side: q1 / median / q3")
     for m in metrics:
         name = m["name"]

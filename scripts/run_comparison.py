@@ -15,8 +15,7 @@ import sys
 from contextlib import nullcontext
 
 from treechase.cli import sweep_config, sweep_flags
-from treechase.sim import parse_snr_spec, rows_to_csv, run_sweep
-from treechase.stats import wilson_interval
+from treechase.sim import parse_snr_spec, rows_to_csv, run_sweep, wilson_interval
 
 
 def main(argv=None):

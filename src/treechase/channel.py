@@ -11,7 +11,9 @@ Everything downstream works on pi alone; noise variance follows the
 Eb/N0 convention sigma^2 = 1 / (2 * rate * 10^(snr_db / 10)).  Threshold
 mode's sphere reaches the decoder the same way, as loglik_floor: the least
 log-likelihood sum_j pi[c_j][j] of a codeword whose samples lie within the
-chi-square radius of the received ones.
+chi-square radius of the received ones.  scipy is imported inside
+chi2_threshold, that radius's quantile, so importing the package does not
+load it: only threshold mode's floor and `treechase chi2` do.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from functools import cached_property
 import numpy as np
 
 from .galois import Field
-from .stats import chi2_threshold
 
 
 def sigma_from_snr_db(snr_db: float, rate: float) -> float:
@@ -61,20 +62,34 @@ def modulate(field: Field, codeword) -> np.ndarray:
 
 
 def transmit(signal: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    """signal plus Gaussian noise of standard deviation sigma; sigma = 0 is the
+    noiseless channel.  ValueError unless 0 <= sigma < inf (a NaN fails too)."""
+    if not 0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and >= 0")
     return signal + sigma * rng.standard_normal(signal.shape)
 
 
 def likelihoods(field: Field, n: int, samples: np.ndarray, sigma2: float) -> np.ndarray:
-    """(q, n) matrix of per-symbol Gaussian log-likelihoods; binary fields only."""
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be > 0")
+    """(q, n) matrix of per-symbol Gaussian log-likelihoods; binary fields only.
+    ValueError unless 0 < sigma2 < inf (a NaN fails too)."""
+    if not 0 < sigma2 < math.inf:
+        raise ValueError("sigma2 must be finite and > 0")
     m = field.m
     r = np.asarray(samples, dtype=np.float64).reshape(n, m)
     signs = modulate(field, range(field.q)).reshape(field.q, m)
     d = r[None, :, :] - signs[:, None, :]
     return -(d * d).sum(axis=2) / (2.0 * sigma2) - 0.5 * m * math.log(2.0 * math.pi * sigma2)
+
+
+def chi2_threshold(epsilon: float, dof: int) -> float:
+    """Upper (epsilon/2)-quantile T of chi-square: Pr{X >= T} = epsilon / 2."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must be in (0, 1)")
+    if dof < 1:
+        raise ValueError("dof must be >= 1")
+    from scipy.special import chdtri
+
+    return float(chdtri(dof, epsilon / 2.0))
 
 
 def loglik_floor(dof: int, sigma2: float, eps: float) -> float:

@@ -19,11 +19,10 @@ import sys
 from contextlib import nullcontext
 from importlib import resources
 
-from .channel import load_pi
+from .channel import chi2_threshold, load_pi
 from .decoder import DecoderConfig, compare_traces, tcgs_decode
 from .rscode import make_code
 from .sim import SweepConfig, parse_snr_spec, rows_to_csv, run_sweep
-from .stats import chi2_threshold
 
 
 class CliError(Exception):

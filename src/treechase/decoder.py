@@ -25,7 +25,9 @@ patterns best-first by their bound B, and baselines.lcc_decode Gray-walks
 the test vectors of its least reliable positions.  Certificates:
 
   certified_tree    at a pop, weight(e*) <= B(front pattern): nothing lighter
-                    can be generated by any unexplored pattern.
+                    can be generated by any unexplored pattern.  After the
+                    trial that spends the budget the same test reads the
+                    front of the frontier without a pop: no trial, no step.
   certified_kaneko  a freshly improved hypothesis e satisfies
                     weight(e) <= B0(e): no rival hypothesis can be lighter.
 
@@ -262,12 +264,17 @@ def tcgs_decode(code: CodeParams, pi: np.ndarray, cfg: DecoderConfig | None = No
             # the last atom of f replaces z at its coordinate
             j, delta = sw.atom(f[-1])
             nb, exit_reason = s.trial(f_basis, j, sub(z[j], delta), pat_str)
-            if exit_reason is not None:  # the budget exit too: no child or sibling is built
+            if exit_reason not in (None, EXIT_BUDGET):
                 return exit_reason
             # the child extends the swapped basis; the sibling swaps from the parent's
             for g, g_basis in ((leftmost_child(sw, f), nb), (next_sibling(sw, f), f_basis)):
                 if g is not None:
                     heapq.heappush(frontier, (bound_B(sw, g, t_min), len(g), g, g_basis))
+            if exit_reason is not None:
+                # the budget is spent, but the next pop's certificate needs no trial;
+                # threshold mode gives up instead, as its T_z test certifies nothing
+                certified = T_z is None and (not frontier or res.best_weight <= frontier[0][0])
+                return EXIT_CERTIFIED_TREE if certified else exit_reason
         # frontier exhaustion is always exact: every pattern of the tree was tried
         return EXIT_CERTIFIED_TREE
 

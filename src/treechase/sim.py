@@ -135,6 +135,17 @@ class SweepRow:
         return self.e_lower / self.frames if self.frames else 0.0
 
 
+def wilson_interval(successes: int, trials: int, z: float = 2.5758293035489004) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion (default 99% level)."""
+    if trials <= 0:
+        return (0.0, 1.0)
+    p = successes / trials
+    denom = 1.0 + z * z / trials
+    center = (p + z * z / (2 * trials)) / denom
+    half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
+    return (max(0.0, center - half), min(1.0, center + half))
+
+
 def draw_frame(code: CodeParams, sigma: float, seed: int, idx: int) -> tuple[tuple, np.ndarray]:
     """Frame idx of a sweep: the transmitted codeword and its likelihood matrix,
     drawn from the frame's own stream frame_rng(seed, idx)."""

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from treechase import CodeParams, SoftWeights, load_pi, make_code, make_field
+from treechase import CodeParams, load_pi, make_code, make_field
+from treechase.channel import SoftWeights
 from treechase.rscode import encode
 
 

@@ -4,7 +4,7 @@ Each one is an oracle the package is checked against, kept out of the package
 because no decode, sweep or CLI path calls it:
 
   poly_add, poly_mul    dense polynomial sum and product through Field.add/mul
-  chi2_sf               the chi-square tail, inverse of stats.chi2_threshold
+  chi2_sf               the chi-square tail, inverse of channel.chi2_threshold
   rank_of               atom (coord, delta) -> 0-based rank in the atom chain
   pattern_from_ranks    the flipping pattern (sorted rank tuple) of a rank set
   minimal_decompose     the split of an error pattern behind the tree's
@@ -18,6 +18,9 @@ because no decode, sweep or CLI path calls it:
   minimal               a basis's element of least weighted degree
   codebook              every (message, codeword) pair of a small code
   mld_oracle            exhaustive maximum-likelihood decode of a small code
+  isd_oracle            the lightest codeword under a weight bound, by
+                        enumerating an information set: exact where
+                        mld_oracle's codebook is too large
   front_end             the decoder's front end as separate steps (hard
                         decision, soft weights about it, per-coordinate
                         minima, weight of z), which channel.soft_weights fuses
@@ -37,7 +40,7 @@ from scipy.special import gammaincc
 
 from treechase.channel import SoftWeights, check_pi
 from treechase.decoder import DecodeResult, DecoderConfig, tcgs_decode
-from treechase.galois import Field, poly_trim
+from treechase.galois import Field, lagrange_table, poly_trim
 from treechase.interp import BivarPoly, GroebnerBasis, forward_add
 from treechase.rscode import CodeParams, encode
 
@@ -173,6 +176,60 @@ def mld_oracle(code: CodeParams, pi: np.ndarray) -> tuple[list[int], tuple[int, 
     msgs, cws = _codebook_scores_setup(code)
     pick = int(np.argmax(pi[cws, np.arange(code.n)].sum(axis=1)))
     return list(msgs[pick]), tuple(int(v) for v in cws[pick])
+
+
+def isd_oracle(code: CodeParams, pi: np.ndarray, bound: float,
+               cap: int) -> tuple[tuple[int, ...] | None, float, int]:
+    """(c, w, leaves): the lightest codeword c of weight w <= bound, or (None,
+    inf) when there is none, and the number of leaves enumerated.  The weight
+    of c is the decoder's, sum_j pi[z_j][j] - pi[c_j][j] about the hard
+    decision z, one math.fsum.
+
+    Any k coordinates of an RS code are an information set: their symbols
+    name one codeword.  The k coordinates with the largest mins (the costliest
+    to change) are enumerated depth-first, each one's symbols by ascending
+    weight, and a branch is cut once its partial weight exceeds bound (with a
+    relative slack of 1e-12 for the partial sums' rounding): every weight is
+    >= 0, so no codeword within bound is cut.  A leaf re-encodes its k symbols
+    through the Lagrange basis of their nodes.  RuntimeError past cap leaves.
+    """
+    field = code.field
+    pi = check_pi(pi, field.q, code.n)
+    if not np.isfinite(pi).all():
+        raise ValueError("pi has non-finite entries")
+    zv, cols = pi.argmax(axis=0), np.arange(code.n)
+    W = pi[zv, cols] - pi  # W[v][j]: the weight of c_j = v, 0 at v = z_j
+    off_z = W.copy()
+    off_z[zv, cols] = np.inf
+    info = np.argsort(-off_z.min(axis=0), kind="stable")[:code.k].tolist()
+    z = zv.tolist()
+    # per information coordinate, its (weight, symbol) pairs by ascending weight
+    choices = [sorted((float(W[v, j]), v) for v in range(field.q)) for j in info]
+    log_rows = lagrange_table(field, tuple(code.eval_points[j] for j in info))[0]
+    limit = bound * (1 + 1e-12)
+    best: tuple[tuple[int, ...] | None, float] = (None, math.inf)
+    leaves = 0
+    ys = [0] * code.k
+
+    def descend(depth: int, partial: float) -> None:
+        nonlocal best, leaves
+        if depth == code.k:
+            leaves += 1
+            if leaves > cap:
+                raise RuntimeError(f"isd_oracle: more than {cap} leaves under bound {bound}")
+            c = tuple(field.poly_evals(field.poly_combine(log_rows, ys), code.eval_points))
+            w = math.fsum([W.item(cj, j) for j, cj in enumerate(c) if cj != z[j]])
+            if w <= bound and w < best[1]:
+                best = (c, w)
+            return
+        for w, v in choices[depth]:
+            if partial + w > limit:
+                break  # the later symbols weigh no less
+            ys[depth] = v
+            descend(depth + 1, partial + w)
+
+    descend(0, 0.0)
+    return best[0], best[1], leaves
 
 
 def front_end(field: Field, pi: np.ndarray):

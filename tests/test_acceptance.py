@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from treechase.channel import modulate, transmit
+from treechase.channel import chi2_threshold, modulate, transmit
 from treechase.chase import bound_B, build_atom_chain
 from treechase.decoder import DecoderConfig, tcgs_decode
 from treechase.galois import BinaryField, PrimeField
@@ -27,8 +27,7 @@ from treechase.interp import (
     forward_add,
 )
 from treechase.rscode import encode
-from treechase.sim import SweepConfig, run_point, run_sweep, rows_to_csv
-from treechase.stats import chi2_threshold, wilson_interval
+from treechase.sim import SweepConfig, run_point, run_sweep, rows_to_csv, wilson_interval
 
 from conftest import pam_pi, random_lam, weights_of
 from reference import (codebook, interpolate_points, minimal_decompose, mld_oracle,

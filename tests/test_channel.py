@@ -55,6 +55,10 @@ def test_likelihoods_weigh_each_value_by_its_bits():
     d = r.reshape(15, 4)[None, :, :] - (1.0 - 2.0 * bits)[:, None, :]
     want = -(d * d).sum(axis=2) / (2.0 * sigma2) - 0.5 * 4 * math.log(2.0 * math.pi * sigma2)
     assert np.array_equal(likelihoods(GF16, 15, r, sigma2), want)
+    # a NaN variance would make every entry NaN, an infinite one -inf
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma2 must be finite and > 0"):
+            likelihoods(GF16, 15, r, bad)
 
 
 def test_transmit_deterministic_per_frame_stream():
@@ -64,8 +68,11 @@ def test_transmit_deterministic_per_frame_stream():
     c = transmit(sig, 0.7, frame_rng(42, 6))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    with pytest.raises(ValueError):
-        transmit(sig, -1.0, frame_rng(0, 0))
+    # a NaN or infinite sigma would make every sample NaN or infinite
+    for sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            transmit(sig, sigma, frame_rng(0, 0))
+    assert np.array_equal(transmit(sig, 0.0, frame_rng(0, 0)), sig)  # noiseless
 
 
 def test_modulate_and_likelihoods_reject_prime_fields():

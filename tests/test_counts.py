@@ -49,7 +49,7 @@ def test_pinned_counts_rs15_4db_seed0():
 
     assert _tally(tcgs) == (
         {"trials": 9443, "forward": 6443, "backward": 6443, "steps": 7041, "wrong": 63},
-        {"certified_kaneko": 2190, "certified_tree": 598, "budget_exhausted": 212})
+        {"certified_kaneko": 2190, "certified_tree": 619, "budget_exhausted": 191})
     tally, exits = _tally(lcc)
     del tally["steps"]  # lcc reports trials - 1, which the trial total already pins
     assert (tally, exits) == (

@@ -196,6 +196,25 @@ def test_certified_is_score_optimal_under_ties(alg):
     assert certified > 100
 
 
+@pytest.mark.parametrize("L", [1, 2, 3, 7, 16])
+def test_certified_output_weighs_the_least_at_any_budget(L):
+    """At every budget, a certified output weighs the least over the codebook,
+    including each frame whose tree certificate fires after its L-th trial:
+    once the budget is spent the search reads the front of the frontier
+    without a pop."""
+    rng = np.random.default_rng(23)
+    after_budget = 0
+    for code in (make_code(5, 1, 4, 2), make_code(7, 1, 6, 2), make_code(2, 3, 7, 3)):
+        for _ in range(150):
+            pi = pam_pi(code, rng)[0]
+            res = tcgs_decode(code, pi, DecoderConfig(max_trials=L))
+            if res.certified:
+                z = hard_decision(pi)
+                assert _fsum_weight(pi, z, res.codeword) == _least_weight(code, pi, z)
+                after_budget += res.trials == L and res.exit_reason == EXIT_CERTIFIED_TREE
+    assert (after_budget > 0) == (L > 1)
+
+
 def test_certificate_compares_correctly_rounded_weights(code54):
     """On this tenths-valued frame (3,0,2,4) weighs 0.6 and (2,2,2,2) weighs
     0.6000000000000001, both as correctly rounded sums.  Summed in rank order,
@@ -611,10 +630,10 @@ def test_result_and_trace_agree(code16, source):
         assert zero_outputs > 0
 
 
-def test_budget_exhausted_frame_expands_no_node_after_last_trial(code16, monkeypatch):
-    """A frame that spends all L = 16 trials pops 15 nodes: the root's child plus
-    the children and siblings of the first 14 pops.  The 15th pop is the last
-    trial, so its child and sibling are never built."""
+def test_budget_exhausted_frame_expands_every_popped_node(code16, monkeypatch):
+    """A frame that spends all L = 16 trials pops 15 nodes and builds the root's
+    child plus the child and sibling of every pop, the 15th too: its trial is
+    the last, and the budget exit reads the front of the frontier they join."""
     calls = _count_tree_calls(monkeypatch)
     cfg = DecoderConfig(max_trials=16)
     exhausted = 0
@@ -623,7 +642,7 @@ def test_budget_exhausted_frame_expands_no_node_after_last_trial(code16, monkeyp
         if tcgs_decode(code16, pi, cfg).exit_reason == EXIT_BUDGET:
             exhausted += 1
             assert {k: calls[k] - before[k] for k in calls} == {
-                "leftmost_child": 15, "next_sibling": 14, "bound_B": 29}
+                "leftmost_child": 16, "next_sibling": 15, "bound_B": 31}
     assert exhausted == 22
 
 

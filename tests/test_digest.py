@@ -65,7 +65,7 @@ def result_digest(results) -> str:
 
 
 @pytest.mark.parametrize("name,alg,digest", [
-    ("rs15", "tcgs", "e85a444ad544554eb1d7e4587a91b0a70e0671d456ad5ca2e6e0cb8cccd87690"),
+    ("rs15", "tcgs", "2e8dcc93591cc1ade8f0ca268f1d836e0cb4c95e8fdbf0689396476f64f20eff"),
     ("rs15", "lcc", "7a7bee92d7b9f7b7c00fa6874f159041e95a480729e4302b83a610c943c8a98b"),
     ("rs15", "hdd", "6a9cb5d5e57386d474935b9e8e0c2d9437e6da965aef14ca77929874e51ec14a"),
     ("rs15", "tcgs-eps0.01", "fd1dcaa0e44ac6503aa5b990d34e59f6fdea997b6b8f821b4848b59cf5854ce5"),

@@ -173,3 +173,25 @@ def test_bench_pairs_refuses_a_failed_run(tmp_path, body):
     script.write_text(body + "\n")
     with pytest.raises(SystemExit, match="refused"):
         run_once(str(tmp_path), "w", 0, 1.0)
+
+
+def test_bench_pairs_runs_pair_i_at_seed_plus_i_on_both_sides(tmp_path, monkeypatch, capsys):
+    """Pair i decodes the frames of seed --seed + i in both checkouts, the base
+    first in even pairs and the change first in odd ones, and prints its seed."""
+    bench_pairs = _load("bench_pairs")
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"run_seconds": 1, "end_to_end": [{"name": "m", "better": "lower", "bound": 0.1}]}')
+    calls = []
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        calls.append((checkout, seed))
+        return {"m": 1.0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    base, change = str(tmp_path), "change-dir"
+    assert bench_pairs.main(["--base", base, "--change", change, "--workload", "w",
+                             "--seed", "5", "--pairs", "3"]) == 0
+    assert calls == [(base, 5), (change, 5), (change, 6), (base, 6), (base, 7), (change, 7)]
+    pair_lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("# pair")]
+    assert [ln.split(":")[0] for ln in pair_lines] == [
+        "# pair 1, seed 5", "# pair 2, seed 6", "# pair 3, seed 7"]

@@ -14,8 +14,8 @@ from treechase.sim import (
     rows_to_csv,
     run_point,
     run_sweep,
+    wilson_interval,
 )
-from treechase.stats import wilson_interval
 
 
 def small_cfg(**kw) -> SweepConfig:

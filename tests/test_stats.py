@@ -1,9 +1,13 @@
+"""The two statistical helpers: channel's chi-square quantile, threshold
+mode's sphere radius, and sim's Wilson interval on a sweep row's FER."""
+
 import math
 
 import numpy as np
 import pytest
 
-from treechase.stats import chi2_threshold, wilson_interval
+from treechase.channel import chi2_threshold
+from treechase.sim import wilson_interval
 
 from reference import chi2_sf
 
@@ -65,11 +69,3 @@ def test_wilson_interval_basic():
         lo3, hi3 = wilson_interval(s, n)
         assert lo3 <= s / n <= hi3
 
-
-def test_chi2_threshold_is_cached_per_eps_and_dof():
-    chi2_threshold.cache_clear()
-    first = chi2_threshold(0.02, 30)
-    assert chi2_threshold(0.02, 30) == first
-    assert chi2_threshold(0.02, 31) != first
-    info = chi2_threshold.cache_info()
-    assert (info.hits, info.misses) == (1, 2)
