@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,6 +69,15 @@ def transmit(signal: np.ndarray, sigma: float, rng: np.random.Generator) -> np.n
     return signal + sigma * rng.standard_normal(signal.shape)
 
 
+@lru_cache(maxsize=16)
+def _signs(field: Field) -> np.ndarray:
+    """The (q, m) read-only samples of every value of field, modulated once per
+    field; modulate's ValueError for a prime field is not cached."""
+    signs = modulate(field, range(field.q)).reshape(field.q, field.m)
+    signs.flags.writeable = False
+    return signs
+
+
 def likelihoods(field: Field, n: int, samples: np.ndarray, sigma2: float) -> np.ndarray:
     """(q, n) matrix of per-symbol Gaussian log-likelihoods; binary fields only.
     ValueError unless 0 < sigma2 < inf (a NaN fails too)."""
@@ -76,8 +85,7 @@ def likelihoods(field: Field, n: int, samples: np.ndarray, sigma2: float) -> np.
         raise ValueError("sigma2 must be finite and > 0")
     m = field.m
     r = np.asarray(samples, dtype=np.float64).reshape(n, m)
-    signs = modulate(field, range(field.q)).reshape(field.q, m)
-    d = r[None, :, :] - signs[:, None, :]
+    d = r[None, :, :] - _signs(field)[:, None, :]
     return -(d * d).sum(axis=2) / (2.0 * sigma2) - 0.5 * m * math.log(2.0 * math.pi * sigma2)
 
 

@@ -7,17 +7,18 @@ byte-reproducible.  Stopping is evaluated at fixed-size chunk boundaries
 (again worker-independent): a sweep point ends at max_frames or once
 min_errors frame errors have accumulated, whichever comes first.
 
-_decoder is the one place that maps an algorithm name to its decode function
-and config: tcgs is the tree search, lcc the Gray-walk Chase baseline, and
-hdd one hard-decision trial of the tree decoder (it ignores threshold_eps).
-In threshold mode tcgs gets the log-likelihood floor of its point's n*m BPSK
-samples (channel.loglik_floor), so the decoder itself never sees the noise
-variance.
-A SweepConfig checks every name through it when it is built, and run_point
-stores the point's context (cfg, code, sigma, decode, config) in _CTX once,
-in the parent, then maps _run_frame over each chunk's frame indices, in
-process or over a fork pool whose workers inherit _CTX; the parent counts
-the outcomes in frame order.
+_point is the one place that builds a sweep point, the context (cfg, code,
+sigma, decode, config) that _run_frame reads: the noise sigma of its SNR, the
+check that its likelihoods leave room to weigh, the code, and the decode
+function and config of its algorithm.  tcgs is the tree search, lcc the
+Gray-walk Chase baseline, and hdd one hard-decision trial of the tree decoder
+(it ignores threshold_eps).  In threshold mode tcgs gets the log-likelihood
+floor of its point's n*m BPSK samples (channel.loglik_floor), so the decoder
+itself never sees the noise variance.
+A SweepConfig builds every point through it when it is built, and run_point
+stores the point's context in _CTX once, in the parent, then maps _run_frame
+over each chunk's frame indices, in process or over a fork pool whose workers
+inherit _CTX; the parent counts the outcomes in frame order.
 
 The CSV report deliberately writes 0.000 in the wall_seconds column unless
 timing is explicitly requested, because measured wall time is the one field
@@ -28,8 +29,8 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 import time
-from collections.abc import Callable
 from contextlib import ExitStack
 from dataclasses import dataclass
 
@@ -71,6 +72,13 @@ class SweepConfig:
         make_code(self.p, self.m, self.n, self.k)  # ValueError for a code that cannot exist
         if self.p != 2:
             raise ValueError("sweeps simulate BPSK, which needs a binary field (p = 2)")
+        for name in ("algorithms", "snr_db"):  # a str would split into its characters
+            values = getattr(self, name)
+            if not isinstance(values, (tuple, list)):
+                raise ValueError(f"{name} must be a tuple or list, not {type(values).__name__}")
+            object.__setattr__(self, name, tuple(values))  # a list leaves the config unhashable
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in self.snr_db):
+            raise ValueError(f"snr_db points must be real numbers (a bool is none): {self.snr_db}")
         if not self.algorithms:
             raise ValueError("no algorithms selected")
         if not self.snr_db:
@@ -85,14 +93,9 @@ class SweepConfig:
             raise ValueError("eta must be in [0, n]")
         if self.threshold_eps is not None and not 0.0 < self.threshold_eps < 1.0:
             raise ValueError("threshold_eps must be in (0, 1)")
-        for snr_db in self.snr_db:  # every point's noise and decoder, as run_point builds them
-            sigma = sigma_from_snr_db(snr_db, self.k / self.n)
-            # a noiseless frame's soft weights total n*m*q / sigma^2; twice that
-            # leaves room for the noise
-            if 2 * self.n * self.m * 2**self.m / (sigma * sigma) > _WEIGHT_TOTAL_MAX:
-                raise ValueError(f"SNR {snr_db} dB gives likelihoods too large to weigh")
-            for alg in self.algorithms:  # a threshold floor loads scipy before any worker forks
-                _decoder(self, alg, sigma * sigma)
+        for snr_db in self.snr_db:  # a threshold floor loads scipy before any worker forks
+            for alg in self.algorithms:
+                _point(self, alg, snr_db)
 
 
 @dataclass
@@ -155,19 +158,27 @@ def draw_frame(code: CodeParams, sigma: float, seed: int, idx: int) -> tuple[tup
     return tx, likelihoods(code.field, code.n, r, sigma * sigma)
 
 
-def _decoder(cfg: SweepConfig, alg: str,
-             sigma2: float) -> tuple[Callable, DecoderConfig | LccConfig]:
-    """The decode function and config that algorithm alg runs at noise variance
-    sigma2.  The decoders are looked up in this module's globals at each call,
-    so wrappers that perfbench/tracing.py swaps in are the ones that run."""
+def _point(cfg: SweepConfig, alg: str, snr_db: float) -> tuple:
+    """The context (cfg, code, sigma, decode, config) of algorithm alg at
+    snr_db; ValueError for an SNR whose likelihoods are too large to weigh or
+    an unknown algorithm.  The decoders are looked up in this module's globals
+    at each call, so wrappers that perfbench/tracing.py swaps in are the ones
+    that run."""
+    sigma = sigma_from_snr_db(snr_db, cfg.k / cfg.n)
+    sigma2 = sigma * sigma
+    # a noiseless frame's soft weights total n*m*q / sigma^2; twice that leaves
+    # room for the noise
+    if 2 * cfg.n * cfg.m * 2**cfg.m / sigma2 > _WEIGHT_TOTAL_MAX:
+        raise ValueError(f"SNR {snr_db} dB gives likelihoods too large to weigh")
+    code = make_code(cfg.p, cfg.m, cfg.n, cfg.k)
     if alg == "tcgs":
         eps = cfg.threshold_eps
         floor = None if eps is None else loglik_floor(cfg.n * cfg.m, sigma2, eps)
-        return tcgs_decode, DecoderConfig(max_trials=cfg.L, loglik_floor=floor)
+        return cfg, code, sigma, tcgs_decode, DecoderConfig(max_trials=cfg.L, loglik_floor=floor)
     if alg == "hdd":
-        return tcgs_decode, DecoderConfig(max_trials=1)
+        return cfg, code, sigma, tcgs_decode, DecoderConfig(max_trials=1)
     if alg == "lcc":
-        return lcc_decode, LccConfig(eta=cfg.eta)
+        return cfg, code, sigma, lcc_decode, LccConfig(eta=cfg.eta)
     raise ValueError(f"unknown algorithm {alg!r} (choose from {ALGORITHMS})")
 
 
@@ -187,9 +198,7 @@ def run_point(cfg: SweepConfig, alg: str, snr_db: float) -> SweepRow:
     global _CTX
     start = time.perf_counter()
     row = SweepRow(alg, snr_db)
-    sigma = sigma_from_snr_db(snr_db, cfg.k / cfg.n)
-    code = make_code(cfg.p, cfg.m, cfg.n, cfg.k)
-    _CTX = (cfg, code, sigma, *_decoder(cfg, alg, sigma * sigma))
+    _CTX = _point(cfg, alg, snr_db)
     with ExitStack() as stack:
         pool = None
         if cfg.workers > 1:

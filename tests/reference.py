@@ -18,6 +18,8 @@ because no decode, sweep or CLI path calls it:
   minimal               a basis's element of least weighted degree
   codebook              every (message, codeword) pair of a small code
   mld_oracle            exhaustive maximum-likelihood decode of a small code
+  bw_decode             Berlekamp-Welch bounded-distance decode of a word,
+                        by linear algebra with no interpolation module
   isd_oracle            the lightest codeword under a weight bound, by
                         enumerating an information set: exact where
                         mld_oracle's codebook is too large
@@ -176,6 +178,59 @@ def mld_oracle(code: CodeParams, pi: np.ndarray) -> tuple[list[int], tuple[int, 
     msgs, cws = _codebook_scores_setup(code)
     pick = int(np.argmax(pi[cws, np.arange(code.n)].sum(axis=1)))
     return list(msgs[pick]), tuple(int(v) for v in cws[pick])
+
+
+def bw_decode(code: CodeParams, word) -> list[int] | None:
+    """The message whose codeword lies within t = floor((n - k)/2) of word, by
+    Berlekamp-Welch: Q(x_j) = y_j*E(x_j) at every node, for Q of degree
+    < k + t and E monic of degree t, solved by Gauss-Jordan elimination
+    through Field.add/sub/mul/inv alone; u = Q/E by long division.  None
+    unless the system is consistent, E divides Q exactly and u's codeword lies
+    within t of word.  u has degree < k by construction, and is trimmed as
+    factorize trims it."""
+    f, n, k = code.field, code.n, code.k
+    add, sub, mul = f.add, f.sub, f.mul
+    t = (n - k) // 2
+    width = k + 2 * t  # Q's k + t coefficients, then E's t below its leading 1
+    rows = []
+    for x, y in zip(code.eval_points, word):
+        xp = [1]
+        for _ in range(k + t):
+            xp.append(mul(xp[-1], x))
+        rows.append(xp[:k + t] + [sub(0, mul(y, v)) for v in xp[:t]] + [mul(y, xp[t])])
+    pivots = []
+    for col in range(width):
+        r = len(pivots)
+        pick = next((i for i in range(r, n) if rows[i][col]), None)
+        if pick is None:
+            continue
+        rows[r], rows[pick] = rows[pick], rows[r]
+        s = f.inv(rows[r][col])
+        rows[r] = [mul(s, v) for v in rows[r]]
+        for i in range(n):
+            if i != r and (c := rows[i][col]):
+                rows[i] = [sub(a, mul(c, b)) for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    if any(row[width] for row in rows[len(pivots):]):
+        return None  # no (Q, E) fits every node
+    sol = [0] * width  # free unknowns 0: every solution's Q/E is u when u exists
+    for row, col in zip(rows, pivots):
+        sol[col] = row[width]
+    rem, E = sol[:k + t], sol[k + t:] + [1]
+    u = [0] * k
+    for i in range(k + t - 1, t - 1, -1):  # E is monic: the quotient's terms read off rem
+        u[i - t] = c = rem[i]
+        for j, e in enumerate(E):
+            rem[i - t + j] = sub(rem[i - t + j], mul(c, e))
+    if any(rem):
+        return None
+    far = 0
+    for x, y in zip(code.eval_points, word):
+        c = 0
+        for v in reversed(u):
+            c = add(mul(c, x), v)
+        far += c != y
+    return poly_trim(u) if far <= t else None
 
 
 def isd_oracle(code: CodeParams, pi: np.ndarray, bound: float,

@@ -86,6 +86,24 @@ def test_modulate_and_likelihoods_reject_prime_fields():
     assert modulate(PrimeField(2), (1, 0)).tolist() == [-1.0, 1.0]
 
 
+def test_likelihoods_modulate_each_field_once(monkeypatch):
+    """The samples of every field value are modulated at a field's first call
+    only; a prime field's ValueError is raised again at every call."""
+    from treechase import channel
+
+    calls = []
+    monkeypatch.setattr(channel, "modulate", lambda f, c: calls.append(f) or modulate(f, c))
+    gf8, gf5 = BinaryField(3), PrimeField(5)
+    r = np.random.default_rng(1).standard_normal(7 * 3)
+    first = likelihoods(gf8, 7, r, 0.5)
+    assert np.array_equal(likelihoods(gf8, 7, r, 0.5), first)
+    assert calls == [gf8]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="BPSK carries GF"):
+            likelihoods(gf5, 4, np.zeros(4), 1.0)
+    assert calls == [gf8, gf5, gf5]
+
+
 def test_single_bit_loglik_difference():
     # one GF(2) symbol, r = 0.3, sigma = 1: pi0 - pi1 = 2r/sigma^2 = 0.6
     f2 = PrimeField(2)

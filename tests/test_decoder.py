@@ -25,7 +25,7 @@ from treechase.rscode import encode, make_code
 from treechase.sim import draw_frame
 
 from conftest import pam_pi
-from reference import _codebook_scores_setup, front_end, mld_oracle, traced
+from reference import _codebook_scores_setup, bw_decode, front_end, mld_oracle, traced
 
 
 def test_worked_example_end_to_end(code54, example1_pi):
@@ -712,3 +712,49 @@ def test_every_attempt_is_a_bounded_distance_decode(monkeypatch, p, m, n, k):
         tcgs_decode(code, pi, DecoderConfig(max_trials=16))
         lcc_decode(code, pi, LccConfig(eta=min(4, n)))
     assert counts["found"] > 200 and counts["none"] > 200
+
+
+@pytest.mark.parametrize("p,m,n,k", [(2, 3, 7, 3), (5, 1, 4, 2), (7, 1, 6, 2)])
+def test_bw_decode_is_the_bounded_distance_decode(p, m, n, k):
+    """The Berlekamp-Welch oracle returns the message of the one codeword
+    within floor((n - k)/2) of a word, by the codebook, and None when there is
+    none: on random words and on codewords with that many symbols changed."""
+    code = make_code(p, m, n, k)
+    radius = (n - k) // 2
+    msgs, cws = _codebook_scores_setup(code)
+    rng = np.random.default_rng(p * 100 + n)
+    found = 0
+    for trial in range(400):
+        if trial % 2:
+            word = rng.integers(0, code.field.q, size=n)
+        else:  # a codeword with radius coordinates redrawn
+            word = cws[rng.integers(len(cws))].copy()
+            word[rng.choice(n, radius, replace=False)] = rng.integers(0, code.field.q, size=radius)
+        near = np.flatnonzero((cws != word).sum(axis=1) <= radius)
+        u = bw_decode(code, word.tolist())
+        assert u == (msgs[near[0]] if near.size else None)
+        found += u is not None
+    assert 200 <= found < 400
+
+
+def test_every_rs15_attempt_is_the_berlekamp_welch_decode(monkeypatch, code16):
+    """Every attempt of tcgs (L = 16) and lcc (eta = 4) on the [15,11] 4 dB
+    frames 0..299 returns exactly the Berlekamp-Welch decode of the test vector
+    it interpolates, or None when that has none: the bounded-distance check of
+    the deployed-shape code, whose codebook is too large to search."""
+    counts = {"found": 0, "none": 0}
+
+    def factorize_and_check(basis, xs):
+        found = factorize(basis, xs)
+        u = bw_decode(code16, [basis.points[x] for x in xs])
+        assert found == (None if u is None else (u, encode(code16, u)))
+        counts["found" if found else "none"] += 1
+        return found
+
+    monkeypatch.setattr(decoder, "factorize", factorize_and_check)
+    sigma = sigma_from_snr_db(4.0, code16.k / code16.n)
+    for i in range(300):
+        _, pi = draw_frame(code16, sigma, 0, i)
+        tcgs_decode(code16, pi, DecoderConfig(max_trials=16))
+        lcc_decode(code16, pi, LccConfig(eta=4))
+    assert counts["found"] > 1000 and counts["none"] > 1000

@@ -20,7 +20,7 @@ from treechase.baselines import LccConfig, lcc_decode
 from treechase.channel import sigma_from_snr_db
 from treechase.decoder import DecoderConfig, tcgs_decode
 from treechase.rscode import make_code
-from treechase.sim import SweepConfig, _decoder, draw_frame
+from treechase.sim import SweepConfig, _point, draw_frame
 
 CODES = {"rs15": ((2, 4, 15, 11), 4.0, 3000), "rs255": ((2, 8, 255, 239), 6.0, 40)}
 
@@ -30,8 +30,7 @@ def _threshold_point():
     """The decode function and config of an rs15 tcgs sweep point at 4 dB, L=16,
     threshold_eps 0.01."""
     cfg = SweepConfig(snr_db=(4.0,), L=16, threshold_eps=0.01)
-    sigma = sigma_from_snr_db(4.0, cfg.k / cfg.n)
-    return _decoder(cfg, "tcgs", sigma * sigma)
+    return _point(cfg, "tcgs", 4.0)[3:]
 
 
 def _threshold_decode(code, pi):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 from scipy.stats import spearmanr
 
+from treechase import sim
 from treechase.sim import (
     ALGORITHMS,
     CHUNK,
@@ -96,6 +97,23 @@ def test_run_point_rejects_unknown_algorithm():
     assert str(ran.value) == str(checked.value)
 
 
+@pytest.mark.parametrize("alg, eps", [("tcgs", None), ("tcgs", 0.01), ("hdd", None), ("lcc", None)])
+def test_run_point_runs_the_point_that_point_builds(alg, eps):
+    """run_point installs _point's context: the same code, sigma, decode
+    function and config, for the tree search with and without a threshold
+    floor and for both baselines."""
+    cfg = small_cfg(snr_db=(4.0,), algorithms=(alg,), threshold_eps=eps, max_frames=1)
+    built = sim._point(cfg, alg, 4.0)
+    run_point(cfg, alg, 4.0)
+    ran = sim._CTX
+
+    def parts(ctx):
+        c, code, sigma, decode, config = ctx
+        return c, (code.field.p, code.field.m, code.n, code.k), sigma, decode, config
+
+    assert parts(ran) == parts(built)
+
+
 @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), float("-inf"), 1e308, -1e308])
 def test_sweep_config_rejects_snr_without_finite_noise_variance(snr_db):
     """An SNR whose noise variance is not a finite positive float is rejected
@@ -118,16 +136,34 @@ def test_sweep_config_rejects_snr_without_finite_noise_variance(snr_db):
     (dict(seed=False), "seed must be an integer"),
     (dict(algorithms=("tcgs", "lcc", "tcgs")), "repeated algorithm in ('tcgs', 'lcc', 'tcgs')"),
     (dict(snr_db=(5.0, 4.0, 5)), "repeated SNR point in (5.0, 4.0, 5)"),
+    (dict(algorithms="lcc"), "algorithms must be a tuple or list, not str"),
+    (dict(algorithms="tcgs"), "algorithms must be a tuple or list, not str"),
+    (dict(algorithms={"tcgs"}), "algorithms must be a tuple or list, not set"),
+    (dict(snr_db=5.0), "snr_db must be a tuple or list, not float"),
+    (dict(snr_db="5"), "snr_db must be a tuple or list, not str"),
+    (dict(snr_db=(True,)), "snr_db points must be real numbers (a bool is none): (True,)"),
+    (dict(snr_db=[5.0, False]), "snr_db points must be real numbers (a bool is none): (5.0, False)"),
+    (dict(snr_db=("5",)), "snr_db points must be real numbers (a bool is none): ('5',)"),
+    (dict(snr_db=(4.0, None)), "snr_db points must be real numbers (a bool is none): (4.0, None)"),
 ])
 def test_sweep_config_rejects_what_run_sweep_cannot_run(kw, cause):
     """A negative seed (numpy's frame streams take none), an SNR whose
     likelihoods overflow the soft-weight check, a count that is no integer
     (a TypeError inside run_sweep, or a budget the config does not name; a
-    bool is no count either), or a repeated algorithm or SNR point (which
-    would decode the same point again and print the same row twice) is
-    rejected when the config is built, not inside run_sweep."""
+    bool is no count either), a repeated algorithm or SNR point (which
+    would decode the same point again and print the same row twice), a
+    point list that is no tuple or list (a str iterates its characters, a
+    float not at all) or an SNR point that is no real number (a str, None or
+    a bool) is rejected when the config is built, not inside run_sweep."""
     with pytest.raises(ValueError, match=re.escape(cause)):
         small_cfg(**kw)
+
+
+def test_sweep_config_stores_lists_as_tuples():
+    """Lists are accepted and stored as tuples, so the frozen config hashes."""
+    cfg = small_cfg(snr_db=[5.0, 4.0], algorithms=["tcgs", "hdd"])
+    assert (cfg.snr_db, cfg.algorithms) == ((5.0, 4.0), ("tcgs", "hdd"))
+    assert hash(cfg) == hash(small_cfg(snr_db=(5.0, 4.0), algorithms=("tcgs", "hdd")))
 
 
 def test_every_snr_a_sweep_config_accepts_runs():
