@@ -53,7 +53,7 @@ import numpy as np
 
 from .channel import check_pi, soft_weights
 from .chase import bound_B, kaneko_B0, leftmost_child, next_sibling, render_pattern
-from .galois import check_count, poly_str
+from .galois import _is_real, check_count, poly_str
 from .interp import GroebnerBasis, backward_remove, factorize, forward_add, interpolate
 from .rscode import CodeParams, check_word
 
@@ -79,6 +79,7 @@ class DecoderConfig:
     log-likelihood sum_j pi[c_j][j] a codeword c inside the sphere can have
     (channel.loglik_floor gives it for the BPSK/AWGN channel), and it replaces
     the tree certificate test at each pop by the sphere-exit test bound >= T_z.
+    It is None or a finite real number (a bool is none).
     """
 
     max_trials: int = 16
@@ -86,7 +87,8 @@ class DecoderConfig:
 
     def __post_init__(self):
         check_count("max_trials", self.max_trials, 1)
-        if self.loglik_floor is not None and not math.isfinite(self.loglik_floor):
+        if self.loglik_floor is not None and not (_is_real(self.loglik_floor)
+                                                  and math.isfinite(self.loglik_floor)):
             raise ValueError("loglik_floor must be finite")
 
 

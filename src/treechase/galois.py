@@ -20,11 +20,13 @@ polynomial:
     11  x^11 + x^2 + 1            0x805
     12  x^12 + x^6 + x^4 + x + 1  0x1053
 
-GF(p) builds the same exp/log tables from its smallest primitive root.  A
-field's tables are built when make_field constructs it, and their numpy
-copies at its first poly_combine.  log[0] is a sentinel
-that indexes a zero tail of the exp table, so exp[log[a] + log[b]] == a * b
-for zero operands too.
+GF(p) builds the same exp/log tables from its smallest primitive root.  That
+search is also the primality test: an element of order p - 1 exists only when
+Z_p^* has p - 1 elements, that is, when p is prime, so a composite p raises
+when no candidate closes a cycle of that length.  A field's tables are built
+when make_field constructs it, and their numpy copies at its first
+poly_combine.  log[0] is a sentinel that indexes a zero tail of the exp
+table, so exp[log[a] + log[b]] == a * b for zero operands too.
 
 Univariate polynomials are plain lists of ints, lowest degree first, with no
 trailing zeros (the zero polynomial is the empty list).  The kernels on the
@@ -53,11 +55,13 @@ exception, so a bad node tuple raises on every call.
 check_count is the one check of a size or count, here and in every module
 above: an integer, Python's or numpy's, of at least a least value.  It and
 Field.are_elements share one rule for an integer (_is_integer), which takes
-no bool: True is no count and no symbol.
+no bool: True is no count and no symbol.  _is_real is the matching rule for a
+real-valued setting (an SNR point, a threshold, a log-likelihood floor).
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 from functools import cached_property, lru_cache
 
@@ -84,23 +88,17 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """Whether value is a real number, Python's or numpy's, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_count(name: str, value, least: int) -> None:
     """ValueError unless value is an integer (_is_integer) of at least least."""
     if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 class Field:
@@ -217,8 +215,10 @@ class PrimeField(Field):
             powers = [1]
             while len(powers) < p - 1 and powers[-1] * g % p != 1:
                 powers.append(powers[-1] * g % p)
-            if len(powers) == p - 1:
+            if len(powers) == p - 1 and powers[-1] * g % p == 1:  # g has order p - 1
                 break
+        else:  # an element of order p - 1 exists only for prime p
+            raise ValueError(f"p = {p} is not prime")
         self._set_tables(powers)
 
     def add(self, a, b):
@@ -357,8 +357,6 @@ def make_field(p: int, m: int = 1) -> Field:
     """Construct GF(p^m).  Prime p <= 257 for m = 1; p = 2, 2 <= m <= 12 otherwise."""
     check_count("p", p, 2)
     check_count("m", m, 1)
-    if not _is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
     if m == 1:
         if p > 257:
             raise ValueError("prime fields supported up to p = 257")

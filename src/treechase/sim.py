@@ -7,14 +7,17 @@ byte-reproducible.  Stopping is evaluated at fixed-size chunk boundaries
 (again worker-independent): a sweep point ends at max_frames or once
 min_errors frame errors have accumulated, whichever comes first.
 
-_point is the one place that builds a sweep point, the context (cfg, code,
-sigma, decode, config) that _run_frame reads: the noise sigma of its SNR, the
-check that its likelihoods leave room to weigh, the code, and the decode
-function and config of its algorithm.  tcgs is the tree search, lcc the
-Gray-walk Chase baseline, and hdd one hard-decision trial of the tree decoder
-(it ignores threshold_eps).  In threshold mode tcgs gets the log-likelihood
-floor of its point's n*m BPSK samples (channel.loglik_floor), so the decoder
-itself never sees the noise variance.
+A SweepConfig holds its code, built once when the config is built: every
+point, every config check and every forked worker reads that one cfg.code, so
+they share one field and the caches keyed by it (channel's sign table,
+galois.lagrange_table).  _point is the one place that builds a sweep point,
+the context (cfg, code, sigma, decode, config) that _run_frame reads: the
+noise sigma of its SNR, the check that its likelihoods leave room to weigh,
+and the decode function and config of its algorithm.  tcgs is the tree
+search, lcc the Gray-walk Chase baseline, and hdd one hard-decision trial of
+the tree decoder (it ignores threshold_eps).  In threshold mode tcgs gets the
+log-likelihood floor of its point's n*m BPSK samples (channel.loglik_floor),
+so the decoder itself never sees the noise variance.
 A SweepConfig builds every point through it when it is built, and run_point
 stores the point's context in _CTX once, in the parent, then maps _run_frame
 over each chunk's frame indices, in process or over a fork pool whose workers
@@ -22,17 +25,18 @@ inherit _CTX; the parent counts the outcomes in frame order.
 
 The CSV report deliberately writes 0.000 in the wall_seconds column unless
 timing is explicitly requested, because measured wall time is the one field
-that would break byte-for-byte reproducibility.
+that would break byte-for-byte reproducibility.  _snr_label is the one format
+of the snr_db column, and SweepConfig rejects two SNR points that it prints
+alike (4 and 4.0000001), so no two rows share a label.
 """
 
 from __future__ import annotations
 
 import io
 import math
-import numbers
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +44,7 @@ from .baselines import LccConfig, classify_ml, lcc_decode
 from .channel import (_WEIGHT_TOTAL_MAX, frame_rng, likelihoods, loglik_floor, modulate,
                       sigma_from_snr_db, transmit)
 from .decoder import DecoderConfig, tcgs_decode
-from .galois import check_count
+from .galois import _is_real, check_count
 from .rscode import CodeParams, encode, make_code
 
 ALGORITHMS = ("tcgs", "lcc", "hdd")
@@ -51,7 +55,10 @@ CSV_HEADER = "algorithm,snr_db,frames,frame_errors,fer,avg_trials,e_upper_rate,e
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One sweep; ValueError on construction unless every point can run."""
+    """One sweep; ValueError on construction unless every point can run.
+
+    code is not an argument: it is built from p, m, n and k, and is left out of
+    ==, hash and repr, which the other fields determine."""
 
     p: int = 2
     m: int = 4
@@ -67,9 +74,11 @@ class SweepConfig:
     threshold_eps: float | None = None
     genie: bool = False
     workers: int = 1
+    code: CodeParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        make_code(self.p, self.m, self.n, self.k)  # ValueError for a code that cannot exist
+        # ValueError for a code that cannot exist
+        object.__setattr__(self, "code", make_code(self.p, self.m, self.n, self.k))
         if self.p != 2:
             raise ValueError("sweeps simulate BPSK, which needs a binary field (p = 2)")
         for name in ("algorithms", "snr_db"):  # a str would split into its characters
@@ -77,7 +86,7 @@ class SweepConfig:
             if not isinstance(values, (tuple, list)):
                 raise ValueError(f"{name} must be a tuple or list, not {type(values).__name__}")
             object.__setattr__(self, name, tuple(values))  # a list leaves the config unhashable
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in self.snr_db):
+        if not all(map(_is_real, self.snr_db)):
             raise ValueError(f"snr_db points must be real numbers (a bool is none): {self.snr_db}")
         if not self.algorithms:
             raise ValueError("no algorithms selected")
@@ -86,13 +95,22 @@ class SweepConfig:
         for what, values in (("algorithm", self.algorithms), ("SNR point", self.snr_db)):
             if len(set(values)) < len(values):  # a repeated point decodes its frames again
                 raise ValueError(f"repeated {what} in {values}")
+        seen = {}
+        for snr_db in self.snr_db:  # rows_to_csv would print two rows under one label
+            label = _snr_label(snr_db)
+            if label in seen:
+                raise ValueError(f"SNR points {seen[label]!r} and {snr_db!r} both print as {label}")
+            seen[label] = snr_db
         for name, least in (("L", 1), ("max_frames", 1), ("min_errors", 0), ("workers", 1),
                             ("seed", 0)):
             check_count(name, getattr(self, name), least)
         if "lcc" in self.algorithms and not 0 <= self.eta <= self.n:
             raise ValueError("eta must be in [0, n]")
-        if self.threshold_eps is not None and not 0.0 < self.threshold_eps < 1.0:
+        if self.threshold_eps is not None and not (_is_real(self.threshold_eps)
+                                                   and 0.0 < self.threshold_eps < 1.0):
             raise ValueError("threshold_eps must be in (0, 1)")
+        if not isinstance(self.genie, (bool, np.bool_)):  # any truthy value would switch it on
+            raise ValueError(f"genie must be a bool, got {self.genie!r}")
         for snr_db in self.snr_db:  # a threshold floor loads scipy before any worker forks
             for alg in self.algorithms:
                 _point(self, alg, snr_db)
@@ -170,15 +188,14 @@ def _point(cfg: SweepConfig, alg: str, snr_db: float) -> tuple:
     # room for the noise
     if 2 * cfg.n * cfg.m * 2**cfg.m / sigma2 > _WEIGHT_TOTAL_MAX:
         raise ValueError(f"SNR {snr_db} dB gives likelihoods too large to weigh")
-    code = make_code(cfg.p, cfg.m, cfg.n, cfg.k)
     if alg == "tcgs":
         eps = cfg.threshold_eps
         floor = None if eps is None else loglik_floor(cfg.n * cfg.m, sigma2, eps)
-        return cfg, code, sigma, tcgs_decode, DecoderConfig(max_trials=cfg.L, loglik_floor=floor)
+        return cfg, cfg.code, sigma, tcgs_decode, DecoderConfig(max_trials=cfg.L, loglik_floor=floor)
     if alg == "hdd":
-        return cfg, code, sigma, tcgs_decode, DecoderConfig(max_trials=1)
+        return cfg, cfg.code, sigma, tcgs_decode, DecoderConfig(max_trials=1)
     if alg == "lcc":
-        return cfg, code, sigma, lcc_decode, LccConfig(eta=cfg.eta)
+        return cfg, cfg.code, sigma, lcc_decode, LccConfig(eta=cfg.eta)
     raise ValueError(f"unknown algorithm {alg!r} (choose from {ALGORITHMS})")
 
 
@@ -220,12 +237,17 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     return [run_point(cfg, alg, snr) for alg in cfg.algorithms for snr in cfg.snr_db]
 
 
+def _snr_label(snr_db: float) -> str:
+    """The snr_db cell of a CSV row: 4.0 prints as 4."""
+    return f"{snr_db:g}"
+
+
 def rows_to_csv(rows: list[SweepRow], timing: bool = False) -> str:
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
     for r in rows:
         wall = r.wall_seconds if timing else 0.0
-        out.write(f"{r.algorithm},{r.snr_db:g},{r.frames},{r.frame_errors},"
+        out.write(f"{r.algorithm},{_snr_label(r.snr_db)},{r.frames},{r.frame_errors},"
                   f"{r.fer:.8g},{r.avg_trials:.8g},{r.e_upper_rate:.8g},"
                   f"{r.e_lower_rate:.8g},{wall:.3f}\n")
     return out.getvalue()

@@ -3,6 +3,8 @@
 Each one is an oracle the package is checked against, kept out of the package
 because no decode, sweep or CLI path calls it:
 
+  is_prime              primality by trial division, which the package
+                        leaves to GF(p)'s generator search
   poly_add, poly_mul    dense polynomial sum and product through Field.add/mul
   chi2_sf               the chi-square tail, inverse of channel.chi2_threshold
   rank_of               atom (coord, delta) -> 0-based rank in the atom chain
@@ -45,6 +47,10 @@ from treechase.decoder import DecodeResult, DecoderConfig, tcgs_decode
 from treechase.galois import Field, lagrange_table, poly_trim
 from treechase.interp import BivarPoly, GroebnerBasis, forward_add
 from treechase.rscode import CodeParams, encode
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def poly_add(field: Field, a: list[int], b: list[int]) -> list[int]:

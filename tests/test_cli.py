@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -8,6 +11,15 @@ from treechase.sim import CSV_HEADER
 
 PI_PATH = str(resources.files("treechase") / "fixtures" / "example1.pi")
 TRACE_PATH = str(resources.files("treechase") / "fixtures" / "example1.trace")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_module(*args: str) -> subprocess.CompletedProcess:
+    """python3 -m treechase args in a fresh interpreter that imports this
+    checkout's package."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "treechase", *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
 
 
 def test_replay_golden_exit_zero(capsys):
@@ -177,23 +189,30 @@ def test_replay_gf16_matrix_too_long_exit_one(tmp_path, capsys):
 
 
 def test_main_module_entrypoint():
-    import subprocess, sys
-    proc = subprocess.run([sys.executable, "-m", "treechase", "chi2",
-                           "--eps", "0.5", "--dof", "4"],
-                          capture_output=True, text=True)
+    proc = run_module("chi2", "--eps", "0.5", "--dof", "4")
     assert proc.returncode == 0
     assert float(proc.stdout.strip()) > 0
+
+
+def test_main_module_replays_the_golden_trace(example1_trace):
+    """python3 -m treechase, as README runs it, in a fresh interpreter: the
+    golden replay prints the golden trace and exits 0, a --code without four
+    fields exits 1."""
+    replay = run_module("replay", "--pi", PI_PATH)
+    assert (replay.returncode, replay.stderr) == (0, "")
+    assert replay.stdout.splitlines() == example1_trace
+    bad = run_module("sweep", "--code", "15,11", "--snr", "5")
+    assert (bad.returncode, bad.stdout) == (1, "")
+    assert bad.stderr == "error: --code needs p,m,n,k, got '15,11'\n"
 
 
 def test_cold_start_loads_neither_scipy_nor_multiprocessing():
     """Importing the package or its CLI loads no scipy.* and no multiprocessing.*
     module; the chi-square quantile loads scipy on first use.  Checked in a
     fresh interpreter, since this test process may have imported both already."""
-    import os, subprocess, sys
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = (
         "import sys\n"
-        f"sys.path.insert(0, {src!r})\n"
+        f"sys.path.insert(0, {SRC!r})\n"
         "import treechase, treechase.cli\n"
         "heavy = ('scipy', 'multiprocessing')\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in heavy))\n"

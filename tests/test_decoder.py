@@ -360,9 +360,11 @@ def test_decoder_config_validation(code54, example1_pi):
         with pytest.raises(ValueError, match="max_trials must be an integer"):
             DecoderConfig(max_trials=max_trials)
     assert tcgs_decode(code54, example1_pi, DecoderConfig(max_trials=np.int64(1))).trials == 1
-    for floor in (math.nan, math.inf, -math.inf):
+    for floor in (math.nan, math.inf, -math.inf, True, np.False_, "x", "-3.0", np.array([-3.0])):
         with pytest.raises(ValueError, match="loglik_floor must be finite"):
             DecoderConfig(loglik_floor=floor)
+    for floor in (-3, np.float32(-3.0), np.int64(-3)):
+        assert DecoderConfig(loglik_floor=floor).loglik_floor == -3
 
 
 def test_pi_shape_check(code54):

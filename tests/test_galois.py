@@ -15,7 +15,7 @@ from treechase.galois import (
     poly_trim,
 )
 
-from reference import poly_add, poly_mul
+from reference import is_prime, poly_add, poly_mul
 
 GF5 = PrimeField(5)
 GF16 = BinaryField(4)
@@ -82,6 +82,31 @@ def test_make_field_validation():
     for p, m in ((2, 17), (3, 20), (65537, 1)):  # too large: m > 12, or p > 257
         with pytest.raises(ValueError):
             make_field(p, m)
+    # a composite p that is also out of range is reported by its range: no
+    # primality test comes before the field is chosen
+    with pytest.raises(ValueError, match="prime fields supported up to p = 257"):
+        make_field(258)
+    with pytest.raises(ValueError, match="extension fields require p = 2"):
+        make_field(4, 2)
+
+
+def test_gf_p_builds_exactly_for_prime_p():
+    """The generator search is the primality test: for every p in 2..257,
+    make_field(p) builds iff trial division finds p prime, its exp order is
+    the powers of the smallest primitive root (an element of order p - 1), and
+    a composite p raises "p = ... is not prime", through make_field or
+    PrimeField."""
+    primes = 0
+    for p in range(2, 258):
+        if not is_prime(p):
+            for build in (make_field, PrimeField):
+                with pytest.raises(ValueError, match=f"^p = {p} is not prime$"):
+                    build(p)
+            continue
+        g = next(g for g in range(1, p) if len({pow(g, i, p) for i in range(p - 1)}) == p - 1)
+        assert make_field(p).exp_order() == [pow(g, i, p) for i in range(p - 1)]
+        primes += 1
+    assert primes == 55
 
 
 def test_are_elements_takes_integers_in_range_only():

@@ -1,6 +1,7 @@
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
@@ -145,6 +146,13 @@ def test_sweep_config_rejects_snr_without_finite_noise_variance(snr_db):
     (dict(snr_db=[5.0, False]), "snr_db points must be real numbers (a bool is none): (5.0, False)"),
     (dict(snr_db=("5",)), "snr_db points must be real numbers (a bool is none): ('5',)"),
     (dict(snr_db=(4.0, None)), "snr_db points must be real numbers (a bool is none): (4.0, None)"),
+    (dict(snr_db=(4.0, 4.0000001)), "SNR points 4.0 and 4.0000001 both print as 4"),
+    (dict(snr_db=(5.0, 1e-7, 1.00000001e-7)),
+     "SNR points 1e-07 and 1.00000001e-07 both print as 1e-07"),
+    (dict(genie="no"), "genie must be a bool, got 'no'"),
+    (dict(genie=1), "genie must be a bool, got 1"),
+    (dict(threshold_eps="0.01"), "threshold_eps must be in (0, 1)"),
+    (dict(threshold_eps=np.array([0.01])), "threshold_eps must be in (0, 1)"),
 ])
 def test_sweep_config_rejects_what_run_sweep_cannot_run(kw, cause):
     """A negative seed (numpy's frame streams take none), an SNR whose
@@ -153,8 +161,11 @@ def test_sweep_config_rejects_what_run_sweep_cannot_run(kw, cause):
     bool is no count either), a repeated algorithm or SNR point (which
     would decode the same point again and print the same row twice), a
     point list that is no tuple or list (a str iterates its characters, a
-    float not at all) or an SNR point that is no real number (a str, None or
-    a bool) is rejected when the config is built, not inside run_sweep."""
+    float not at all), an SNR point that is no real number (a str, None or
+    a bool), two SNR points that the CSV would print alike, a genie flag that
+    is no bool (any truthy value would switch it on) or a threshold_eps that
+    is no real number is rejected when the config is built, not inside
+    run_sweep."""
     with pytest.raises(ValueError, match=re.escape(cause)):
         small_cfg(**kw)
 
@@ -164,6 +175,29 @@ def test_sweep_config_stores_lists_as_tuples():
     cfg = small_cfg(snr_db=[5.0, 4.0], algorithms=["tcgs", "hdd"])
     assert (cfg.snr_db, cfg.algorithms) == ((5.0, 4.0), ("tcgs", "hdd"))
     assert hash(cfg) == hash(small_cfg(snr_db=(5.0, 4.0), algorithms=("tcgs", "hdd")))
+
+
+def test_sweep_config_takes_numpy_bools_and_reals():
+    cfg = small_cfg(genie=np.True_, threshold_eps=np.float32(0.01), snr_db=(np.float64(5.0),))
+    assert cfg.genie and sim._point(cfg, "tcgs", 5.0)[4].loglik_floor is not None
+
+
+def test_a_sweep_builds_its_code_once(monkeypatch):
+    """The config builds the code once; its checks and run_sweep build none, and
+    every point's context holds cfg.code.  The code takes no part in ==, hash
+    or repr: a rebuilt twin holds another code and still equals the config."""
+    built, points = [], []
+    make_code, point = sim.make_code, sim._point
+    monkeypatch.setattr(sim, "make_code", lambda *a: built.append(a) or make_code(*a))
+    monkeypatch.setattr(sim, "_point", lambda *a: points.append(point(*a)) or points[-1])
+    cfg = small_cfg(snr_db=(4.0, 5.0), algorithms=ALGORITHMS, max_frames=2)
+    checked = len(points)
+    run_sweep(cfg)
+    assert built == [(2, 4, 15, 11)] and (checked, len(points)) == (6, 12)
+    assert all(ctx[1] is cfg.code for ctx in points)
+    twin = replace(cfg)
+    assert twin.code is not cfg.code and twin == cfg and hash(twin) == hash(cfg)
+    assert "code" not in repr(cfg)
 
 
 def test_every_snr_a_sweep_config_accepts_runs():
