@@ -17,18 +17,17 @@ sim.SweepRow counts them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import check_pi
+from .channel import check_pi, soft_weights
 from .decoder import DecodeResult, _Search
 from .galois import check_count
 from .rscode import CodeParams, check_word
 
 # Unused here: the benchmark tracer (perfbench/tracing.py) wraps these names in this module.
-from .channel import hard_decision, soft_weights  # noqa: F401
+from .channel import hard_decision  # noqa: F401
 from .chase import build_atom_chain, kaneko_B0  # noqa: F401
 from .interp import backward_remove, factorize, forward_add  # noqa: F401
 from .rscode import encode  # noqa: F401
@@ -80,8 +79,11 @@ def classify_ml(code: CodeParams, pi: np.ndarray, result: DecodeResult,
     uncertified frames might be (1, 0); wrong outputs that strictly out-score
     the transmitted word definitely are (1, 1); other wrong outputs,
     including score ties, count only toward the upper bound (1, 0).
-    pi must pass the decoders' entry check (a real (q, n) array) and
-    transmitted must be a word of the code's shape: n symbols in [0, q).
+    pi must pass the decoders' entry check (a real (q, n) array) on every
+    path, and transmitted must be a word of the code's shape: n symbols in
+    [0, q).  A wrong output is weighed through the decoders' front end, so
+    there pi's values raise the decoders' ValueError too: non-finite entries,
+    or entries too large to weigh.
     """
     pi = check_pi(pi, code.field.q, code.n)  # as the decoder reads it
     tx = check_word(code, transmitted)
@@ -89,7 +91,6 @@ def classify_ml(code: CodeParams, pi: np.ndarray, result: DecodeResult,
         return (0, 0) if result.certified else (1, 0)
     if result.codeword is None:
         return (1, 0)
-    z = map(code.field.add, result.codeword, result.best_error)  # the decoder's e* is z - c*
-    # the soft weight of e_tx = z - tx, one correctly rounded sum as pattern_weight takes it
-    w_tx = math.fsum([pi[zj, j] - pi[tj, j] for j, (zj, tj) in enumerate(zip(z, tx)) if zj != tj])
+    sw = soft_weights(code.field, pi)  # the decoder's z, so its e* is sw.z - c*
+    w_tx = sw.pattern_weight(map(code.field.sub, sw.z, tx))  # the weight of e_tx = z - tx
     return (1, 1) if result.best_weight < w_tx else (1, 0)

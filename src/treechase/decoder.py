@@ -104,13 +104,11 @@ class DecodeResult:
 
     @property
     def forward_ops(self) -> int:
-        """Koetter updates: trial 1 interpolates in closed form, and every later
-        trial makes one forward and one backward update."""
+        """Koetter updates, forward or backward: trial 1 interpolates in closed
+        form, and every later trial makes one forward and one backward update."""
         return self.trials - 1
 
-    @property
-    def backward_ops(self) -> int:
-        return self.trials - 1
+    backward_ops = forward_ops
 
     @property
     def certified(self) -> bool:

@@ -102,7 +102,20 @@ def check_count(name: str, value, least: int) -> None:
 
 
 class Field:
-    """Common interface; use make_field() to construct a concrete field."""
+    """Common interface; use make_field() to construct a concrete field.
+
+    Each kind defines its own element arithmetic, add(a, b), sub(a, b) and
+    mul(a, b), and its own kernels:
+      poly_submul(a, b, c)  a(x) - b(x) * c(x), the products subtracted in
+                            place, one row of b per coefficient of c (so c is
+                            the shorter factor on the hot paths);
+      poly_divrem(num, den) quotient and remainder with deg rem < deg den; num
+                            is copied once as the working remainder, and den
+                            is read in place unless it has trailing zeros;
+      poly_evals(a, xs)     [a(x) for x in xs]: Horner's rule at each node, in
+                            one loop;
+      _sum_rows(terms)      column sums of a 2-D array of field elements.
+    """
 
     p: int
     m: int
@@ -124,15 +137,6 @@ class Field:
         self._exp = powers + powers + [0] * (zero + 1)
         self._log = log
         self._order = order
-
-    def add(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def sub(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -159,11 +163,6 @@ class Field:
         """a(x) by Horner's rule."""
         return self.poly_evals(a, (x,))[0]
 
-    def poly_submul(self, a: list[int], b: list[int], c: list[int]) -> list[int]:
-        """a(x) - b(x) * c(x), the products subtracted in place, one row of b per
-        coefficient of c (so c is the shorter factor on the hot paths)."""
-        raise NotImplementedError
-
     def poly_mul_linear(self, a: list[int], beta: int) -> list[int]:
         """a(x) * (x - beta), as x*a(x) - a(x)*beta."""
         return self.poly_submul([0, *a], a, [beta])
@@ -173,19 +172,6 @@ class Field:
         and b(beta), a = b*(x - beta) + a(beta)."""
         quo, rem = self.poly_divrem(a, [self.sub(0, beta), 1])
         return quo, rem[0] if rem else 0, self.poly_eval(quo, beta)
-
-    def poly_divrem(self, num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-        """Quotient and remainder with deg rem < deg den.
-
-        Inputs are copied and trimmed only when they need it: num is copied
-        once as the working remainder, and den is read in place unless it has
-        trailing zeros.
-        """
-        raise NotImplementedError
-
-    def poly_evals(self, a: list[int], xs) -> list[int]:
-        """[a(x) for x in xs]: Horner's rule at each node, in one loop."""
-        raise NotImplementedError
 
     @cached_property
     def _np_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -197,10 +183,6 @@ class Field:
         coefficients (log[0] for a zero one), as lagrange_table stores them."""
         exp, log = self._np_tables
         return poly_trim(self._sum_rows(exp[log[np.asarray(ys)][:, None] + log_rows]).tolist())
-
-    def _sum_rows(self, terms: np.ndarray) -> np.ndarray:
-        """Column sums of a 2-D array of field elements."""
-        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"GF({self.q})"

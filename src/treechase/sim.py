@@ -92,11 +92,10 @@ class SweepConfig:
             raise ValueError("no algorithms selected")
         if not self.snr_db:
             raise ValueError("no SNR points")
-        for what, values in (("algorithm", self.algorithms), ("SNR point", self.snr_db)):
-            if len(set(values)) < len(values):  # a repeated point decodes its frames again
-                raise ValueError(f"repeated {what} in {values}")
+        if len(set(self.algorithms)) < len(self.algorithms):  # it would decode its frames again
+            raise ValueError(f"repeated algorithm in {self.algorithms}")
         seen = {}
-        for snr_db in self.snr_db:  # rows_to_csv would print two rows under one label
+        for snr_db in self.snr_db:  # a repeated point, or two rows under one CSV label
             label = _snr_label(snr_db)
             if label in seen:
                 raise ValueError(f"SNR points {seen[label]!r} and {snr_db!r} both print as {label}")
@@ -104,7 +103,8 @@ class SweepConfig:
         for name, least in (("L", 1), ("max_frames", 1), ("min_errors", 0), ("workers", 1),
                             ("seed", 0)):
             check_count(name, getattr(self, name), least)
-        if "lcc" in self.algorithms and not 0 <= self.eta <= self.n:
+        # LccConfig rejects a non-integer or negative eta before it is compared with n
+        if "lcc" in self.algorithms and LccConfig(eta=self.eta).eta > self.n:
             raise ValueError("eta must be in [0, n]")
         if self.threshold_eps is not None and not (_is_real(self.threshold_eps)
                                                    and 0.0 < self.threshold_eps < 1.0):

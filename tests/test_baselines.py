@@ -157,10 +157,14 @@ def test_classify_ml_none_output_counts_upper_only(code54, example1_pi):
     assert classify_ml(code54, example1_pi, res, (1, 3, 0, 2)) == (1, 0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_classify_ml_checks_pi_as_the_decoders_do(code16):
-    """A pi the decoders reject is rejected on every path: also where the output
-    is wrong and classify_ml weighs the transmitted word off pi itself, which
-    a matrix of the wrong shape could silently score or index out of range."""
+    """pi's shape and dtype are checked on every path, as the decoders check
+    them: a matrix of the wrong shape could silently score or index out of
+    range.  Its values are checked wherever classify_ml weighs, that is, where
+    the output is wrong: the weight of the transmitted word comes from the
+    decoders' front end, which raises their ValueError for a NaN or infinite
+    entry and for finite entries so far apart that weights overflow."""
     tx, pi = draw_frame(code16, 0.4, 0, 0)
     res = tcgs_decode(code16, pi)
     other = encode(code16, [0] * 11)
@@ -169,6 +173,12 @@ def test_classify_ml_checks_pi_as_the_decoders_do(code16):
         for sent in (tx, other):
             with pytest.raises(ValueError, match="pi"):
                 classify_ml(code16, bad, res, sent)
+    nan_column, inf_column = pi.copy(), pi.copy()
+    nan_column[:, 3], inf_column[:, 3] = np.nan, np.inf
+    spread = np.where(pi == pi.max(axis=0), 1e308, -1e308)
+    for bad in (nan_column, inf_column, spread):
+        with pytest.raises(ValueError, match="non-finite entries, or entries too large"):
+            classify_ml(code16, bad, res, other)
 
 
 def test_classify_ml_score_tie_counts_upper_only(code54):
@@ -186,8 +196,8 @@ def test_classify_ml_score_tie_counts_upper_only(code54):
 
 
 def test_classify_ml_weight_equals_soft_weight_table(code54, code76):
-    """classify_ml reads the transmitted word's weight straight off pi; the
-    verdict equals the one from the full soft-weight table, bit for bit."""
+    """On wrong outputs of rounded (tied) pi, classify_ml's verdict equals the
+    one from the decoders' soft-weight table about z, bit for bit."""
     rng = np.random.default_rng(5)
     wrong = 0
     for code in (code54, code76):

@@ -75,7 +75,7 @@ def test_sweep_config_rejections():
     with pytest.raises(ValueError, match="L must be"):  # lcc builds no DecoderConfig to check L
         small_cfg(algorithms=("lcc",), L=0)
     with pytest.raises(ValueError):
-        small_cfg(algorithms=("lcc",), eta=-1)  # the [0, n] check, low side
+        small_cfg(algorithms=("lcc",), eta=-1)  # LccConfig's check, "eta must be >= 0"
     with pytest.raises(ValueError):
         small_cfg(algorithms=("lcc",), eta=16)
     with pytest.raises(ValueError):
@@ -136,7 +136,7 @@ def test_sweep_config_rejects_snr_without_finite_noise_variance(snr_db):
     (dict(workers=True), "workers must be an integer"),
     (dict(seed=False), "seed must be an integer"),
     (dict(algorithms=("tcgs", "lcc", "tcgs")), "repeated algorithm in ('tcgs', 'lcc', 'tcgs')"),
-    (dict(snr_db=(5.0, 4.0, 5)), "repeated SNR point in (5.0, 4.0, 5)"),
+    (dict(snr_db=(5.0, 4.0, 5)), "SNR points 5.0 and 5 both print as 5"),
     (dict(algorithms="lcc"), "algorithms must be a tuple or list, not str"),
     (dict(algorithms="tcgs"), "algorithms must be a tuple or list, not str"),
     (dict(algorithms={"tcgs"}), "algorithms must be a tuple or list, not set"),
@@ -153,16 +153,18 @@ def test_sweep_config_rejects_snr_without_finite_noise_variance(snr_db):
     (dict(genie=1), "genie must be a bool, got 1"),
     (dict(threshold_eps="0.01"), "threshold_eps must be in (0, 1)"),
     (dict(threshold_eps=np.array([0.01])), "threshold_eps must be in (0, 1)"),
+    (dict(algorithms=("lcc",), eta="4"), "eta must be an integer"),
+    (dict(snr_db=(4.0, 4.0)), "SNR points 4.0 and 4.0 both print as 4"),
 ])
 def test_sweep_config_rejects_what_run_sweep_cannot_run(kw, cause):
     """A negative seed (numpy's frame streams take none), an SNR whose
     likelihoods overflow the soft-weight check, a count that is no integer
     (a TypeError inside run_sweep, or a budget the config does not name; a
-    bool is no count either), a repeated algorithm or SNR point (which
-    would decode the same point again and print the same row twice), a
-    point list that is no tuple or list (a str iterates its characters, a
-    float not at all), an SNR point that is no real number (a str, None or
-    a bool), two SNR points that the CSV would print alike, a genie flag that
+    bool is no count either), a repeated algorithm (which would decode the
+    same point again and print the same row twice), a point list that is no
+    tuple or list (a str iterates its characters, a float not at all), an SNR
+    point that is no real number (a str, None or a bool), two SNR points that
+    the CSV would print alike (a repeated point among them), a genie flag that
     is no bool (any truthy value would switch it on) or a threshold_eps that
     is no real number is rejected when the config is built, not inside
     run_sweep."""
@@ -264,6 +266,22 @@ def test_sweep_csv_is_pinned(workers):
     cfg = small_cfg(snr_db=parse_snr_spec("4:6:1"), algorithms=("tcgs", "lcc", "hdd"),
                     max_frames=300, seed=0, workers=workers)
     assert rows_to_csv(run_sweep(cfg)) == SWEEP_RS15_4_6_1_300
+
+
+# At 3 dB some wrong outputs out-score the transmitted word, so e_lower_rate
+# is nonzero and the CSV pins classify_ml's weight of the transmitted word.
+SWEEP_RS15_3_300 = (
+    "algorithm,snr_db,frames,frame_errors,fer,avg_trials,e_upper_rate,e_lower_rate,wall_seconds\n"
+    "tcgs,3,300,39,0.13,7.6733333,0.32333333,0.02,0.000\n"
+    "lcc,3,300,47,0.15666667,10.06,0.60333333,0.023333333,0.000\n"
+    "hdd,3,300,142,0.47333333,1,0.61333333,0.0033333333,0.000\n")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_csv_with_proven_ml_errors_is_pinned(workers):
+    cfg = small_cfg(snr_db=(3.0,), algorithms=("tcgs", "lcc", "hdd"), max_frames=300, seed=0,
+                    workers=workers)
+    assert rows_to_csv(run_sweep(cfg)) == SWEEP_RS15_3_300
 
 
 SWEEP_RS15_4_6_1_300_EPS001 = (
